@@ -170,6 +170,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its scalar value, so it must hash like it too
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.names, frozenset(self.terms.items())))
 
     def __bool__(self):

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .algebra import Poly, format_fraction, parse_fraction
 from .identities import CHECKS as IDENTITY_CHECKS, Grid, NEGATIVE_CONTROLS
-from .umbral import CHECKS as UMBRAL_CHECKS, AppellContext, expand_in_appell, reconstruct
+from .umbral import (CHECKS as UMBRAL_CHECKS, AppellContext, expand_in_appell,
+                     reconstruct, validate_orders)
 from . import sequences as seq
 
 REGISTRY = {**IDENTITY_CHECKS, **UMBRAL_CHECKS}
@@ -74,22 +75,27 @@ def _csv_text(header, rows) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
-def _family_spec(args) -> seq.FamilySpec:
+def _flag(args, name: str, needed: bool):
+    """The raw value of --<name>, which the chosen family needs or refuses."""
+    value = getattr(args, name, None)
+    if needed and value is None:
+        raise UsageError(f"family {args.family} needs --{name}")
+    if not needed and value is not None:
+        raise UsageError(f"family {args.family} does not take --{name}")
+    return value
+
+
+def _family_and_alpha(args):
+    """The chosen family and its parsed --alpha (None for families without an
+    order); compute and table both validate here."""
     family = FAMILIES[args.family]
-    alpha = None
-    if family in seq.ORDER_PARAMETERIZED:
-        if args.alpha is None:
-            raise UsageError(f"family {args.family} needs --alpha")
-        alpha = _parse_alpha(args.alpha)
-    elif args.alpha is not None:
-        raise UsageError(f"family {args.family} does not take --alpha")
-    k = None
-    if family in seq.BLOCK_PARAMETERIZED:
-        if args.k is None:
-            raise UsageError(f"family {args.family} needs --k")
-        k = args.k
-    elif getattr(args, "k", None) is not None:
-        raise UsageError(f"family {args.family} does not take --k")
+    alpha = _flag(args, "alpha", family in seq.ORDER_PARAMETERIZED)
+    return family, None if alpha is None else _parse_alpha(alpha)
+
+
+def _family_spec(args) -> seq.FamilySpec:
+    family, alpha = _family_and_alpha(args)
+    k = _flag(args, "k", family in seq.BLOCK_PARAMETERIZED)
     return seq.FamilySpec(family, args.n, alpha=alpha, k=k)
 
 
@@ -105,10 +111,10 @@ def cmd_compute(args) -> int:
 
 
 def cmd_table(args) -> int:
-    family = FAMILIES[args.family]
     n_max = args.n_max
     if n_max < 0:
         raise UsageError("--n-max must be non-negative")
+    family, alpha = _family_and_alpha(args)
 
     if family in seq.BLOCK_PARAMETERIZED:
         header = ["n"] + [f"k={k}" for k in range(n_max + 1)]
@@ -122,13 +128,6 @@ def cmd_table(args) -> int:
                              else format_fraction(value))
             rows.append([n] + cells)
     else:
-        alpha = None
-        if family in seq.ORDER_PARAMETERIZED:
-            if args.alpha is None:
-                raise UsageError(f"family {args.family} needs --alpha")
-            alpha = _parse_alpha(args.alpha)
-        elif args.alpha is not None:
-            raise UsageError(f"family {args.family} does not take --alpha")
         header = ["n", "value"]
         rows = []
         for n in range(n_max + 1):
@@ -167,6 +166,7 @@ def cmd_verify(args) -> int:
         selected = [i for i in REGISTRY if i not in NEGATIVE_CONTROLS]
     else:
         raise UsageError("verify needs --id or --all")
+    validate_orders(selected, grid.alphas)
 
     def run_one(check_id):
         return REGISTRY[check_id](grid)

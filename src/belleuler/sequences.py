@@ -1,22 +1,30 @@
 """Sequence families: Bell, Euler (any exact order), Stirling-2, and the hybrid
-Bell-based Euler polynomials, each with a generating-function path and an
-independent recurrence/summation path.
+Bell-based Euler polynomials, each with a closed-form path and an independent
+recurrence/summation path.
 
-The generating-function path expands the defining series with the truncated
-engine from :mod:`.algebra`; the recurrence path uses only binomials and
-triangle recurrences.  Tests hold the two against each other and against
-brute-force enumeration.
+The closed-form path reads every family off two exact tables.  Since
+2/(e^t+1) = 1/(1+u) with u = (e^t-1)/2, the defining generating function
+factors into Stirling numbers and rising factorials:
+
+    E_k^(a)       = sum_j (-1)^j a^(j) S2(k, j) / 2^j      (a^(j) rising factorial)
+    B_m(x; y)     = sum_i C(m, i) x^(m-i) sum_j S2(i, j) y^j
+    BE_n^(a)(x;y) = sum_k C(n, k) E_k^(a) B_{n-k}(x; y)
+
+The recurrence path uses only binomials and triangle recurrences.  Tests hold
+the two against each other, against brute-force enumeration, and against the
+generating function expanded by the series engine of :mod:`.algebra`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
-from .algebra import Poly, XY, Series
+from .algebra import Poly
 
 X = Poly.gen("x")
 Y = Poly.gen("y")
@@ -32,90 +40,133 @@ def validate_order(alpha):
     return alpha
 
 
-def _gf_order(n: int) -> int:
-    # round the cached truncation order up so grid sweeps share one series
-    return max(16, n + 1)
+def _degree(n: int) -> int:
+    if n < 0:
+        raise ValueError("degree n must be non-negative")
+    return n
 
 
-# -- generating-function path ---------------------------------------------
+# -- closed-form path -------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def mixed_exponential(order: int) -> Series:
-    """e^{x t + y (e^t - 1)} over the (x, y) polynomial ring."""
-    expm1 = Series.exp_t(XY, order) - 1
-    return (Series.t(XY, order) * X + expm1 * Y).exp()
+_stirling_rows = [(1,)]
+_stirling_lock = threading.Lock()
 
 
-@lru_cache(maxsize=None)
-def euler_factor(alpha, order: int) -> Series:
-    """(2 / (e^t + 1))^alpha over the (x, y) polynomial ring."""
-    base = (Series.exp_t(XY, order) + 1) / 2
-    return base.pow(-validate_order(alpha))
+def _stirling_row(n: int) -> tuple:
+    """(S2(n, 0), ..., S2(n, n)) as ints; the shared triangle grows row by row."""
+    rows = _stirling_rows
+    if _degree(n) >= len(rows):
+        with _stirling_lock:
+            while len(rows) <= n:
+                prev = rows[-1]
+                rows.append((0,) + tuple(k * prev[k] + prev[k - 1]
+                                         for k in range(1, len(prev))) + (1,))
+    return rows[n]
 
 
-@lru_cache(maxsize=None)
-def _euler_gf(alpha, order: int) -> Series:
-    return euler_factor(alpha, order) * (Series.t(XY, order) * X).exp()
-
-
-@lru_cache(maxsize=None)
-def _bell_euler_gf(alpha, order: int) -> Series:
-    return euler_factor(alpha, order) * mixed_exponential(order)
-
-
-@lru_cache(maxsize=None)
-def _stirling_gf(k: int, order: int) -> Series:
-    expm1 = Series.exp_t(XY, order) - 1
-    return expm1.pow(k) / factorial(k) * (Series.t(XY, order) * X).exp()
+def _order_scale(alpha) -> int:
+    # E_k^(alpha) * scale^k is an integer, scale = 2 * denominator(alpha)
+    return 2 * Fraction(alpha).denominator
 
 
 @lru_cache(maxsize=None)
-def _bell_euler_y_gf(alpha, order: int) -> Series:
-    # the x=0 member family: (2/(e^t+1))^alpha * e^{y(e^t-1)}
-    expm1 = Series.exp_t(XY, order) - 1
-    return euler_factor(alpha, order) * (expm1 * Y).exp()
+def _euler_numerator(k: int, alpha) -> int:
+    """E_k^(alpha) * scale^k, from the Stirling closed form with the rising
+    factorial p (p+q) ... (p+(j-1)q) = q^j alpha^(j) for alpha = p/q."""
+    p, q = Fraction(alpha).numerator, Fraction(alpha).denominator
+    scale = _order_scale(alpha)
+    total, rising = 0, 1
+    for j, s in enumerate(_stirling_row(k)):
+        total += (-1) ** j * rising * s * scale ** (k - j)
+        rising *= p + j * q
+    return total
+
+
+def _poly(numerators, denominator: int = 1) -> Poly:
+    return Poly(("x", "y"), {e: Fraction(c, denominator)
+                             for e, c in numerators.items()})
+
+
+@lru_cache(maxsize=None)
+def _bell_euler_poly(n: int, alpha) -> Poly:
+    # sum_{k,i,j} C(n,k) E_k C(n-k,i) S2(i,j) x^(n-k-i) y^j over scale^n
+    scale = _order_scale(alpha)
+    terms = {}
+    for k in range(n + 1):
+        weight = comb(n, k) * _euler_numerator(k, alpha) * scale ** (n - k)
+        if not weight:
+            continue
+        for i in range(n - k + 1):
+            c = weight * comb(n - k, i)
+            for j, s in enumerate(_stirling_row(i)):
+                if s:
+                    key = (n - k - i, j)
+                    terms[key] = terms.get(key, 0) + c * s
+    return _poly(terms, scale ** n)
+
+
+@lru_cache(maxsize=None)
+def _euler_poly_order(n: int, alpha) -> Poly:
+    scale = _order_scale(alpha)
+    return _poly({(n - k, 0): comb(n, k) * _euler_numerator(k, alpha) * scale ** (n - k)
+                  for k in range(n + 1)}, scale ** n)
+
+
+@lru_cache(maxsize=None)
+def _bivariate_bell(n: int) -> Poly:
+    return _poly({(n - i, j): comb(n, i) * s
+                  for i in range(n + 1) for j, s in enumerate(_stirling_row(i))})
+
+
+@lru_cache(maxsize=None)
+def _stirling2_poly(n: int, k: int) -> Poly:
+    return _poly({(n - i, 0): comb(n, i) * _stirling_row(i)[k]
+                  for i in range(k, n + 1)})
 
 
 def bivariate_bell(n: int) -> Poly:
     """n-th polynomial of e^{xt + y(e^t - 1)}: mixes powers of x with partition counts."""
-    return factorial(n) * mixed_exponential(_gf_order(n)).coefficient(n)
+    return _bivariate_bell(_degree(n))
 
 
 def bell_poly(n: int) -> Poly:
-    """Classical Bell polynomial: bivariate value at x = 0."""
-    return bivariate_bell(n).subs({"x": 0})
+    """Classical Bell polynomial sum_k S2(n, k) y^k: bivariate value at x = 0."""
+    return _poly({(0, k): s for k, s in enumerate(_stirling_row(n))})
 
 
 def bell_number(n: int) -> Fraction:
     """Number of set partitions of an n-element set."""
-    return bivariate_bell(n).evaluate({"x": 0, "y": 1})
+    return Fraction(sum(_stirling_row(n)))
 
 
 def euler_poly_order(n: int, alpha) -> Poly:
     """Euler polynomial of order alpha (univariate in x)."""
-    return factorial(n) * _euler_gf(validate_order(alpha), _gf_order(n)).coefficient(n)
+    return _euler_poly_order(_degree(n), validate_order(alpha))
 
 
 def euler_number_order(n: int, alpha) -> Fraction:
-    return euler_poly_order(n, alpha).evaluate({"x": 0, "y": 0})
+    alpha = validate_order(alpha)
+    return Fraction(_euler_numerator(_degree(n), alpha), _order_scale(alpha) ** n)
 
 
 def stirling2_poly(n: int, k: int) -> Poly:
     """n-th polynomial of (e^t - 1)^k / k! * e^{xt}."""
     if k < 0:
         raise ValueError("block count k must be non-negative")
-    return factorial(n) * _stirling_gf(k, _gf_order(n)).coefficient(n)
+    return _stirling2_poly(_degree(n), k)
 
 
 def stirling2_number(n: int, k: int) -> Fraction:
     """Partitions of an n-set into k nonempty blocks."""
-    return stirling2_poly(n, k).evaluate({"x": 0, "y": 0})
+    if k < 0:
+        raise ValueError("block count k must be non-negative")
+    row = _stirling_row(n)
+    return Fraction(row[k] if k <= n else 0)
 
 
 def bell_euler_poly(n: int, alpha) -> Poly:
     """Hybrid family: n-th polynomial of (2/(e^t+1))^alpha * e^{xt + y(e^t-1)}."""
-    return factorial(n) * _bell_euler_gf(
-        validate_order(alpha), _gf_order(n)).coefficient(n)
+    return _bell_euler_poly(_degree(n), validate_order(alpha))
 
 
 def bell_euler_number(n: int, alpha) -> Fraction:
@@ -134,24 +185,14 @@ _SPECIAL_CASES = ("x_zero", "y_zero", "y_zero_alpha_one")
 
 
 def special_case(n: int, alpha, which: str) -> Poly:
-    """Named specializations of the hybrid family, cross-checked against the
-    dedicated generator for each case."""
-    if which == "x_zero":
-        value = bell_euler_poly(n, alpha).subs({"x": 0})
-        dedicated = factorial(n) * _bell_euler_y_gf(
-            validate_order(alpha), _gf_order(n)).coefficient(n)
-    elif which == "y_zero":
-        value = bell_euler_poly(n, alpha).subs({"y": 0})
-        dedicated = euler_poly_order(n, alpha)
-    elif which == "y_zero_alpha_one":
-        value = bell_euler_poly(n, 1).subs({"y": 0})
-        dedicated = euler_poly_order(n, 1)
-    else:
+    """Named specializations of the hybrid family: x = 0, y = 0, and y = 0 at
+    order 1 (the classical Euler polynomial)."""
+    if which not in _SPECIAL_CASES:
         raise ValueError(f"which must be one of {_SPECIAL_CASES}, got {which!r}")
-    if value != dedicated:
-        raise AssertionError(
-            f"special case {which} disagrees with its dedicated generator at n={n}")
-    return value
+    if which == "y_zero_alpha_one":
+        alpha = 1
+    var = "x" if which == "x_zero" else "y"
+    return bell_euler_poly(n, alpha).subs({var: 0})
 
 
 # -- recurrence / summation path ------------------------------------------
@@ -281,23 +322,18 @@ class FamilySpec:
                 f"(family={self.family.value})")
 
     def value(self):
-        f = self.family
-        if f is Family.BELL_NUMBER:
-            return bell_number(self.n)
-        if f is Family.BELL_POLY:
-            return bell_poly(self.n)
-        if f is Family.BIVARIATE_BELL:
-            return bivariate_bell(self.n)
-        if f is Family.EULER_NUMBER:
-            return euler_number_order(self.n, self.alpha)
-        if f is Family.EULER_POLY:
-            return euler_poly_order(self.n, self.alpha)
-        if f is Family.STIRLING2_NUMBER:
-            return stirling2_number(self.n, self.k)
-        if f is Family.STIRLING2_POLY:
-            return stirling2_poly(self.n, self.k)
-        if f is Family.BELL_EULER_POLY:
-            return bell_euler_poly(self.n, self.alpha)
-        if f is Family.BELL_EULER_NUMBER:
-            return bell_euler_number(self.n, self.alpha)
-        raise ValueError(f)
+        params = (p for p in (self.alpha, self.k) if p is not None)
+        return GENERATORS[self.family](self.n, *params)
+
+
+GENERATORS = {
+    Family.BELL_NUMBER: bell_number,
+    Family.BELL_POLY: bell_poly,
+    Family.BIVARIATE_BELL: bivariate_bell,
+    Family.EULER_NUMBER: euler_number_order,
+    Family.EULER_POLY: euler_poly_order,
+    Family.STIRLING2_NUMBER: stirling2_number,
+    Family.STIRLING2_POLY: stirling2_poly,
+    Family.BELL_EULER_POLY: bell_euler_poly,
+    Family.BELL_EULER_NUMBER: bell_euler_number,
+}

@@ -145,22 +145,22 @@ def reconstruct(expansion: AppellExpansion, ctx: AppellContext) -> Poly:
     return total
 
 
-def sheffer_orthogonality_check(ctx: AppellContext, n_max: int) -> IdentityReport:
+def _orthogonality_cases(ctx: AppellContext, n_max: int):
     """<h(t) t^k | S_n> = n! delta_{n,k} over the full (n, k) square."""
+    for n in range(n_max + 1):
+        for k in range(n_max + 1):
+            def pair_nk(n=n, k=k):
+                value = pair(ctx.h.shift(k), ctx.family_member(n))
+                lhs = value if isinstance(value, Poly) else Poly.constant(value)
+                return lhs, Poly.constant(factorial(n) if n == k else 0)
+            yield {"mu": ctx.mu, "n": n, "k": k}, pair_nk
+
+
+def sheffer_orthogonality_check(ctx: AppellContext, n_max: int) -> IdentityReport:
+    """The orthogonality square for one context."""
     if n_max > ctx.order:
         raise ValueError("context order too small for requested square")
-
-    def cases():
-        for n in range(n_max + 1):
-            for k in range(n_max + 1):
-                def pair_nk(n=n, k=k):
-                    value = pair(ctx.h.shift(k), ctx.family_member(n))
-                    expected = Fraction(factorial(n) if n == k else 0)
-                    lhs = value if isinstance(value, Poly) else Poly.constant(value)
-                    return lhs, Poly.constant(expected)
-                yield {"n": n, "k": k, "mu": ctx.mu}, pair_nk
-
-    return run_cases("orthogonality", cases())
+    return run_cases("orthogonality", _orthogonality_cases(ctx, n_max))
 
 
 def integral_via_operator(n: int, z, y=None):
@@ -234,21 +234,23 @@ def _integer_orders(alphas, default):
     return tuple(orders)
 
 
+# registry checks whose grid orders are Appell orders mu, so integers only
+INTEGER_ORDER_CHECKS = frozenset({"orthogonality", "multinomial", "roundtrip"})
+
+
+def validate_orders(check_ids, alphas) -> None:
+    """Reject, before any check runs, orders that a selected check cannot take."""
+    if INTEGER_ORDER_CHECKS.intersection(check_ids):
+        _integer_orders(alphas, ())
+
+
 def check_orthogonality(grid: Grid = Grid()) -> IdentityReport:
     n_max = grid.n_max if grid.n_max is not None else 6
     mus = _integer_orders(grid.alphas, (1, 2, 3))
 
     def cases():
         for mu in mus:
-            ctx = AppellContext.create(mu, n_max + 1)
-            for n in range(n_max + 1):
-                for k in range(n_max + 1):
-                    def pair_nk(ctx=ctx, n=n, k=k):
-                        value = pair(ctx.h.shift(k), ctx.family_member(n))
-                        lhs = (value if isinstance(value, Poly)
-                               else Poly.constant(value))
-                        return lhs, Poly.constant(factorial(n) if n == k else 0)
-                    yield {"mu": mu, "n": n, "k": k}, pair_nk
+            yield from _orthogonality_cases(AppellContext.create(mu, n_max + 1), n_max)
 
     return run_cases("orthogonality", cases())
 

@@ -47,6 +47,16 @@ class TestPoly:
         assert X != Y
         assert Poly.constant(2) == 2 == Poly.constant(F(2))
 
+    def test_hash_agrees_with_scalar_equality(self):
+        # equal values must collapse in sets and find each other in dicts
+        assert len({Poly.constant(1), 1}) == 1
+        assert len({Poly.zero(), 0}) == 1
+        assert len({Poly.constant(F(1, 2)), F(1, 2)}) == 1
+        assert {F(-3, 4): "value"}[Poly.constant(F(-3, 4))] == "value"
+        assert {0: "zero"}[X - X] == "zero"
+        assert Poly.constant(5, ("a",)) in {5}
+        assert X + 1 in {1 + X} and X not in {1, Poly.constant(1)}
+
     def test_arithmetic(self):
         assert (X + Y) * (X - Y) == X**2 - Y**2
         assert (X + 1)**3 == X**3 + 3 * X**2 + 3 * X + 1

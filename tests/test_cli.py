@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from belleuler import cli
 from belleuler.cli import main, parse_x_polynomial
 from belleuler.algebra import Poly
 from fractions import Fraction as F
@@ -183,6 +184,27 @@ class TestUsageErrors:
     def test_missing_k(self, run_cli):
         code, _, err = run_cli("compute", "--family", "stirling2", "--n", "4")
         assert code == 2 and "--k" in err
+
+    @pytest.mark.parametrize("command", [
+        ("table", "--n-max", "2"), ("compute", "--n", "2", "--k", "1")])
+    def test_stirling_rejects_alpha(self, run_cli, command):
+        # table and compute share one --alpha check
+        code, out, err = run_cli(*command, "--family", "stirling2", "--alpha", "1")
+        assert code == 2 and out == "" and "does not take --alpha" in err
+
+    def test_table_missing_alpha(self, run_cli):
+        code, out, err = run_cli("table", "--family", "euler", "--n-max", "2")
+        assert code == 2 and out == "" and "needs --alpha" in err
+
+    def test_non_integer_alphas_rejected_before_any_check(self, run_cli, monkeypatch):
+        calls = []
+        for check_id in ("T3_3", "orthogonality"):
+            monkeypatch.setitem(cli.REGISTRY, check_id,
+                                lambda grid, check_id=check_id: calls.append(check_id))
+        code, out, err = run_cli("verify", "--id", "T3_3", "--id", "orthogonality",
+                                 "--n-max", "2", "--alphas", "1/2")
+        assert code == 2 and out == "" and "integer orders" in err
+        assert calls == []
 
     def test_unknown_identity(self, run_cli):
         code, _, err = run_cli("verify", "--id", "T9_9")

@@ -72,17 +72,9 @@ class TestNegativeControl:
         assert check_T4_4_corrected().passed
 
 
-class TestT4_1Modes:
-    def test_sampling_mode_small_grid(self):
-        grid = Grid(n_max=3, alpha_pairs=((0, 1), (1, 1)))
-        ring = check_T4_1(grid, mode="ring")
-        sampled = check_T4_1(grid, mode="sampling")
-        assert ring.passed and sampled.passed
-        assert ring.checked == sampled.checked == 8
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            check_T4_1(mode="interpolate")
+def test_T4_1_alpha_pairs_override():
+    report = check_T4_1(Grid(n_max=3, alpha_pairs=((0, 1), (1, 1))))
+    assert report.passed and report.checked == 8
 
 
 def test_T4_3_classical_reduction_to_n_10():

@@ -1,4 +1,4 @@
-"""Dual-path tests for every sequence family: the generating-function values
+"""Dual-path tests for every sequence family: the closed-form values
 must match recurrence oracles and brute-force enumeration exactly."""
 
 from fractions import Fraction as F
@@ -198,6 +198,17 @@ class TestSpecialCases:
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
             seq.special_case(2, 1, "nope")
+
+
+def test_negative_degree_rejected():
+    for generate in (seq.bell_number, seq.bell_poly, seq.bivariate_bell,
+                     lambda n: seq.euler_poly_order(n, 1),
+                     lambda n: seq.euler_number_order(n, F(1, 2)),
+                     lambda n: seq.stirling2_poly(n, 0),
+                     lambda n: seq.stirling2_number(n, 0),
+                     lambda n: seq.bell_euler_poly(n, 2)):
+        with pytest.raises(ValueError):
+            generate(-1)
 
 
 class TestFamilySpec:

@@ -11,6 +11,8 @@ from belleuler import sequences as seq
 from belleuler.algebra import Poly, QQ, Series, XY
 from belleuler.identities import Grid
 from belleuler.umbral import (
+    CHECKS as UMBRAL_CHECKS,
+    INTEGER_ORDER_CHECKS,
     AppellContext,
     appell_inverse_apply,
     apply_operator,
@@ -28,6 +30,7 @@ from belleuler.umbral import (
     random_rational_poly,
     reconstruct,
     sheffer_orthogonality_check,
+    validate_orders,
 )
 
 X, Y = Poly.gens("x", "y")
@@ -158,6 +161,27 @@ class TestOrthogonality:
     def test_rational_mu_rejected_in_grid(self):
         with pytest.raises(ValueError):
             check_orthogonality(Grid(alphas=(F(1, 2),)))
+
+    def test_registry_and_context_checks_share_cases(self):
+        ctx = AppellContext.create(2, 4)
+        direct = sheffer_orthogonality_check(ctx, 3)
+        registry = check_orthogonality(Grid(n_max=3, alphas=(2,)))
+        assert direct.passed and registry.passed
+        assert direct.checked == registry.checked == 16
+
+
+def test_integer_order_checks_are_the_ones_that_reject_rationals():
+    grid = Grid(n_max=1, alphas=(F(1, 2),))
+    for check_id, check in UMBRAL_CHECKS.items():
+        if check_id in INTEGER_ORDER_CHECKS:
+            with pytest.raises(ValueError):
+                check(grid)
+            with pytest.raises(ValueError):
+                validate_orders([check_id], grid.alphas)
+        else:
+            assert check(grid).passed
+            validate_orders([check_id], grid.alphas)
+    validate_orders(list(UMBRAL_CHECKS), None)
 
 
 class TestExpansion:
