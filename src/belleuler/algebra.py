@@ -1,13 +1,16 @@
 """Exact coefficient algebra: sparse polynomials and truncated power series.
 
-Everything is computed over arbitrary-precision rationals
-(:class:`fractions.Fraction`); there is no floating point anywhere.  Two value
-types do all the work:
+Everything is computed over arbitrary-precision rationals; there is no
+floating point anywhere.  Two value types do all the work:
 
 * :class:`Poly` -- a sparse polynomial in a fixed tuple of named variables
-  (the default ring is ``("x", "y")``), stored as a canonical exponent-map with
-  no explicit zero coefficients.  Equality is coefficient-map equality, which
-  is the library's notion of "identity holds".
+  (the default ring is ``("x", "y")``).  It stores integer numerators over
+  one common denominator, as FLINT's ``fmpq_poly`` does: a map
+  ``{exponent tuple: nonzero int}`` and an int ``den > 0``, reduced so that
+  ``den`` and the numerators share no factor.  That form is canonical, so
+  equality is a comparison of ints and is the library's notion of
+  "identity holds".  Arithmetic runs on ints; :attr:`Poly.terms` shows the
+  coefficients as Fractions.
 
 * :class:`Series` -- a formal power series in ``t``, truncated at a fixed
   order ``N``, over either plain Fractions or a polynomial ring.  Position
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -51,54 +56,90 @@ def _as_fraction(value) -> Fraction:
 
 
 class Poly:
-    """Sparse polynomial with Fraction coefficients in named variables.
+    """Sparse polynomial with rational coefficients in named variables.
 
-    Instances are immutable values: every operation returns a new Poly and
-    never stores a zero coefficient.
+    The coefficient of ``exps`` is ``_num[exps] / _den``: ``_num`` maps
+    exponent tuples to nonzero ints and ``_den > 0`` is reduced against
+    them, so equal polynomials have equal ``(names, _num, _den)``.
+    ``Poly(names, terms)`` is the public constructor; it validates a map
+    ``{exps: Fraction | int}``.  Internal results come from the trusted
+    :meth:`_make`, which only divides out the common gcd.
+
+    Instances are immutable values: every operation returns a new Poly.
 
     >>> x, y = Poly.gens("x", "y")
     >>> (x + y) * (x - y) == x**2 - y**2
     True
     >>> (x**2 * y).derivative("x").pretty()
     '2*x*y'
+    >>> (x / 2 + y / 6).terms
+    {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 6)}
     """
 
-    __slots__ = ("names", "terms")
+    __slots__ = ("names", "_num", "_den")
 
     def __init__(self, names, terms):
-        self.names = tuple(names)
-        clean = {}
+        names = tuple(names)
+        coeffs = {}
         for exps, coeff in terms.items():
             coeff = _as_fraction(coeff)
             if coeff:
                 exps = tuple(exps)
-                if len(exps) != len(self.names):
+                if len(exps) != len(names):
                     raise ValueError("exponent tuple does not match variables")
-                clean[exps] = coeff
-        self.terms = clean
+                coeffs[exps] = coeff
+        # over the lcm of reduced denominators the numerators share no factor
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.names = names
+        self._num = {e: c.numerator * (den // c.denominator)
+                     for e, c in coeffs.items()}
+        self._den = den
+
+    @classmethod
+    def _make(cls, names: tuple, num: dict, den: int) -> "Poly":
+        """Trusted constructor: ``num`` holds nonzero ints under exponent
+        tuples of length ``len(names)``, and ``den > 0``.  The new Poly
+        keeps ``num``, so the caller must not change it afterwards."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+        poly = object.__new__(cls)
+        poly.names = names
+        poly._num = num
+        poly._den = den
+        return poly
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def constant(cls, value, names=("x", "y")) -> "Poly":
         value = _as_fraction(value)
-        zero = (0,) * len(names)
-        return cls(names, {zero: value} if value else {})
+        names = tuple(names)
+        num = {(0,) * len(names): value.numerator} if value else {}
+        return cls._make(names, num, value.denominator)
 
     @classmethod
     def zero(cls, names=("x", "y")) -> "Poly":
-        return cls(names, {})
+        return cls._make(tuple(names), {}, 1)
 
     @classmethod
     def gen(cls, name, names=("x", "y")) -> "Poly":
         exps = tuple(1 if n == name else 0 for n in names)
         if sum(exps) != 1:
             raise ValueError(f"{name!r} is not one of {names}")
-        return cls(names, {exps: Fraction(1)})
+        return cls._make(tuple(names), {exps: 1}, 1)
 
     @classmethod
     def gens(cls, *names) -> "tuple[Poly, ...]":
         return tuple(cls.gen(n, names) for n in names)
+
+    @property
+    def terms(self) -> "dict[tuple, Fraction]":
+        """The coefficients as a fresh map ``{exps: Fraction}``, no zeros."""
+        den = self._den
+        return {e: Fraction(c, den) for e, c in self._num.items()}
 
     # -- ring structure ---------------------------------------------------
 
@@ -109,46 +150,75 @@ class Poly:
             return other
         return Poly.constant(other, self.names)
 
+    def _plus(self, other, sign: int) -> "Poly":
+        """self + sign * other over the lcm of the two denominators."""
+        other = self._coerce(other)
+        d1, d2 = self._den, other._den
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, sign * (d1 // g)
+        num = {e: c * m1 for e, c in self._num.items()} if m1 != 1 \
+            else dict(self._num)
+        for e, c in other._num.items():
+            value = num.get(e, 0) + c * m2
+            if value:
+                num[e] = value
+            else:
+                del num[e]
+        return Poly._make(self.names, num, d1 * m1)
+
     def __add__(self, other):
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return Poly(self.names, terms)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.names, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.names, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        return self + (-self._coerce(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
         return self._coerce(other) - self
 
+    def _scaled(self, numerator: int, denominator: int) -> "Poly":
+        """self * numerator / denominator, with denominator > 0."""
+        if not numerator:
+            return Poly._make(self.names, {}, 1)
+        return Poly._make(self.names,
+                          {e: c * numerator for e, c in self._num.items()},
+                          self._den * denominator)
+
     def __mul__(self, other):
-        if not isinstance(other, (Poly, int, Fraction)):
-            return NotImplemented
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _as_fraction(other)
+            return self._scaled(other.numerator, other.denominator)
         other = self._coerce(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return Poly(self.names, terms)
+        num = {}
+        get = num.get
+        right = list(other._num.items())
+        for e1, c1 in self._num.items():
+            for e2, c2 in right:
+                key = tuple(map(add, e1, e2))
+                num[key] = get(key, 0) + c1 * c2
+        num = {e: c for e, c in num.items() if c}
+        return Poly._make(self.names, num, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         scalar = _as_fraction(scalar)
-        return Poly(self.names, {e: c / scalar for e, c in self.terms.items()})
+        if not scalar:
+            raise ZeroDivisionError("polynomial division by zero")
+        p, q = scalar.numerator, scalar.denominator
+        return self._scaled(-q, -p) if p < 0 else self._scaled(q, p)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -164,19 +234,20 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.names == other.names and self.terms == other.terms
+            return (self.names == other.names and self._den == other._den
+                    and self._num == other._num)
         if isinstance(other, (int, Fraction)):
-            return self == Poly.constant(other, self.names)
+            return self.is_constant() and self.constant_value() == other
         return NotImplemented
 
     def __hash__(self):
         # a constant equals its scalar value, so it must hash like it too
         if self.is_constant():
             return hash(self.constant_value())
-        return hash((self.names, frozenset(self.terms.items())))
+        return hash((self.names, self._den, frozenset(self._num.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def __repr__(self):
         return f"Poly({self.pretty()!r})"
@@ -185,28 +256,25 @@ class Poly:
 
     def degree(self, var=None) -> int:
         """Largest exponent of ``var`` (total degree if None); -1 for the zero poly."""
-        if not self.terms:
+        if not self._num:
             return -1
         if var is None:
-            return max(sum(e) for e in self.terms)
+            return max(sum(e) for e in self._num)
         i = self.names.index(var)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._num)
 
     def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._num.get(tuple(exps), 0), self._den)
 
     def coefficient_in(self, var, k: int) -> "Poly":
         """Coefficient of ``var**k`` as a polynomial in the remaining variables."""
         i = self.names.index(var)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                key = e[:i] + (0,) + e[i + 1:]
-                terms[key] = c
-        return Poly(self.names, terms)
+        num = {e[:i] + (0,) + e[i + 1:]: c
+               for e, c in self._num.items() if e[i] == k}
+        return Poly._make(self.names, num, self._den)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(not any(e) for e in self._num)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -217,21 +285,17 @@ class Poly:
 
     def derivative(self, var) -> "Poly":
         i = self.names.index(var)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                key = e[:i] + (e[i] - 1,) + e[i + 1:]
-                terms[key] = terms.get(key, Fraction(0)) + c * e[i]
-        return Poly(self.names, terms)
+        num = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+               for e, c in self._num.items() if e[i]}
+        return Poly._make(self.names, num, self._den)
 
     def antiderivative(self, var) -> "Poly":
         """Formal antiderivative with zero constant term in ``var``."""
         i = self.names.index(var)
-        terms = {}
-        for e, c in self.terms.items():
-            key = e[:i] + (e[i] + 1,) + e[i + 1:]
-            terms[key] = c / (e[i] + 1)
-        return Poly(self.names, terms)
+        scale = lcm(*(e[i] + 1 for e in self._num))
+        num = {e[:i] + (e[i] + 1,) + e[i + 1:]: c * (scale // (e[i] + 1))
+               for e, c in self._num.items()}
+        return Poly._make(self.names, num, self._den * scale)
 
     # -- substitution -----------------------------------------------------
 
@@ -262,42 +326,54 @@ class Poly:
                 images.append(Poly.gen(name, target))
 
         # power tables keep repeated exponentiation out of the inner loop
+        one = Poly.constant(1, target)
         powers = []
         for i, img in enumerate(images):
-            top = self.degree(self.names[i])
-            table = [Poly.constant(1, target)]
-            for _ in range(max(top, 0)):
+            table = [one]
+            for _ in range(max(self.degree(self.names[i]), 0)):
                 table.append(table[-1] * img)
             powers.append(table)
 
-        result = Poly.zero(target)
-        for e, c in self.terms.items():
-            term = Poly.constant(c, target)
-            for i, k in enumerate(e):
+        # each term's image, then one sum over the lcm of their denominators
+        products = []
+        for e, c in self._num.items():
+            term = None
+            for table, k in zip(powers, e):
                 if k:
-                    term = term * powers[i][k]
-            result = result + term
-        return result
+                    term = table[k] if term is None else term * table[k]
+            products.append((c, one if term is None else term))
+        den = lcm(*(term._den for _, term in products))
+        num = {}
+        get = num.get
+        for c, term in products:
+            scale = c * (den // term._den)
+            for e, v in term._num.items():
+                num[e] = get(e, 0) + v * scale
+        num = {e: c for e, c in num.items() if c}
+        return Poly._make(target, num, self._den * den)
 
     def evaluate(self, assignments) -> Fraction:
         """Evaluate at an exact rational point; every variable must be assigned."""
         point = [_as_fraction(assignments[name]) for name in self.names]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            value = c
-            for v, k in zip(point, e):
-                if k:
-                    value *= v ** k
-            total += value
-        return total
+        # clear every variable's denominator up to its top degree, sum as ints
+        tops = [max(self.degree(name), 0) for name in self.names]
+        total = 0
+        for e, c in self._num.items():
+            for v, k, top in zip(point, e, tops):
+                c *= v.numerator ** k * v.denominator ** (top - k)
+            total += c
+        den = self._den
+        for v, top in zip(point, tops):
+            den *= v.denominator ** top
+        return Fraction(total, den)
 
     # -- serialization ----------------------------------------------------
 
     def _json_order(self):
-        return sorted(self.terms, key=lambda e: (-sum(e), tuple(-k for k in e)))
+        return sorted(self._num, key=lambda e: (-sum(e), tuple(-k for k in e)))
 
     def _pretty_order(self):
-        return sorted(self.terms, key=lambda e: (-e[0],) + e[1:] if e else ())
+        return sorted(self._num, key=lambda e: (-e[0],) + e[1:] if e else ())
 
     def _monomial_key(self, exps) -> str:
         parts = [f"{n}^{k}" for n, k in zip(self.names, exps) if k]
@@ -305,16 +381,18 @@ class Poly:
 
     def to_json_map(self) -> "dict[str, str]":
         """Ordered monomial-key map, e.g. {"x^2": "1", "x^1*y^1": "2"}."""
-        return {self._monomial_key(e): format_fraction(self.terms[e])
+        terms = self.terms
+        return {self._monomial_key(e): format_fraction(terms[e])
                 for e in self._json_order()}
 
     def pretty(self) -> str:
         """Human-readable form: "x^2 - x", "1/2 - y", "0" for the zero poly."""
-        if not self.terms:
+        if not self._num:
             return "0"
+        terms = self.terms
         chunks = []
         for e in self._pretty_order():
-            coeff = self.terms[e]
+            coeff = terms[e]
             mono = "*".join(n if k == 1 else f"{n}^{k}"
                             for n, k in zip(self.names, e) if k)
             if not mono:

@@ -17,7 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .algebra import Poly, format_fraction, parse_fraction
-from .identities import CHECKS as IDENTITY_CHECKS, Grid, NEGATIVE_CONTROLS
+from .identities import (CHECKS as IDENTITY_CHECKS, Grid, NEGATIVE_CONTROLS,
+                         validate_n_max)
 from .umbral import (CHECKS as UMBRAL_CHECKS, AppellContext, expand_in_appell,
                      reconstruct, validate_orders)
 from . import sequences as seq
@@ -151,7 +152,7 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     overrides = {}
     if args.n_max is not None:
-        overrides["n_max"] = args.n_max
+        overrides["n_max"] = validate_n_max(args.n_max)
     if args.alphas is not None:
         overrides["alphas"] = _parse_alphas(args.alphas)
     grid = Grid(**overrides)
@@ -185,7 +186,7 @@ def cmd_verify(args) -> int:
 
 
 _POLY_TOKEN = re.compile(
-    r"^([+-]?)(?:(\d+(?:/\d+)?)\*?)?(x(?:\^(\d+))?)?$")
+    r"^([+-]?)(?:(\d+(?:/0*[1-9]\d*)?)\*?)?(x(?:\^(\d+))?)?$")
 
 
 def parse_x_polynomial(text: str) -> Poly:

@@ -21,6 +21,13 @@ DEFAULT_ALPHAS = (0, 1, 2, 3)
 DEFAULT_PAIRS = tuple((a1, a2) for a1 in (0, 1, 2) for a2 in (0, 1, 2))
 
 
+def validate_n_max(n_max: int) -> int:
+    """The grid-size rule every identity check applies: n_max >= 1."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    return n_max
+
+
 @dataclass(frozen=True)
 class Grid:
     """Parameter grid for a check; None fields fall back to per-check defaults."""
@@ -32,8 +39,7 @@ class Grid:
     def resolve(self, n_default=DEFAULT_N_MAX, alphas_default=DEFAULT_ALPHAS):
         n_max = self.n_max if self.n_max is not None else n_default
         alphas = self.alphas if self.alphas is not None else alphas_default
-        if n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        validate_n_max(n_max)
         if not alphas:
             raise ValueError("alpha list must be non-empty")
         return n_max, tuple(alphas)

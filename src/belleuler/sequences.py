@@ -83,8 +83,9 @@ def _euler_numerator(k: int, alpha) -> int:
 
 
 def _poly(numerators, denominator: int = 1) -> Poly:
-    return Poly(("x", "y"), {e: Fraction(c, denominator)
-                             for e, c in numerators.items()})
+    # the tables already give integer numerators over one denominator
+    return Poly._make(("x", "y"), {e: c for e, c in numerators.items() if c},
+                      denominator)
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import factorial
 
 from .algebra import Poly, QQ, XY, Series
@@ -43,14 +42,6 @@ def pair(f: Series, q: Poly):
     if isinstance(total, Poly) and total.is_constant():
         return total.constant_value()
     return total
-
-
-def pair_product(factors, q: Poly):
-    """Pairing of a product of functionals: multiply the series, pair once."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("need at least one functional")
-    return pair(reduce(lambda a, b: a * b, factors), q)
 
 
 def apply_operator(g: Series, q: Poly) -> Poly:

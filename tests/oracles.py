@@ -1,7 +1,9 @@
 """Independent oracles used by the tests: recurrences, closed sums, and
 brute-force enumeration only.  Nothing here touches the package's series
 engine; polynomials are plain dicts {(deg_x, deg_y): Fraction} so comparisons
-against ``Poly.terms`` stay honest.
+against ``Poly.terms`` stay honest.  The ``dict_*`` helpers are a reference
+polynomial arithmetic on such dicts, in any number of variables, with one
+Fraction per coefficient and no shared denominator.
 """
 
 from fractions import Fraction
@@ -99,24 +101,68 @@ def euler_poly_dict(n, alpha):
     return {key: c for key, c in out.items() if c}
 
 
+def dict_nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
 def dict_mul(a, b):
     out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            key = (i1 + i2, j1 + j2)
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(i + j for i, j in zip(e1, e2))
             out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {k: c for k, c in out.items() if c}
+    return dict_nonzero(out)
 
 
 def dict_add(a, b):
     out = dict(a)
     for key, c in b.items():
         out[key] = out.get(key, Fraction(0)) + c
-    return {k: c for k, c in out.items() if c}
+    return dict_nonzero(out)
 
 
 def dict_scale(a, s):
     return {k: c * s for k, c in a.items() if c * s}
+
+
+def dict_pow(a, k, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        out = dict_mul(out, a)
+    return out
+
+
+def dict_derivative(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
+
+
+def dict_antiderivative(a, i):
+    return {e[:i] + (e[i] + 1,) + e[i + 1:]: c / (e[i] + 1) for e, c in a.items()}
+
+
+def dict_coefficient_in(a, i, k):
+    return {e[:i] + (0,) + e[i + 1:]: c for e, c in a.items() if e[i] == k}
+
+
+def dict_subs(a, images, nvars):
+    """Substitute images[i] (a dict in ``nvars`` variables) for variable i,
+    one term at a time."""
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * nvars: c}
+        for image, k in zip(images, e):
+            term = dict_mul(term, dict_pow(image, k, nvars))
+        out = dict_add(out, term)
+    return out
+
+
+def dict_evaluate(a, point):
+    total = Fraction(0)
+    for e, c in a.items():
+        for v, k in zip(point, e):
+            c *= Fraction(v) ** k
+        total += c
+    return total
 
 
 def bivariate_bell_dict(n):

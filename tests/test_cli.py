@@ -218,6 +218,20 @@ class TestUsageErrors:
         code, _, err = run_cli("expand", "--mu", "1", "x + w")
         assert code == 2
 
+    @pytest.mark.parametrize("literal", ["1/0*x", "x^2 - 3/00", "-2/0"])
+    def test_zero_denominator_literal(self, run_cli, literal):
+        code, out, err = run_cli("expand", "--mu", "1", "--", literal)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("check_id, n_max", [("integral", "-1"),
+                                                 ("orthogonality", "0")])
+    def test_verify_n_max_below_one(self, run_cli, monkeypatch, check_id, n_max):
+        calls = []
+        monkeypatch.setitem(cli.REGISTRY, check_id, calls.append)
+        code, out, err = run_cli("verify", "--id", check_id, "--n-max", n_max)
+        assert code == 2 and out == "" and "n_max must be at least 1" in err
+        assert calls == []
+
     def test_unknown_family_is_argparse_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["compute", "--family", "fibonacci", "--n", "2"])

@@ -26,7 +26,6 @@ from belleuler.umbral import (
     integral_via_operator,
     multinomial_decomposition,
     pair,
-    pair_product,
     random_rational_poly,
     reconstruct,
     sheffer_orthogonality_check,
@@ -80,7 +79,7 @@ class TestPairing:
             f2 = Series(QQ, [F(rng.randint(-9, 9), rng.randint(1, 9))
                              for _ in range(order + 1)])
             for n in range(order + 1):
-                direct = pair_product([f1, f2], X**n)
+                direct = pair(f1 * f2, X**n)
                 expanded = sum(
                     (F(factorial(n), factorial(i) * factorial(n - i))
                      * pair(f1, X**i) * pair(f2, X**(n - i))
