@@ -13,7 +13,6 @@ import io
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .algebra import Poly, format_fraction, parse_fraction
@@ -168,15 +167,7 @@ def cmd_verify(args) -> int:
     else:
         raise UsageError("verify needs --id or --all")
     validate_orders(selected, grid.alphas)
-
-    def run_one(check_id):
-        return REGISTRY[check_id](grid)
-
-    if args.parallel and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(selected))) as pool:
-            reports = list(pool.map(run_one, selected))
-    else:
-        reports = [run_one(check_id) for check_id in selected]
+    reports = [REGISTRY[check_id](grid) for check_id in selected]
 
     print(json.dumps([r.to_json_dict() for r in reports], **_JSON_COMPACT))
     for report in reports:
@@ -228,6 +219,10 @@ def cmd_expand(args) -> int:
     return 0
 
 
+# argparse reads "-5/3" as an option, so a negative rational needs the = form
+_ALPHA_HELP = "order, an integer or p/q; write a negative p/q as --alpha=-5/3"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="belleuler",
@@ -237,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="one family value")
     p_compute.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p_compute.add_argument("--n", required=True, type=int)
-    p_compute.add_argument("--alpha", help="order, an integer or p/q")
+    p_compute.add_argument("--alpha", help=_ALPHA_HELP)
     p_compute.add_argument("--k", type=int, help="block count for stirling2 families")
     p_compute.add_argument("--format", default="pretty",
                            choices=("json", "csv", "pretty"))
@@ -246,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="values for n = 0..n_max")
     p_table.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p_table.add_argument("--n-max", required=True, type=int, dest="n_max")
-    p_table.add_argument("--alpha", help="order, an integer or p/q")
+    p_table.add_argument("--alpha", help=_ALPHA_HELP)
     p_table.add_argument("--format", default="csv",
                          choices=("json", "csv", "pretty"))
     p_table.set_defaults(func=cmd_table)
@@ -259,9 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all", action="store_true",
                           help="run every check except negative controls")
     p_verify.add_argument("--n-max", type=int, dest="n_max")
-    p_verify.add_argument("--alphas", help="comma-separated integers or p/q")
+    p_verify.add_argument("--alphas",
+                          help="comma-separated integers or p/q; write a list "
+                               "that starts with a minus sign as --alphas=-1,2")
     p_verify.add_argument("--parallel", action="store_true",
-                          help="evaluate checks concurrently (same output)")
+                          help="accepted for compatibility; checks run "
+                               "sequentially (same output)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_expand = sub.add_parser(

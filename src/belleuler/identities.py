@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .algebra import Poly
@@ -150,14 +151,23 @@ def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
     pairs = grid.alpha_pairs if grid.alpha_pairs is not None else DEFAULT_PAIRS
 
     x1, x2, y1, y2 = Poly.gens(*_FOUR_VARS)
+    points = {"sum": {"x": x1 + x2, "y": y1 + y2},
+              "left": {"x": x1, "y": y1}, "right": {"x": x2, "y": y2}}
+    # members recur across grid points; the table dies with this call, so a
+    # later call reads seq.bell_euler_poly afresh
+    images = {}
+
+    def image(k, a, point):
+        key = (k, a, point)
+        if key not in images:
+            images[key] = seq.bell_euler_poly(k, a).subs(points[point])
+        return images[key]
 
     def ring_pair(n, a1, a2):
-        lhs = seq.bell_euler_poly(n, a1 + a2).subs({"x": x1 + x2, "y": y1 + y2})
+        lhs = image(n, a1 + a2, "sum")
         rhs = Poly.zero(_FOUR_VARS)
         for k in range(n + 1):
-            left = seq.bell_euler_poly(k, a1).subs({"x": x1, "y": y1})
-            right = seq.bell_euler_poly(n - k, a2).subs({"x": x2, "y": y2})
-            rhs = rhs + comb(n, k) * left * right
+            rhs = rhs + comb(n, k) * image(k, a1, "left") * image(n - k, a2, "right")
         return lhs, rhs
 
     def cases():
@@ -213,6 +223,7 @@ def check_T4_3(grid: Grid = Grid()) -> IdentityReport:
     return run_cases("T4_3", cases())
 
 
+@lru_cache(maxsize=None)
 def _stirling_weight(j: int) -> Poly:
     # sum_k (x)_k S2(j, k): the change of basis from falling factorials
     total = Poly.zero()

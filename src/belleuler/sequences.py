@@ -92,18 +92,20 @@ def _poly(numerators, denominator: int = 1) -> Poly:
 def _bell_euler_poly(n: int, alpha) -> Poly:
     # sum_{k,i,j} C(n,k) E_k C(n-k,i) S2(i,j) x^(n-k-i) y^j over scale^n
     scale = _order_scale(alpha)
-    terms = {}
+    # rows[e][j] accumulates x^e y^j: list cells instead of a tuple-keyed
+    # dict, so the O(n^3) loop allocates no key per term
+    rows = [[0] * (n - e + 1) for e in range(n + 1)]
     for k in range(n + 1):
         weight = comb(n, k) * _euler_numerator(k, alpha) * scale ** (n - k)
         if not weight:
             continue
         for i in range(n - k + 1):
             c = weight * comb(n - k, i)
+            row = rows[n - k - i]
             for j, s in enumerate(_stirling_row(i)):
-                if s:
-                    key = (n - k - i, j)
-                    terms[key] = terms.get(key, 0) + c * s
-    return _poly(terms, scale ** n)
+                row[j] += c * s
+    return _poly({(e, j): c for e, row in enumerate(rows) for j, c in enumerate(row)},
+                 scale ** n)
 
 
 @lru_cache(maxsize=None)
@@ -185,6 +187,12 @@ def falling_factorial(k: int) -> Poly:
 _SPECIAL_CASES = ("x_zero", "y_zero", "y_zero_alpha_one")
 
 
+@lru_cache(maxsize=None)
+def _special_case(n: int, alpha, which: str) -> Poly:
+    var = "x" if which == "x_zero" else "y"
+    return _bell_euler_poly(n, alpha).subs({var: 0})
+
+
 def special_case(n: int, alpha, which: str) -> Poly:
     """Named specializations of the hybrid family: x = 0, y = 0, and y = 0 at
     order 1 (the classical Euler polynomial)."""
@@ -192,8 +200,7 @@ def special_case(n: int, alpha, which: str) -> Poly:
         raise ValueError(f"which must be one of {_SPECIAL_CASES}, got {which!r}")
     if which == "y_zero_alpha_one":
         alpha = 1
-    var = "x" if which == "x_zero" else "y"
-    return bell_euler_poly(n, alpha).subs({var: 0})
+    return _special_case(_degree(n), validate_order(alpha), which)
 
 
 # -- recurrence / summation path ------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import factorial
 
 from .algebra import Poly, QQ, XY, Series
@@ -36,9 +37,15 @@ def pair(f: Series, q: Poly):
             f"degree-{deg} polynomial")
     total = Fraction(0)
     for n in range(max(deg, 0) + 1):
+        fn = f.coefficient(n)
+        if not fn:
+            continue
         qn = q.coefficient_in("x", n)
         if qn:
-            total = total + factorial(n) * f.coefficient(n) * qn
+            # a scalar coefficient scales instead of multiplying polynomials
+            if qn.is_constant():
+                qn = qn.constant_value()
+            total = total + factorial(n) * fn * qn
     if isinstance(total, Poly) and total.is_constant():
         return total.constant_value()
     return total
@@ -66,7 +73,11 @@ def apply_operator(g: Series, q: Poly) -> Poly:
 
 def difference_quotient_operator(z, order: int) -> Series:
     """The series (e^{zt} - 1)/t, realized by an exact coefficient shift."""
-    z = Fraction(z)
+    return _difference_quotient(Fraction(z), order)
+
+
+@lru_cache(maxsize=None)
+def _difference_quotient(z: Fraction, order: int) -> Series:
     ez = (Series.t(QQ, order + 1) * z).exp()
     return (ez - 1).shift(-1)
 
@@ -93,6 +104,12 @@ class AppellContext:
         if h.coefficient(0) != ring.one:
             raise AssertionError("base series must have constant term 1")
         return cls(mu, order, y, h)
+
+    @cached_property
+    def functionals(self) -> tuple:
+        """h(t) t^k for k = 0..order: pairing with the k-th gives k! times
+        the k-th Appell coefficient."""
+        return tuple(self.h.shift(k) for k in range(self.order + 1))
 
     def family_member(self, n: int) -> Poly:
         member = seq.bell_euler_poly(n, self.mu)
@@ -124,7 +141,7 @@ class AppellExpansion:
 def expand_in_appell(q: Poly, ctx: AppellContext) -> AppellExpansion:
     """b_k = (1/k!) <h(t) t^k | q>; reconstruction is exact by orthogonality."""
     degree = max(q.degree("x"), 0)
-    coeffs = tuple(pair(ctx.h.shift(k), q) / factorial(k)
+    coeffs = tuple(pair(ctx.functionals[k], q) / factorial(k)
                    for k in range(degree + 1))
     return AppellExpansion(ctx.mu, coeffs)
 
@@ -141,7 +158,7 @@ def _orthogonality_cases(ctx: AppellContext, n_max: int):
     for n in range(n_max + 1):
         for k in range(n_max + 1):
             def pair_nk(n=n, k=k):
-                value = pair(ctx.h.shift(k), ctx.family_member(n))
+                value = pair(ctx.functionals[k], ctx.family_member(n))
                 lhs = value if isinstance(value, Poly) else Poly.constant(value)
                 return lhs, Poly.constant(factorial(n) if n == k else 0)
             yield {"mu": ctx.mu, "n": n, "k": k}, pair_nk
@@ -193,11 +210,16 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+def _positive_order(mu: int) -> None:
+    # the composition sum splits n into mu parts, so it needs at least one
+    if mu < 1:
+        raise ValueError("mu must be at least 1")
+
+
 def multinomial_decomposition(n: int, mu: int):
     """x=0 member of order mu versus the composition sum over order-1 members
     weighted by order-1 Euler numbers."""
-    if mu < 1:
-        raise ValueError("mu must be at least 1")
+    _positive_order(mu)
     lhs = seq.special_case(n, mu, "x_zero")
     rhs = Poly.zero()
     for parts in _compositions(n, mu):
@@ -232,7 +254,10 @@ INTEGER_ORDER_CHECKS = frozenset({"orthogonality", "multinomial", "roundtrip"})
 def validate_orders(check_ids, alphas) -> None:
     """Reject, before any check runs, orders that a selected check cannot take."""
     if INTEGER_ORDER_CHECKS.intersection(check_ids):
-        _integer_orders(alphas, ())
+        orders = _integer_orders(alphas, ())
+        if "multinomial" in check_ids:
+            for mu in orders:
+                _positive_order(mu)
 
 
 def check_orthogonality(grid: Grid = Grid()) -> IdentityReport:

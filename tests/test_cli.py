@@ -166,6 +166,28 @@ class TestVerify:
         assert code == 0 and json.loads(out)[0]["pass"] is True
 
 
+class TestNegativeOrders:
+    # argparse takes "-5/3" and "-1,2" for options, so these need the = form
+    def test_alpha_equals_form(self, run_cli):
+        code, out, _ = run_cli("compute", "--family", "euler", "--alpha=-5/3",
+                               "--n", "2")
+        assert code == 0 and out == "x^2 + 5/3*x + 10/9\n"
+        code, out, _ = run_cli("table", "--family", "euler", "--alpha=-5/3",
+                               "--n-max", "1")
+        assert code == 0 and out == "n,value\n0,1\n1,x + 5/6\n"
+
+    def test_alphas_equals_form(self, run_cli):
+        code, out, _ = run_cli("verify", "--id", "T3_3", "--n-max", "2",
+                               "--alphas=-1,2")
+        report, = json.loads(out)
+        assert code == 0 and report["pass"] is True and report["checked"] == 6
+
+    def test_separate_negative_rational_is_read_as_an_option(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compute", "--family", "euler", "--alpha", "-5/3", "--n", "2"])
+        assert excinfo.value.code == 2
+
+
 class TestUsageErrors:
     def test_missing_alpha(self, run_cli):
         code, _, err = run_cli("compute", "--family", "euler", "--n", "2")
@@ -204,6 +226,19 @@ class TestUsageErrors:
         code, out, err = run_cli("verify", "--id", "T3_3", "--id", "orthogonality",
                                  "--n-max", "2", "--alphas", "1/2")
         assert code == 2 and out == "" and "integer orders" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("selection, alphas", [(("--all",), "-1,2"),
+                                                   (("--id", "multinomial"), "0")])
+    def test_multinomial_orders_below_one_rejected_before_any_check(
+            self, run_cli, monkeypatch, selection, alphas):
+        calls = []
+        for check_id in list(cli.REGISTRY):
+            monkeypatch.setitem(cli.REGISTRY, check_id,
+                                lambda grid, check_id=check_id: calls.append(check_id))
+        code, out, err = run_cli("verify", *selection, "--n-max", "3",
+                                 f"--alphas={alphas}")
+        assert code == 2 and out == "" and "mu must be at least 1" in err
         assert calls == []
 
     def test_unknown_identity(self, run_cli):

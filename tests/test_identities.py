@@ -77,6 +77,26 @@ def test_T4_1_alpha_pairs_override():
     assert report.passed and report.checked == 8
 
 
+def test_T4_1_member_table_cannot_hide_a_wrong_member(monkeypatch):
+    # T4_1 builds each substituted member once per call; a wrong member must
+    # still fail, and a table kept between calls would show in either order
+    grid = Grid(n_max=3, alpha_pairs=((1, 1),))
+    assert check_T4_1(grid).passed
+    true_member = seq.bell_euler_poly
+
+    def perturbed(n, a):
+        member = true_member(n, a)
+        return member + 1 if (n, a) == (2, 1) else member
+
+    monkeypatch.setattr(seq, "bell_euler_poly", perturbed)
+    for _ in range(2):
+        report = check_T4_1(grid)
+        assert not report.passed and report.checked == 3
+        assert report.counterexample.params == {"n": 2, "alpha1": "1", "alpha2": "1"}
+    monkeypatch.undo()
+    assert check_T4_1(grid).passed
+
+
 def test_T4_3_classical_reduction_to_n_10():
     report = check_T4_3(Grid(n_max=10))
     assert report.passed

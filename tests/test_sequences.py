@@ -199,6 +199,16 @@ class TestSpecialCases:
         with pytest.raises(ValueError):
             seq.special_case(2, 1, "nope")
 
+    def test_memo_keys_on_normalized_arguments(self):
+        # equal orders share an entry, distinct orders and cases do not
+        for n in range(6):
+            for alpha in (1, F(2, 2), 2, F(1, 2)):
+                for which, var in (("x_zero", "x"), ("y_zero", "y"),
+                                   ("y_zero_alpha_one", "y")):
+                    order = 1 if which == "y_zero_alpha_one" else alpha
+                    assert seq.special_case(n, alpha, which) == \
+                        seq.bell_euler_poly(n, order).subs({var: 0})
+
 
 def test_negative_degree_rejected():
     for generate in (seq.bell_number, seq.bell_poly, seq.bivariate_bell,

@@ -86,6 +86,34 @@ class TestPairing:
                      for i in range(n + 1)), F(0))
                 assert direct == expanded
 
+    def test_matches_unscaled_product_formula(self):
+        # pair skips zero functional coefficients and scales by constant
+        # x-coefficients; the plain formula multiplies every term as Polys
+        def reference(f, q):
+            total = F(0)
+            for n in range(max(q.degree("x"), 0) + 1):
+                qn = q.coefficient_in("x", n)
+                if qn:
+                    total = total + factorial(n) * f.coefficient(n) * qn
+            if isinstance(total, Poly) and total.is_constant():
+                return total.constant_value()
+            return total
+
+        rng = random.Random(17)
+        order = 5
+        scalar = lambda: F(rng.randint(-9, 9), rng.randint(1, 9)) \
+            if rng.random() < 0.7 else F(0)
+        for ring in (QQ, XY):
+            for _ in range(25):
+                coeffs = [scalar() if ring is QQ else
+                          scalar() + scalar() * Y + scalar() * Y**2
+                          for _ in range(order + 1)]
+                f = Series(ring, coeffs)
+                q = sum((scalar() * X**i * Y**j for i in range(order + 1)
+                         for j in range(3) if rng.random() < 0.5), Poly.zero())
+                got, want = pair(f, q), reference(f, q)
+                assert got == want and type(got) is type(want)
+
 
 class TestOperators:
     def test_t_differentiates(self):
@@ -167,6 +195,14 @@ class TestOrthogonality:
         registry = check_orthogonality(Grid(n_max=3, alphas=(2,)))
         assert direct.passed and registry.passed
         assert direct.checked == registry.checked == 16
+
+
+def test_only_multinomial_needs_positive_orders():
+    for orders in ((0,), (-1, 2)):
+        with pytest.raises(ValueError, match="mu must be at least 1"):
+            validate_orders(["orthogonality", "multinomial"], orders)
+        validate_orders(["orthogonality", "roundtrip", "integral"], orders)
+    validate_orders(["multinomial"], (1, 2))
 
 
 def test_integer_order_checks_are_the_ones_that_reject_rationals():
