@@ -5,8 +5,6 @@ umbral-calculus (Appell/Sheffer) layer."""
 from .algebra import CoefficientRing, Poly, QQ, Series, XY, format_fraction, parse_fraction
 from .identities import CHECKS as IDENTITY_CHECKS, Counterexample, Grid, IdentityReport
 from .sequences import (
-    Family,
-    FamilySpec,
     bell_euler_number,
     bell_euler_poly,
     bell_number,
@@ -34,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AppellContext", "AppellExpansion", "CoefficientRing", "Counterexample",
-    "Family", "FamilySpec", "Grid", "IdentityReport", "IDENTITY_CHECKS",
+    "Grid", "IdentityReport", "IDENTITY_CHECKS",
     "Poly", "QQ", "Series", "UMBRAL_CHECKS", "XY",
     "appell_inverse_apply", "apply_operator", "bell_euler_number",
     "bell_euler_poly", "bell_number", "bell_poly", "bivariate_bell",

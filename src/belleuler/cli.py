@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import re
@@ -24,16 +25,18 @@ from . import sequences as seq
 
 REGISTRY = {**IDENTITY_CHECKS, **UMBRAL_CHECKS}
 
+# CLI name -> generator; the generator's parameter after n, if any, is the
+# one flag the family takes (--alpha or --k)
 FAMILIES = {
-    "bell-number": seq.Family.BELL_NUMBER,
-    "bell-poly": seq.Family.BELL_POLY,
-    "bivariate-bell": seq.Family.BIVARIATE_BELL,
-    "euler": seq.Family.EULER_POLY,
-    "euler-number": seq.Family.EULER_NUMBER,
-    "stirling2": seq.Family.STIRLING2_NUMBER,
-    "stirling2-poly": seq.Family.STIRLING2_POLY,
-    "bell-euler": seq.Family.BELL_EULER_POLY,
-    "bell-euler-number": seq.Family.BELL_EULER_NUMBER,
+    "bell-number": seq.bell_number,
+    "bell-poly": seq.bell_poly,
+    "bivariate-bell": seq.bivariate_bell,
+    "euler": seq.euler_poly_order,
+    "euler-number": seq.euler_number_order,
+    "stirling2": seq.stirling2_number,
+    "stirling2-poly": seq.stirling2_poly,
+    "bell-euler": seq.bell_euler_poly,
+    "bell-euler-number": seq.bell_euler_number,
 }
 
 _JSON_COMPACT = {"separators": (",", ":")}
@@ -57,14 +60,16 @@ def _parse_alphas(text: str):
     return values
 
 
+def _text(value) -> str:
+    return value.pretty() if isinstance(value, Poly) else format_fraction(value)
+
+
 def _serialize_value(value, fmt: str) -> str:
-    if isinstance(value, Poly):
-        if fmt == "json":
-            return json.dumps(value.to_json_map(), **_JSON_COMPACT)
-        return value.pretty()
     if fmt == "json":
-        return json.dumps(format_fraction(value), **_JSON_COMPACT)
-    return format_fraction(value)
+        map_or_text = value.to_json_map() if isinstance(value, Poly) \
+            else format_fraction(value)
+        return json.dumps(map_or_text, **_JSON_COMPACT)
+    return _text(value)
 
 
 def _csv_text(header, rows) -> str:
@@ -85,26 +90,27 @@ def _flag(args, name: str, needed: bool):
     return value
 
 
-def _family_and_alpha(args):
-    """The chosen family and its parsed --alpha (None for families without an
-    order); compute and table both validate here."""
-    family = FAMILIES[args.family]
-    alpha = _flag(args, "alpha", family in seq.ORDER_PARAMETERIZED)
-    return family, None if alpha is None else _parse_alpha(alpha)
+def family_flag(name: str):
+    """The flag family ``name`` takes after n: "alpha", "k" or None."""
+    params = list(inspect.signature(FAMILIES[name]).parameters)
+    return params[1] if len(params) > 1 else None
 
 
-def _family_spec(args) -> seq.FamilySpec:
-    family, alpha = _family_and_alpha(args)
-    k = _flag(args, "k", family in seq.BLOCK_PARAMETERIZED)
-    return seq.FamilySpec(family, args.n, alpha=alpha, k=k)
+def _family(args):
+    """The chosen generator, the flag it takes, and its parsed --alpha as a
+    tuple of arguments after n; compute and table both check --alpha here."""
+    flag = family_flag(args.family)
+    alpha = _flag(args, "alpha", flag == "alpha")
+    params = () if alpha is None else (_parse_alpha(alpha),)
+    return FAMILIES[args.family], flag, params
 
 
 def cmd_compute(args) -> int:
-    spec = _family_spec(args)
-    value = spec.value()
+    generate, flag, params = _family(args)
+    k = _flag(args, "k", flag == "k")
+    value = generate(args.n, *params) if k is None else generate(args.n, k)
     if args.format == "csv":
-        cell = value.pretty() if isinstance(value, Poly) else format_fraction(value)
-        print(_csv_text(["n", "value"], [[spec.n, cell]]))
+        print(_csv_text(["n", "value"], [[args.n, _text(value)]]))
     else:
         print(_serialize_value(value, args.format))
     return 0
@@ -114,27 +120,15 @@ def cmd_table(args) -> int:
     n_max = args.n_max
     if n_max < 0:
         raise UsageError("--n-max must be non-negative")
-    family, alpha = _family_and_alpha(args)
+    generate, flag, params = _family(args)
 
-    if family in seq.BLOCK_PARAMETERIZED:
+    if flag == "k":
         header = ["n"] + [f"k={k}" for k in range(n_max + 1)]
-        rows = []
-        for n in range(n_max + 1):
-            cells = []
-            for k in range(n_max + 1):
-                spec = seq.FamilySpec(family, n, k=k)
-                value = spec.value()
-                cells.append(value.pretty() if isinstance(value, Poly)
-                             else format_fraction(value))
-            rows.append([n] + cells)
+        rows = [[n] + [_text(generate(n, k)) for k in range(n_max + 1)]
+                for n in range(n_max + 1)]
     else:
         header = ["n", "value"]
-        rows = []
-        for n in range(n_max + 1):
-            spec = seq.FamilySpec(family, n, alpha=alpha)
-            value = spec.value()
-            rows.append([n, value.pretty() if isinstance(value, Poly)
-                         else format_fraction(value)])
+        rows = [[n, _text(generate(n, *params))] for n in range(n_max + 1)]
 
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
@@ -206,11 +200,7 @@ def cmd_expand(args) -> int:
     if args.mu < 1:
         raise UsageError("--mu must be a positive integer")
     q = parse_x_polynomial(args.polynomial)
-    order = args.truncation if args.truncation is not None \
-        else max(q.degree("x"), 0) + 1
-    if order <= max(q.degree("x"), 0):
-        raise UsageError("--truncation too small for the polynomial degree")
-    ctx = AppellContext.create(args.mu, order)
+    ctx = AppellContext.create(args.mu, max(q.degree("x"), 0) + 1)
     expansion = expand_in_appell(q, ctx)
     residual = q - reconstruct(expansion, ctx)
     payload = expansion.to_json_dict()
@@ -265,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser(
         "expand", help="expand a polynomial in the order-mu Appell basis")
     p_expand.add_argument("--mu", required=True, type=int)
-    p_expand.add_argument("--truncation", type=int,
-                          help="series order override (default: degree + 1)")
     p_expand.add_argument("polynomial", help='literal such as "x^3 - 2/3"')
     p_expand.set_defaults(func=cmd_expand)
 

@@ -133,7 +133,7 @@ def check_T3_5(grid: Grid = Grid()) -> IdentityReport:
     def pair(n, a):
         rhs = Poly.zero()
         for k in range(n + 1):
-            rhs = rhs + (comb(n, k) * seq.special_case(k, a, "x_zero")
+            rhs = rhs + (comb(n, k) * seq.special_case(k, a)
                          * seq.X ** (n - k))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T3_5", _grid_cases(grid, pair))
@@ -239,7 +239,7 @@ def check_T4_4_corrected(grid: Grid = Grid()) -> IdentityReport:
         rhs = Poly.zero()
         for j in range(n + 1):
             rhs = rhs + (comb(n, j) * _stirling_weight(j)
-                         * seq.special_case(n - j, a, "x_zero"))
+                         * seq.special_case(n - j, a))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T4_4_corrected", _grid_cases(grid, pair))
 
@@ -250,7 +250,7 @@ def check_T4_4_literal(grid: Grid = Grid()) -> IdentityReport:
     finite because the Stirling factors vanish for k > j.  Expected to fail
     with a counterexample at n = 1."""
     def pair(n, a):
-        base = seq.special_case(n, a, "x_zero")
+        base = seq.special_case(n, a)
         rhs = Poly.zero()
         for j in range(n + 1):
             rhs = rhs + comb(n, j) * _stirling_weight(j) * base

@@ -18,8 +18,6 @@ generating function expanded by the series engine of :mod:`.algebra`.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -184,23 +182,14 @@ def falling_factorial(k: int) -> Poly:
     return result
 
 
-_SPECIAL_CASES = ("x_zero", "y_zero", "y_zero_alpha_one")
-
-
 @lru_cache(maxsize=None)
-def _special_case(n: int, alpha, which: str) -> Poly:
-    var = "x" if which == "x_zero" else "y"
-    return _bell_euler_poly(n, alpha).subs({var: 0})
+def _special_case(n: int, alpha) -> Poly:
+    return _bell_euler_poly(n, alpha).subs({"x": 0})
 
 
-def special_case(n: int, alpha, which: str) -> Poly:
-    """Named specializations of the hybrid family: x = 0, y = 0, and y = 0 at
-    order 1 (the classical Euler polynomial)."""
-    if which not in _SPECIAL_CASES:
-        raise ValueError(f"which must be one of {_SPECIAL_CASES}, got {which!r}")
-    if which == "y_zero_alpha_one":
-        alpha = 1
-    return _special_case(_degree(n), validate_order(alpha), which)
+def special_case(n: int, alpha) -> Poly:
+    """The x = 0 specialization of the hybrid family, a polynomial in y."""
+    return _special_case(_degree(n), validate_order(alpha))
 
 
 # -- recurrence / summation path ------------------------------------------
@@ -284,64 +273,3 @@ def bell_euler_convolution(n: int, alpha: int) -> Poly:
         result = result + (comb(n, k) * euler_poly_order_convolution(k, alpha)
                            * bell_poly_from_stirling(n - k))
     return result
-
-
-# -- family dispatch --------------------------------------------------------
-
-class Family(str, Enum):
-    BELL_NUMBER = "bell_number"
-    BELL_POLY = "bell_poly"
-    BIVARIATE_BELL = "bivariate_bell"
-    EULER_NUMBER = "euler_number_order"
-    EULER_POLY = "euler_poly_order"
-    STIRLING2_NUMBER = "stirling2_number"
-    STIRLING2_POLY = "stirling2_poly"
-    BELL_EULER_POLY = "bell_euler_poly"
-    BELL_EULER_NUMBER = "bell_euler_number"
-
-
-ORDER_PARAMETERIZED = frozenset({
-    Family.EULER_NUMBER, Family.EULER_POLY,
-    Family.BELL_EULER_POLY, Family.BELL_EULER_NUMBER,
-})
-
-BLOCK_PARAMETERIZED = frozenset({Family.STIRLING2_NUMBER, Family.STIRLING2_POLY})
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """One requested family member: which family, degree n, and parameters."""
-
-    family: Family
-    n: int
-    alpha: "int | Fraction | None" = None
-    k: "int | None" = None
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be non-negative")
-        if (self.alpha is not None) != (self.family in ORDER_PARAMETERIZED):
-            raise ValueError(
-                f"alpha must be given exactly for order-parameterized families "
-                f"(family={self.family.value})")
-        if (self.k is not None) != (self.family in BLOCK_PARAMETERIZED):
-            raise ValueError(
-                f"k must be given exactly for the Stirling families "
-                f"(family={self.family.value})")
-
-    def value(self):
-        params = (p for p in (self.alpha, self.k) if p is not None)
-        return GENERATORS[self.family](self.n, *params)
-
-
-GENERATORS = {
-    Family.BELL_NUMBER: bell_number,
-    Family.BELL_POLY: bell_poly,
-    Family.BIVARIATE_BELL: bivariate_bell,
-    Family.EULER_NUMBER: euler_number_order,
-    Family.EULER_POLY: euler_poly_order,
-    Family.STIRLING2_NUMBER: stirling2_number,
-    Family.STIRLING2_POLY: stirling2_poly,
-    Family.BELL_EULER_POLY: bell_euler_poly,
-    Family.BELL_EULER_NUMBER: bell_euler_number,
-}

@@ -7,8 +7,7 @@ x-derivative, so e^{yt} acts as the shift x -> x+y.  On top of that sit the
 Appell-sequence constructions for the Bell-based Euler family: the series
 h(t) = ((e^t+1)/2)^mu * e^{-y(e^t-1)} is invertible, its inverse applied to
 x^n reproduces the family, and <h t^k | .> extracts expansion coefficients.
-The parameter y is carried formally (a polynomial generator) unless a rational
-value is supplied.
+The parameter y is carried formally, as a polynomial generator.
 """
 
 from __future__ import annotations
@@ -24,18 +23,18 @@ from .identities import Grid, IdentityReport, run_cases
 from . import sequences as seq
 
 
-def pair(f: Series, q: Poly):
+def pair(f: Series, q: Poly) -> Poly:
     """Dual pairing <f | q>, reading q as a polynomial in x.
 
-    Returns a Fraction when everything is scalar, otherwise a polynomial in
-    the carried parameters.  The truncation order of f must cover deg_x(q).
+    Returns a polynomial in q's ring, constant in x.  The truncation order
+    of f must cover deg_x(q).
     """
     deg = q.degree("x")
     if deg > f.order:
         raise ValueError(
             f"functional truncated at order {f.order} cannot pair with a "
             f"degree-{deg} polynomial")
-    total = Fraction(0)
+    total = Poly.zero(q.names)
     for n in range(max(deg, 0) + 1):
         fn = f.coefficient(n)
         if not fn:
@@ -46,8 +45,6 @@ def pair(f: Series, q: Poly):
             if qn.is_constant():
                 qn = qn.constant_value()
             total = total + factorial(n) * fn * qn
-    if isinstance(total, Poly) and total.is_constant():
-        return total.constant_value()
     return total
 
 
@@ -88,34 +85,24 @@ class AppellContext:
 
     mu: int
     order: int
-    y_param: "Poly | Fraction"
     h: Series
 
     @classmethod
-    def create(cls, mu: int, order: int, y=None) -> "AppellContext":
+    def create(cls, mu: int, order: int) -> "AppellContext":
         if isinstance(mu, bool) or not isinstance(mu, int):
             raise ValueError("mu must be an integer order")
-        if y is None:
-            y = Poly.gen("y")
-        ring = XY if isinstance(y, Poly) else QQ
-        base = (Series.exp_t(ring, order) + 1) / 2
-        expm1 = Series.exp_t(ring, order) - 1
-        h = base.pow(mu) * (expm1 * (-y)).exp()
-        if h.coefficient(0) != ring.one:
+        base = (Series.exp_t(XY, order) + 1) / 2
+        expm1 = Series.exp_t(XY, order) - 1
+        h = base.pow(mu) * (expm1 * -XY.gen("y")).exp()
+        if h.coefficient(0) != XY.one:
             raise AssertionError("base series must have constant term 1")
-        return cls(mu, order, y, h)
+        return cls(mu, order, h)
 
     @cached_property
     def functionals(self) -> tuple:
         """h(t) t^k for k = 0..order: pairing with the k-th gives k! times
         the k-th Appell coefficient."""
         return tuple(self.h.shift(k) for k in range(self.order + 1))
-
-    def family_member(self, n: int) -> Poly:
-        member = seq.bell_euler_poly(n, self.mu)
-        if isinstance(self.y_param, Poly):
-            return member
-        return member.subs({"y": self.y_param})
 
 
 def appell_inverse_apply(ctx: AppellContext, n: int) -> Poly:
@@ -133,8 +120,7 @@ class AppellExpansion:
     def to_json_dict(self):
         return {
             "mu": self.mu,
-            "coeffs": [c.pretty() if isinstance(c, Poly) else str(c)
-                       for c in self.coeffs],
+            "coeffs": [c.pretty() for c in self.coeffs],
         }
 
 
@@ -149,7 +135,7 @@ def expand_in_appell(q: Poly, ctx: AppellContext) -> AppellExpansion:
 def reconstruct(expansion: AppellExpansion, ctx: AppellContext) -> Poly:
     total = Poly.zero()
     for k, b in enumerate(expansion.coeffs):
-        total = total + b * ctx.family_member(k)
+        total = total + b * seq.bell_euler_poly(k, ctx.mu)
     return total
 
 
@@ -158,46 +144,30 @@ def _orthogonality_cases(ctx: AppellContext, n_max: int):
     for n in range(n_max + 1):
         for k in range(n_max + 1):
             def pair_nk(n=n, k=k):
-                value = pair(ctx.functionals[k], ctx.family_member(n))
-                lhs = value if isinstance(value, Poly) else Poly.constant(value)
+                lhs = pair(ctx.functionals[k], seq.bell_euler_poly(n, ctx.mu))
                 return lhs, Poly.constant(factorial(n) if n == k else 0)
             yield {"mu": ctx.mu, "n": n, "k": k}, pair_nk
 
 
-def sheffer_orthogonality_check(ctx: AppellContext, n_max: int) -> IdentityReport:
-    """The orthogonality square for one context."""
-    if n_max > ctx.order:
-        raise ValueError("context order too small for requested square")
-    return run_cases("orthogonality", _orthogonality_cases(ctx, n_max))
-
-
-def integral_via_operator(n: int, z, y=None):
+def integral_via_operator(n: int, z):
     """Both routes to the running integral of the order-1 family member:
     exact antiderivative from x to x+z, and the (e^{zt}-1)/t operator."""
     z = Fraction(z)
     member = seq.bell_euler_poly(n, 1)
-    if y is not None:
-        member = member.subs({"y": Fraction(y)})
     anti = member.antiderivative("x")
     lhs = anti.subs({"x": seq.X + z}) - anti
     rhs = apply_operator(difference_quotient_operator(z, n + 1), member)
     return lhs, rhs
 
 
-def integral_pairing_form(n: int, z, y=None):
+def integral_pairing_form(n: int, z):
     """Corollary form: the integral from 0 to z equals the pairing of
     (e^{zt}-1)/t against the member, read as a polynomial in x."""
     z = Fraction(z)
     member = seq.bell_euler_poly(n, 1)
-    if y is not None:
-        member = member.subs({"y": Fraction(y)})
     anti = member.antiderivative("x")
     lhs = anti.subs({"x": z}) - anti.subs({"x": 0})
     rhs = pair(difference_quotient_operator(z, n + 1), member)
-    if not isinstance(rhs, Poly):
-        rhs = Poly.constant(rhs)
-    if not isinstance(lhs, Poly):
-        lhs = Poly.constant(lhs)
     return lhs, rhs
 
 
@@ -220,7 +190,7 @@ def multinomial_decomposition(n: int, mu: int):
     """x=0 member of order mu versus the composition sum over order-1 members
     weighted by order-1 Euler numbers."""
     _positive_order(mu)
-    lhs = seq.special_case(n, mu, "x_zero")
+    lhs = seq.special_case(n, mu)
     rhs = Poly.zero()
     for parts in _compositions(n, mu):
         weight = Fraction(factorial(n))
@@ -229,15 +199,13 @@ def multinomial_decomposition(n: int, mu: int):
         for i in parts[:-1]:
             weight *= seq.euler_number_order(i, 1)
         if weight:
-            rhs = rhs + weight * seq.special_case(parts[-1], 1, "x_zero")
+            rhs = rhs + weight * seq.special_case(parts[-1], 1)
     return lhs, rhs
 
 
 # -- registry wrappers ------------------------------------------------------
 
-def _integer_orders(alphas, default):
-    if alphas is None:
-        return default
+def _integer_orders(alphas) -> tuple:
     orders = []
     for a in alphas:
         a = seq.validate_order(a)
@@ -253,16 +221,17 @@ INTEGER_ORDER_CHECKS = frozenset({"orthogonality", "multinomial", "roundtrip"})
 
 def validate_orders(check_ids, alphas) -> None:
     """Reject, before any check runs, orders that a selected check cannot take."""
-    if INTEGER_ORDER_CHECKS.intersection(check_ids):
-        orders = _integer_orders(alphas, ())
-        if "multinomial" in check_ids:
-            for mu in orders:
-                _positive_order(mu)
+    if alphas is None or not INTEGER_ORDER_CHECKS.intersection(check_ids):
+        return
+    orders = _integer_orders(alphas)
+    if "multinomial" in check_ids:
+        for mu in orders:
+            _positive_order(mu)
 
 
 def check_orthogonality(grid: Grid = Grid()) -> IdentityReport:
-    n_max = grid.n_max if grid.n_max is not None else 6
-    mus = _integer_orders(grid.alphas, (1, 2, 3))
+    n_max, alphas = grid.resolve(6, (1, 2, 3))
+    mus = _integer_orders(alphas)
 
     def cases():
         for mu in mus:
@@ -275,7 +244,7 @@ INTEGRAL_Z_VALUES = (Fraction(1), Fraction(1, 2), Fraction(-2, 3))
 
 
 def check_integral(grid: Grid = Grid()) -> IdentityReport:
-    n_max = grid.n_max if grid.n_max is not None else 8
+    n_max, _ = grid.resolve(8)
 
     def cases():
         for n in range(n_max + 1):
@@ -289,8 +258,8 @@ def check_integral(grid: Grid = Grid()) -> IdentityReport:
 
 
 def check_multinomial(grid: Grid = Grid()) -> IdentityReport:
-    n_max = grid.n_max if grid.n_max is not None else 8
-    mus = _integer_orders(grid.alphas, (2, 3))
+    n_max, alphas = grid.resolve(8, (2, 3))
+    mus = _integer_orders(alphas)
 
     def cases():
         for n in range(n_max + 1):
@@ -318,8 +287,8 @@ def random_rational_poly(rng: random.Random, degree: int) -> Poly:
 def check_roundtrip(grid: Grid = Grid()) -> IdentityReport:
     """Expansion followed by reconstruction returns the input exactly, for
     seeded random rational polynomials across the allowed orders."""
-    max_degree = grid.n_max if grid.n_max is not None else 8
-    mus = _integer_orders(grid.alphas, (1, 2, 3))
+    max_degree, alphas = grid.resolve(8, (1, 2, 3))
+    mus = _integer_orders(alphas)
     rng = random.Random(ROUNDTRIP_SEED)
     contexts = {mu: AppellContext.create(mu, max_degree + 1) for mu in mus}
 

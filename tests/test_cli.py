@@ -10,6 +10,7 @@ import pytest
 from belleuler import cli
 from belleuler.cli import main, parse_x_polynomial
 from belleuler.algebra import Poly
+from belleuler.identities import Grid
 from fractions import Fraction as F
 
 X = Poly.gen("x")
@@ -103,10 +104,39 @@ class TestExpandGoldens:
         assert payload["residual"] == "0"
         assert len(payload["coeffs"]) == 4
 
-    def test_truncation_override(self, run_cli):
-        code, out, _ = run_cli("expand", "--mu", "1", "--truncation", "6", "x")
-        assert code == 0
-        assert json.loads(out)["coeffs"] == ["1/2 - y", "1"]
+
+class TestFamilyTable:
+    FLAG_VALUES = {"alpha": "--alpha=1", "k": "--k=1"}
+
+    def test_dispatch(self):
+        assert cli.FAMILIES["bell-number"](5) == 52
+        assert cli.FAMILIES["euler"](2, 1) == X**2 - X
+        assert cli.FAMILIES["stirling2"](4, 2) == 7
+        assert cli.FAMILIES["bell-euler-number"](0, 3) == 1
+        assert {name: cli.family_flag(name) for name in cli.FAMILIES} == {
+            "bell-number": None, "bell-poly": None, "bivariate-bell": None,
+            "euler": "alpha", "euler-number": "alpha", "bell-euler": "alpha",
+            "bell-euler-number": "alpha", "stirling2": "k", "stirling2-poly": "k"}
+
+    @pytest.mark.parametrize("flag", ["alpha", "k"])
+    def test_presence_enforced(self, run_cli, flag):
+        # a family needs its own flag and refuses any other
+        for name in cli.FAMILIES:
+            own = cli.family_flag(name)
+            if own == flag:
+                given, message = [], f"needs --{flag}"
+            else:
+                given = [self.FLAG_VALUES[f] for f in (own, flag) if f]
+                message = f"does not take --{flag}"
+            code, out, err = run_cli("compute", "--family", name, "--n", "2", *given)
+            assert code == 2 and out == "" and message in err, (name, flag)
+
+    def test_negative_n_rejected(self, run_cli):
+        for name in cli.FAMILIES:
+            own = cli.family_flag(name)
+            given = [self.FLAG_VALUES[own]] if own else []
+            code, out, err = run_cli("compute", "--family", name, "--n", "-1", *given)
+            assert code == 2 and out == "" and "non-negative" in err, name
 
 
 class TestPolynomialLiteralParsing:
@@ -266,6 +296,19 @@ class TestUsageErrors:
         code, out, err = run_cli("verify", "--id", check_id, "--n-max", n_max)
         assert code == 2 and out == "" and "n_max must be at least 1" in err
         assert calls == []
+
+    @pytest.mark.parametrize("grid", [Grid(n_max=0), Grid(n_max=-1), Grid(alphas=())],
+                             ids=["n_max=0", "n_max=-1", "alphas=()"])
+    def test_every_registry_check_rejects_an_empty_grid(self, grid):
+        assert len(cli.REGISTRY) == 15
+        ran = []
+        for check_id, check in cli.REGISTRY.items():
+            try:
+                check(grid)
+            except ValueError:
+                continue
+            ran.append(check_id)
+        assert ran == []
 
     def test_unknown_family_is_argparse_error(self):
         with pytest.raises(SystemExit) as excinfo:

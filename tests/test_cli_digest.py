@@ -10,7 +10,6 @@ import hashlib
 import io
 
 from belleuler import cli
-from belleuler import sequences as seq
 
 N_MAX = 12
 ORDERS = ("0", "1", "2", "3", "-1", "1/2", "-5/3")
@@ -23,11 +22,12 @@ DIGEST = "f767952444fa168c7d67bdeae6ec360667e33f07453a64ca09a10be581372216"
 
 
 def _invocations():
-    for name, family in sorted(cli.FAMILIES.items()):
+    for name in sorted(cli.FAMILIES):
         compute_params = table_params = [[]]
-        if family in seq.ORDER_PARAMETERIZED:
+        flag = cli.family_flag(name)
+        if flag == "alpha":
             compute_params = table_params = [[f"--alpha={a}"] for a in ORDERS]
-        elif family in seq.BLOCK_PARAMETERIZED:
+        elif flag == "k":
             compute_params = [[f"--k={k}"] for k in range(K_MAX + 1)]
         for fmt in FORMATS:
             for extra in compute_params:

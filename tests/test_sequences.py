@@ -181,33 +181,32 @@ class TestBellEuler:
 
 class TestSpecialCases:
     def test_y_zero(self):
-        assert seq.special_case(2, 1, "y_zero") == X**2 - X
-
-    def test_x_zero(self):
-        assert seq.special_case(2, 0, "x_zero") == Y**2 + Y
-        # matches substitution into the full polynomial
-        for n in range(7):
-            assert seq.special_case(n, 2, "x_zero") == \
-                seq.bell_euler_poly(n, 2).subs({"x": 0})
+        # at y = 0 the hybrid member is the Euler polynomial of the same order
+        assert seq.bell_euler_poly(2, 1).subs({"y": 0}) == X**2 - X
+        for alpha in (0, 1, 2, F(1, 2), F(-5, 3)):
+            for n in range(9):
+                assert seq.bell_euler_poly(n, alpha).subs({"y": 0}) == \
+                    seq.euler_poly_order(n, alpha)
 
     def test_y_zero_alpha_one(self):
-        assert seq.special_case(0, 1, "y_zero_alpha_one") == 1
-        assert seq.special_case(3, 1, "y_zero_alpha_one") == \
-            seq.euler_poly_order(3, 1)
+        # order 1 at y = 0 is the classical Euler polynomial of the recurrence
+        for n in range(9):
+            assert seq.bell_euler_poly(n, 1).subs({"y": 0}) == \
+                seq.euler_poly_recurrence(n)
 
-    def test_unknown_case_rejected(self):
-        with pytest.raises(ValueError):
-            seq.special_case(2, 1, "nope")
+    def test_x_zero(self):
+        assert seq.special_case(2, 0) == Y**2 + Y
+        # matches substitution into the full polynomial
+        for n in range(7):
+            assert seq.special_case(n, 2) == \
+                seq.bell_euler_poly(n, 2).subs({"x": 0})
 
     def test_memo_keys_on_normalized_arguments(self):
-        # equal orders share an entry, distinct orders and cases do not
+        # equal orders share an entry, distinct orders do not
         for n in range(6):
             for alpha in (1, F(2, 2), 2, F(1, 2)):
-                for which, var in (("x_zero", "x"), ("y_zero", "y"),
-                                   ("y_zero_alpha_one", "y")):
-                    order = 1 if which == "y_zero_alpha_one" else alpha
-                    assert seq.special_case(n, alpha, which) == \
-                        seq.bell_euler_poly(n, order).subs({var: 0})
+                assert seq.special_case(n, alpha) == \
+                    seq.bell_euler_poly(n, alpha).subs({"x": 0})
 
 
 def test_negative_degree_rejected():
@@ -219,28 +218,3 @@ def test_negative_degree_rejected():
                      lambda n: seq.bell_euler_poly(n, 2)):
         with pytest.raises(ValueError):
             generate(-1)
-
-
-class TestFamilySpec:
-    def test_dispatch(self):
-        assert seq.FamilySpec(seq.Family.BELL_NUMBER, 5).value() == 52
-        assert seq.FamilySpec(seq.Family.EULER_POLY, 2, alpha=1).value() == X**2 - X
-        assert seq.FamilySpec(seq.Family.STIRLING2_NUMBER, 4, k=2).value() == 7
-        assert seq.FamilySpec(
-            seq.Family.BELL_EULER_NUMBER, 0, alpha=3).value() == 1
-
-    def test_alpha_presence_enforced(self):
-        with pytest.raises(ValueError):
-            seq.FamilySpec(seq.Family.BELL_NUMBER, 3, alpha=1)
-        with pytest.raises(ValueError):
-            seq.FamilySpec(seq.Family.EULER_POLY, 3)
-
-    def test_k_presence_enforced(self):
-        with pytest.raises(ValueError):
-            seq.FamilySpec(seq.Family.STIRLING2_NUMBER, 3)
-        with pytest.raises(ValueError):
-            seq.FamilySpec(seq.Family.BELL_POLY, 3, k=1)
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            seq.FamilySpec(seq.Family.BELL_NUMBER, -1)

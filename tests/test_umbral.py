@@ -28,7 +28,6 @@ from belleuler.umbral import (
     pair,
     random_rational_poly,
     reconstruct,
-    sheffer_orthogonality_check,
     validate_orders,
 )
 
@@ -90,13 +89,11 @@ class TestPairing:
         # pair skips zero functional coefficients and scales by constant
         # x-coefficients; the plain formula multiplies every term as Polys
         def reference(f, q):
-            total = F(0)
+            total = Poly.zero(q.names)
             for n in range(max(q.degree("x"), 0) + 1):
                 qn = q.coefficient_in("x", n)
                 if qn:
                     total = total + factorial(n) * f.coefficient(n) * qn
-            if isinstance(total, Poly) and total.is_constant():
-                return total.constant_value()
             return total
 
         rng = random.Random(17)
@@ -111,8 +108,9 @@ class TestPairing:
                 f = Series(ring, coeffs)
                 q = sum((scalar() * X**i * Y**j for i in range(order + 1)
                          for j in range(3) if rng.random() < 0.5), Poly.zero())
-                got, want = pair(f, q), reference(f, q)
-                assert got == want and type(got) is type(want)
+                got = pair(f, q)
+                assert got == reference(f, q)
+                assert isinstance(got, Poly) and got.names == q.names
 
 
 class TestOperators:
@@ -147,12 +145,6 @@ class TestAppellContext:
         assert ctx.h.coefficient(0) == 1
         assert ctx.h.is_invertible()
 
-    def test_numeric_y_context(self):
-        ctx = AppellContext.create(1, 5, y=F(2, 3))
-        assert ctx.h.ring == QQ
-        member = ctx.family_member(2)
-        assert member == seq.bell_euler_poly(2, 1).subs({"y": F(2, 3)})
-
     def test_non_integer_order_rejected(self):
         with pytest.raises(ValueError):
             AppellContext.create(F(1, 2), 4)
@@ -172,29 +164,16 @@ class TestInversePath:
 
 class TestOrthogonality:
     def test_context_check_full_square(self):
-        ctx = AppellContext.create(1, 7)
-        report = sheffer_orthogonality_check(ctx, 6)
+        report = check_orthogonality(Grid(n_max=6, alphas=(1,)))
         assert report.passed and report.checked == 49
 
     def test_registry_check(self):
         report = check_orthogonality(Grid(n_max=4, alphas=(1, 2)))
         assert report.passed and report.checked == 2 * 25
 
-    def test_numeric_y_square(self):
-        ctx = AppellContext.create(2, 5, y=F(1, 3))
-        report = sheffer_orthogonality_check(ctx, 4)
-        assert report.passed
-
     def test_rational_mu_rejected_in_grid(self):
         with pytest.raises(ValueError):
             check_orthogonality(Grid(alphas=(F(1, 2),)))
-
-    def test_registry_and_context_checks_share_cases(self):
-        ctx = AppellContext.create(2, 4)
-        direct = sheffer_orthogonality_check(ctx, 3)
-        registry = check_orthogonality(Grid(n_max=3, alphas=(2,)))
-        assert direct.passed and registry.passed
-        assert direct.checked == registry.checked == 16
 
 
 def test_only_multinomial_needs_positive_orders():
@@ -241,13 +220,6 @@ class TestExpansion:
                 q = random_rational_poly(rng, rng.randint(0, 8))
                 expansion = expand_in_appell(q, ctx)
                 assert reconstruct(expansion, ctx) == q
-
-    def test_numeric_y_roundtrip(self):
-        ctx = AppellContext.create(2, 7, y=F(-3, 5))
-        q = X**4 - F(2, 3) * X + 1
-        expansion = expand_in_appell(q, ctx)
-        assert all(not isinstance(b, Poly) for b in expansion.coeffs)
-        assert reconstruct(expansion, ctx) == q
 
     def test_registry_roundtrip_is_100_instances(self):
         report = check_roundtrip()
