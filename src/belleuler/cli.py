@@ -46,15 +46,15 @@ class UsageError(Exception):
     """Parameter problem reported on stderr with exit code 2."""
 
 
-def _parse_alpha(text: str):
+def _parse_order(text: str, name: str = "alpha"):
     try:
         return seq.validate_order(parse_fraction(text))
     except ValueError as exc:
-        raise UsageError(f"bad alpha {text!r}: {exc}") from None
+        raise UsageError(f"bad {name} {text!r}: {exc}") from None
 
 
 def _parse_alphas(text: str):
-    values = tuple(_parse_alpha(part) for part in text.split(",") if part)
+    values = tuple(_parse_order(part) for part in text.split(",") if part)
     if not values:
         raise UsageError("empty --alphas list")
     return values
@@ -101,7 +101,7 @@ def _family(args):
     tuple of arguments after n; compute and table both check --alpha here."""
     flag = family_flag(args.family)
     alpha = _flag(args, "alpha", flag == "alpha")
-    params = () if alpha is None else (_parse_alpha(alpha),)
+    params = () if alpha is None else (_parse_order(alpha),)
     return FAMILIES[args.family], flag, params
 
 
@@ -197,10 +197,9 @@ def parse_x_polynomial(text: str) -> Poly:
 
 
 def cmd_expand(args) -> int:
-    if args.mu < 1:
-        raise UsageError("--mu must be a positive integer")
+    mu = _parse_order(args.mu, "mu")
     q = parse_x_polynomial(args.polynomial)
-    ctx = AppellContext.create(args.mu, max(q.degree("x"), 0) + 1)
+    ctx = AppellContext.create(mu, max(q.degree("x"), 0) + 1)
     expansion = expand_in_appell(q, ctx)
     residual = q - reconstruct(expansion, ctx)
     payload = expansion.to_json_dict()
@@ -210,7 +209,7 @@ def cmd_expand(args) -> int:
 
 
 # argparse reads "-5/3" as an option, so a negative rational needs the = form
-_ALPHA_HELP = "order, an integer or p/q; write a negative p/q as --alpha=-5/3"
+_ORDER_HELP = "order, an integer or p/q; write a negative p/q as --{}=-5/3"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="one family value")
     p_compute.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p_compute.add_argument("--n", required=True, type=int)
-    p_compute.add_argument("--alpha", help=_ALPHA_HELP)
+    p_compute.add_argument("--alpha", help=_ORDER_HELP.format("alpha"))
     p_compute.add_argument("--k", type=int, help="block count for stirling2 families")
     p_compute.add_argument("--format", default="pretty",
                            choices=("json", "csv", "pretty"))
@@ -231,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="values for n = 0..n_max")
     p_table.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p_table.add_argument("--n-max", required=True, type=int, dest="n_max")
-    p_table.add_argument("--alpha", help=_ALPHA_HELP)
+    p_table.add_argument("--alpha", help=_ORDER_HELP.format("alpha"))
     p_table.add_argument("--format", default="csv",
                          choices=("json", "csv", "pretty"))
     p_table.set_defaults(func=cmd_table)
@@ -254,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_expand = sub.add_parser(
         "expand", help="expand a polynomial in the order-mu Appell basis")
-    p_expand.add_argument("--mu", required=True, type=int)
+    p_expand.add_argument("--mu", required=True, help=_ORDER_HELP.format("mu"))
     p_expand.add_argument("polynomial", help='literal such as "x^3 - 2/3"')
     p_expand.set_defaults(func=cmd_expand)
 

@@ -19,7 +19,6 @@ from . import sequences as seq
 
 DEFAULT_N_MAX = 8
 DEFAULT_ALPHAS = (0, 1, 2, 3)
-DEFAULT_PAIRS = tuple((a1, a2) for a1 in (0, 1, 2) for a2 in (0, 1, 2))
 
 
 def validate_n_max(n_max: int) -> int:
@@ -35,7 +34,6 @@ class Grid:
 
     n_max: "int | None" = None
     alphas: "tuple | None" = None
-    alpha_pairs: "tuple | None" = None
 
     def resolve(self, n_default=DEFAULT_N_MAX, alphas_default=DEFAULT_ALPHAS):
         n_max = self.n_max if self.n_max is not None else n_default
@@ -146,9 +144,8 @@ def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
     """Addition theorem in four formal variables: the order-(a1+a2) polynomial
     at (x1+x2, y1+y2) equals the binomial convolution of the order-a1 and
     order-a2 polynomials at the split arguments, expanded exactly in the
-    4-variable polynomial ring."""
-    n_max, _ = grid.resolve(n_default=6)
-    pairs = grid.alpha_pairs if grid.alpha_pairs is not None else DEFAULT_PAIRS
+    4-variable polynomial ring, for every pair of the grid's orders."""
+    n_max, alphas = grid.resolve(6, (0, 1, 2))
 
     x1, x2, y1, y2 = Poly.gens(*_FOUR_VARS)
     points = {"sum": {"x": x1 + x2, "y": y1 + y2},
@@ -172,9 +169,10 @@ def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
 
     def cases():
         for n in range(n_max + 1):
-            for a1, a2 in pairs:
-                params = {"n": n, "alpha1": str(a1), "alpha2": str(a2)}
-                yield params, (lambda n=n, a1=a1, a2=a2: ring_pair(n, a1, a2))
+            for a1 in alphas:
+                for a2 in alphas:
+                    params = {"n": n, "alpha1": str(a1), "alpha2": str(a2)}
+                    yield params, (lambda n=n, a1=a1, a2=a2: ring_pair(n, a1, a2))
 
     return run_cases("T4_1", cases())
 
@@ -204,21 +202,25 @@ def check_T4_2(grid: Grid = Grid()) -> IdentityReport:
 
 
 def check_T4_3(grid: Grid = Grid()) -> IdentityReport:
-    """Bivariate Bell polynomial is the average of the order-1 hybrid at x and
-    x+1; its y=0 shadow is the classical 'average equals x^n' relation."""
-    n_max, _ = grid.resolve()
+    """Order shift: the order-(a-1) hybrid is the average of the order-a
+    hybrid at x and x+1, and likewise for the Euler polynomials (its y=0
+    shadow).  At a = 1 this is the bivariate Bell polynomial and the
+    classical 'average equals x^n' relation."""
+    n_max, alphas = grid.resolve(alphas_default=(1,))
+
+    def average(member):
+        return (member.subs({"x": seq.X + 1}) + member) / 2
 
     def cases():
         for n in range(n_max + 1):
-            def bivariate(n=n):
-                be = seq.bell_euler_poly(n, 1)
-                return seq.bivariate_bell(n), (be.subs({"x": seq.X + 1}) + be) / 2
-            yield {"n": n, "part": "bivariate"}, bivariate
-
-            def classical(n=n):
-                e = seq.euler_poly_order(n, 1)
-                return seq.X ** n, (e.subs({"x": seq.X + 1}) + e) / 2
-            yield {"n": n, "part": "classical"}, classical
+            for a in alphas:
+                params = {"n": n, "alpha": str(a)}
+                yield ({**params, "part": "bivariate"},
+                       lambda n=n, a=a: (seq.bell_euler_poly(n, a - 1),
+                                         average(seq.bell_euler_poly(n, a))))
+                yield ({**params, "part": "classical"},
+                       lambda n=n, a=a: (seq.euler_poly_order(n, a - 1),
+                                         average(seq.euler_poly_order(n, a))))
 
     return run_cases("T4_3", cases())
 

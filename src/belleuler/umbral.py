@@ -1,13 +1,21 @@
 """Dual-space layer: truncated series double as linear functionals on
 polynomials in x, and as shift/derivative operators acting on them.
 
-The pairing <f | x^n> = n! * (coefficient of t^n in f) identifies the dual of
-the polynomial space with formal series; t^k acts on polynomials as the k-th
-x-derivative, so e^{yt} acts as the shift x -> x+y.  On top of that sit the
-Appell-sequence constructions for the Bell-based Euler family: the series
+A series is a coefficient sequence: ``coeffs[k]`` is the raw coefficient of
+t^k and ``len(coeffs) - 1`` the truncation order.  The pairing
+<f | x^n> = n! * coeffs[n] identifies the dual of the polynomial space with
+formal series; t^k acts on polynomials as the k-th x-derivative, so e^{yt}
+acts as the shift x -> x+y.  On top of that sit the Appell-sequence
+constructions for the Bell-based Euler family: the series
 h(t) = ((e^t+1)/2)^mu * e^{-y(e^t-1)} is invertible, its inverse applied to
 x^n reproduces the family, and <h t^k | .> extracts expansion coefficients.
-The parameter y is carried formally, as a polynomial generator.
+The parameter y is carried formally, as a polynomial generator, and mu may
+be any exact order.
+
+With u = (e^t-1)/2, h = (1+u)^mu e^{-2yu} and 1/h = (1+u)^{-mu} e^{2yu}, so
+both are read off the shared Stirling triangle like the families of
+:mod:`.sequences`; the tests hold them against the ``Series`` engine of
+:mod:`.algebra`, which no production path uses.
 """
 
 from __future__ import annotations
@@ -15,28 +23,33 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import factorial
+from functools import cached_property
+from math import comb, factorial
 
-from .algebra import Poly, QQ, XY, Series
+from .algebra import Poly
 from .identities import Grid, IdentityReport, run_cases
 from . import sequences as seq
 
 
-def pair(f: Series, q: Poly) -> Poly:
-    """Dual pairing <f | q>, reading q as a polynomial in x.
-
-    Returns a polynomial in q's ring, constant in x.  The truncation order
-    of f must cover deg_x(q).
-    """
+def _truncation(coeffs, q: Poly, role: str) -> int:
+    """deg_x(q), which the truncation order of ``coeffs`` must cover."""
     deg = q.degree("x")
-    if deg > f.order:
+    if deg > len(coeffs) - 1:
         raise ValueError(
-            f"functional truncated at order {f.order} cannot pair with a "
+            f"{role} truncated at order {len(coeffs) - 1} cannot act on a "
             f"degree-{deg} polynomial")
+    return deg
+
+
+def pair(coeffs, q: Poly) -> Poly:
+    """Dual pairing <f | q> of the series f = sum_k coeffs[k] t^k with q,
+    read as a polynomial in x.
+
+    Returns a polynomial in q's ring, constant in x.
+    """
     total = Poly.zero(q.names)
-    for n in range(max(deg, 0) + 1):
-        fn = f.coefficient(n)
+    for n in range(max(_truncation(coeffs, q, "functional"), 0) + 1):
+        fn = coeffs[n]
         if not fn:
             continue
         qn = q.coefficient_in("x", n)
@@ -48,78 +61,101 @@ def pair(f: Series, q: Poly) -> Poly:
     return total
 
 
-def apply_operator(g: Series, q: Poly) -> Poly:
-    """Act with g(t) on q: t^k differentiates k times in x.
+def apply_operator(coeffs, q: Poly) -> Poly:
+    """Act with g(t) = sum_k coeffs[k] t^k on q: t^k differentiates k times
+    in x.
 
     e.g. applying the series of e^{ct} shifts x -> x + c.
     """
-    deg = q.degree("x")
-    if deg > g.order:
-        raise ValueError(
-            f"operator truncated at order {g.order} cannot act on a "
-            f"degree-{deg} polynomial")
     result = Poly.zero(q.names)
     d = q
-    for k in range(max(deg, 0) + 1):
-        gk = g.coefficient(k)
+    for k in range(max(_truncation(coeffs, q, "operator"), 0) + 1):
+        gk = coeffs[k]
         if gk and d:
             result = result + gk * d
         d = d.derivative("x")
     return result
 
 
-def difference_quotient_operator(z, order: int) -> Series:
-    """The series (e^{zt} - 1)/t, realized by an exact coefficient shift."""
-    return _difference_quotient(Fraction(z), order)
+def difference_quotient_operator(z, order: int) -> tuple:
+    """The series (e^{zt} - 1)/t to t^order: coefficient z^(k+1)/(k+1)!."""
+    z = Fraction(z)
+    return tuple(z ** (k + 1) / factorial(k + 1) for k in range(order + 1))
 
 
-@lru_cache(maxsize=None)
-def _difference_quotient(z: Fraction, order: int) -> Series:
-    ez = (Series.t(QQ, order + 1) * z).exp()
-    return (ez - 1).shift(-1)
+def _appell_series(mu, order: int, y_sign: int) -> tuple:
+    """(1+u)^mu e^{2 y_sign y u} with u = (e^t-1)/2, to t^order, as Polys in y.
+
+    (1+u)^mu = sum_i C(mu, i) u^i and u^j = j!/2^j sum_k S2(k, j) t^k/k!, so
+    for mu = p/q the t^k y^m coefficient is
+    y_sign^m sum_j S2(k, j) C(j, m) f_(j-m) (2q)^(k-j+m) / (k! (2q)^k),
+    with f_i = p (p-q) ... (p-(i-1)q) = q^i i! C(mu, i) an integer.
+    """
+    p, q = Fraction(mu).numerator, Fraction(mu).denominator
+    scale = seq._order_scale(mu)
+    falling = [1]
+    for i in range(order):
+        falling.append(falling[-1] * (p - i * q))
+    coeffs = []
+    for k in range(order + 1):
+        row = seq._stirling_row(k)
+        num = {}
+        for m in range(k + 1):
+            c = sum(row[j] * comb(j, m) * falling[j - m] * scale ** (k - j + m)
+                    for j in range(m, k + 1))
+            if c:
+                num[(0, m)] = y_sign ** m * c
+        coeffs.append(Poly._make(("x", "y"), num, factorial(k) * scale ** k))
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
 class AppellContext:
-    """Invertible base series for the order-mu Bell-based Euler family."""
+    """Invertible base series h for the order-mu Bell-based Euler family,
+    as its coefficient tuple up to t^order."""
 
-    mu: int
+    mu: "int | Fraction"
     order: int
-    h: Series
+    h: tuple
 
     @classmethod
-    def create(cls, mu: int, order: int) -> "AppellContext":
-        if isinstance(mu, bool) or not isinstance(mu, int):
-            raise ValueError("mu must be an integer order")
-        base = (Series.exp_t(XY, order) + 1) / 2
-        expm1 = Series.exp_t(XY, order) - 1
-        h = base.pow(mu) * (expm1 * -XY.gen("y")).exp()
-        if h.coefficient(0) != XY.one:
-            raise AssertionError("base series must have constant term 1")
-        return cls(mu, order, h)
+    def create(cls, mu, order: int) -> "AppellContext":
+        mu = seq.validate_order(mu)
+        return cls(mu, order, _appell_series(mu, order, -1))
+
+    @cached_property
+    def h_inverse(self) -> tuple:
+        """1/h(t) = (1+u)^{-mu} e^{2yu}, read off the same table."""
+        return _appell_series(-self.mu, self.order, 1)
 
     @cached_property
     def functionals(self) -> tuple:
         """h(t) t^k for k = 0..order: pairing with the k-th gives k! times
         the k-th Appell coefficient."""
-        return tuple(self.h.shift(k) for k in range(self.order + 1))
+        return tuple((0,) * k + self.h[:len(self.h) - k]
+                     for k in range(self.order + 1))
+
+
+def _json_order(mu):
+    # an integer order stays a JSON int; a rational one is its "p/q" string
+    return mu if isinstance(mu, int) else str(mu)
 
 
 def appell_inverse_apply(ctx: AppellContext, n: int) -> Poly:
     """(1/h(t)) x^n: the umbral route to the degree-n family member."""
-    return apply_operator(ctx.h.inverse(), Poly.gen("x") ** n)
+    return apply_operator(ctx.h_inverse, Poly.gen("x") ** n)
 
 
 @dataclass(frozen=True)
 class AppellExpansion:
     """Coefficients b_0..b_n of a polynomial in the order-mu Appell basis."""
 
-    mu: int
+    mu: "int | Fraction"
     coeffs: tuple
 
     def to_json_dict(self):
         return {
-            "mu": self.mu,
+            "mu": _json_order(self.mu),
             "coeffs": [c.pretty() for c in self.coeffs],
         }
 
@@ -146,25 +182,25 @@ def _orthogonality_cases(ctx: AppellContext, n_max: int):
             def pair_nk(n=n, k=k):
                 lhs = pair(ctx.functionals[k], seq.bell_euler_poly(n, ctx.mu))
                 return lhs, Poly.constant(factorial(n) if n == k else 0)
-            yield {"mu": ctx.mu, "n": n, "k": k}, pair_nk
+            yield {"mu": _json_order(ctx.mu), "n": n, "k": k}, pair_nk
 
 
-def integral_via_operator(n: int, z):
-    """Both routes to the running integral of the order-1 family member:
+def integral_via_operator(n: int, z, alpha=1):
+    """Both routes to the running integral of the order-alpha family member:
     exact antiderivative from x to x+z, and the (e^{zt}-1)/t operator."""
     z = Fraction(z)
-    member = seq.bell_euler_poly(n, 1)
+    member = seq.bell_euler_poly(n, alpha)
     anti = member.antiderivative("x")
     lhs = anti.subs({"x": seq.X + z}) - anti
     rhs = apply_operator(difference_quotient_operator(z, n + 1), member)
     return lhs, rhs
 
 
-def integral_pairing_form(n: int, z):
+def integral_pairing_form(n: int, z, alpha=1):
     """Corollary form: the integral from 0 to z equals the pairing of
     (e^{zt}-1)/t against the member, read as a polynomial in x."""
     z = Fraction(z)
-    member = seq.bell_euler_poly(n, 1)
+    member = seq.bell_euler_poly(n, alpha)
     anti = member.antiderivative("x")
     lhs = anti.subs({"x": z}) - anti.subs({"x": 0})
     rhs = pair(difference_quotient_operator(z, n + 1), member)
@@ -180,16 +216,20 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _positive_order(mu: int) -> None:
-    # the composition sum splits n into mu parts, so it needs at least one
+def _part_count(mu) -> int:
+    # the composition sum splits n into mu parts, so mu counts at least one
+    mu = seq.validate_order(mu)
+    if not isinstance(mu, int):
+        raise ValueError(f"multinomial needs integer orders, got {mu}")
     if mu < 1:
         raise ValueError("mu must be at least 1")
+    return mu
 
 
 def multinomial_decomposition(n: int, mu: int):
     """x=0 member of order mu versus the composition sum over order-1 members
     weighted by order-1 Euler numbers."""
-    _positive_order(mu)
+    mu = _part_count(mu)
     lhs = seq.special_case(n, mu)
     rhs = Poly.zero()
     for parts in _compositions(n, mu):
@@ -205,33 +245,16 @@ def multinomial_decomposition(n: int, mu: int):
 
 # -- registry wrappers ------------------------------------------------------
 
-def _integer_orders(alphas) -> tuple:
-    orders = []
-    for a in alphas:
-        a = seq.validate_order(a)
-        if not isinstance(a, int):
-            raise ValueError(f"umbral checks need integer orders, got {a}")
-        orders.append(a)
-    return tuple(orders)
-
-
-# registry checks whose grid orders are Appell orders mu, so integers only
-INTEGER_ORDER_CHECKS = frozenset({"orthogonality", "multinomial", "roundtrip"})
-
-
 def validate_orders(check_ids, alphas) -> None:
-    """Reject, before any check runs, orders that a selected check cannot take."""
-    if alphas is None or not INTEGER_ORDER_CHECKS.intersection(check_ids):
-        return
-    orders = _integer_orders(alphas)
-    if "multinomial" in check_ids:
-        for mu in orders:
-            _positive_order(mu)
+    """Reject, before any check runs, orders that a selected check cannot
+    take: every check takes any exact order but multinomial."""
+    if alphas is not None and "multinomial" in check_ids:
+        for mu in alphas:
+            _part_count(mu)
 
 
 def check_orthogonality(grid: Grid = Grid()) -> IdentityReport:
-    n_max, alphas = grid.resolve(6, (1, 2, 3))
-    mus = _integer_orders(alphas)
+    n_max, mus = grid.resolve(6, (1, 2, 3))
 
     def cases():
         for mu in mus:
@@ -244,22 +267,24 @@ INTEGRAL_Z_VALUES = (Fraction(1), Fraction(1, 2), Fraction(-2, 3))
 
 
 def check_integral(grid: Grid = Grid()) -> IdentityReport:
-    n_max, _ = grid.resolve(8)
+    n_max, alphas = grid.resolve(8, (1,))
 
     def cases():
         for n in range(n_max + 1):
-            for z in INTEGRAL_Z_VALUES:
-                yield ({"n": n, "z": str(z), "form": "operator"},
-                       lambda n=n, z=z: integral_via_operator(n, z))
-                yield ({"n": n, "z": str(z), "form": "pairing"},
-                       lambda n=n, z=z: integral_pairing_form(n, z))
+            for a in alphas:
+                for z in INTEGRAL_Z_VALUES:
+                    params = {"n": n, "alpha": str(a), "z": str(z)}
+                    yield ({**params, "form": "operator"},
+                           lambda n=n, z=z, a=a: integral_via_operator(n, z, a))
+                    yield ({**params, "form": "pairing"},
+                           lambda n=n, z=z, a=a: integral_pairing_form(n, z, a))
 
     return run_cases("integral", cases())
 
 
 def check_multinomial(grid: Grid = Grid()) -> IdentityReport:
     n_max, alphas = grid.resolve(8, (2, 3))
-    mus = _integer_orders(alphas)
+    mus = tuple(_part_count(mu) for mu in alphas)
 
     def cases():
         for n in range(n_max + 1):
@@ -286,22 +311,21 @@ def random_rational_poly(rng: random.Random, degree: int) -> Poly:
 
 def check_roundtrip(grid: Grid = Grid()) -> IdentityReport:
     """Expansion followed by reconstruction returns the input exactly, for
-    seeded random rational polynomials across the allowed orders."""
+    seeded random rational polynomials cycling through the grid's orders."""
     max_degree, alphas = grid.resolve(8, (1, 2, 3))
-    mus = _integer_orders(alphas)
     rng = random.Random(ROUNDTRIP_SEED)
-    contexts = {mu: AppellContext.create(mu, max_degree + 1) for mu in mus}
+    contexts = [AppellContext.create(mu, max_degree + 1) for mu in alphas]
 
     def cases():
         for index in range(ROUNDTRIP_COUNT):
-            mu = mus[index % len(mus)]
+            ctx = contexts[index % len(contexts)]
             degree = rng.randint(0, max_degree)
             q = random_rational_poly(rng, degree)
 
-            def roundtrip(q=q, mu=mu):
-                ctx = contexts[mu]
+            def roundtrip(q=q, ctx=ctx):
                 return q, reconstruct(expand_in_appell(q, ctx), ctx)
-            yield {"instance": index, "mu": mu, "degree": degree}, roundtrip
+            yield ({"instance": index, "mu": _json_order(ctx.mu), "degree": degree},
+                   roundtrip)
 
     return run_cases("roundtrip", cases())
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from belleuler import cli
+from belleuler import sequences as seq
 from belleuler.cli import main, parse_x_polynomial
 from belleuler.algebra import Poly
 from belleuler.identities import Grid
@@ -103,6 +104,18 @@ class TestExpandGoldens:
         payload = json.loads(out)
         assert payload["residual"] == "0"
         assert len(payload["coeffs"]) == 4
+
+    @pytest.mark.parametrize("mu", ["1/2", "-5/3"])
+    def test_expand_rational_order(self, run_cli, mu):
+        code, out, _ = run_cli("expand", f"--mu={mu}", "x^4 - 2/3*x + 5")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mu"] == mu and payload["residual"] == "0"
+        assert len(payload["coeffs"]) == 5
+
+    def test_expand_inexact_order(self, run_cli):
+        code, out, err = run_cli("expand", "--mu", "1.5", "x")
+        assert code == 2 and out == "" and "1.5" in err
 
 
 class TestFamilyTable:
@@ -249,11 +262,13 @@ class TestUsageErrors:
         assert code == 2 and out == "" and "needs --alpha" in err
 
     def test_non_integer_alphas_rejected_before_any_check(self, run_cli, monkeypatch):
+        # multinomial splits n into mu parts; it is the one check that needs
+        # integer orders
         calls = []
-        for check_id in ("T3_3", "orthogonality"):
+        for check_id in ("T3_3", "multinomial"):
             monkeypatch.setitem(cli.REGISTRY, check_id,
                                 lambda grid, check_id=check_id: calls.append(check_id))
-        code, out, err = run_cli("verify", "--id", "T3_3", "--id", "orthogonality",
+        code, out, err = run_cli("verify", "--id", "T3_3", "--id", "multinomial",
                                  "--n-max", "2", "--alphas", "1/2")
         assert code == 2 and out == "" and "integer orders" in err
         assert calls == []
@@ -270,6 +285,24 @@ class TestUsageErrors:
                                  f"--alphas={alphas}")
         assert code == 2 and out == "" and "mu must be at least 1" in err
         assert calls == []
+
+    def test_order_grid_reaches_T4_1_and_integral(self, run_cli, monkeypatch):
+        # both checks read their orders from --alphas, so every member they
+        # build has order 7/2 (or 7 = 7/2 + 7/2 on T4_1's left side)
+        orders = set()
+        member = seq.bell_euler_poly
+
+        def recording(n, a):
+            orders.add(a)
+            return member(n, a)
+
+        monkeypatch.setattr(seq, "bell_euler_poly", recording)
+        code, out, _ = run_cli("verify", "--id", "T4_1", "--id", "integral",
+                               "--n-max", "1", "--alphas=7/2")
+        assert code == 0
+        assert [(r["id"], r["pass"], r["checked"]) for r in json.loads(out)] == [
+            ("T4_1", True, 2), ("integral", True, 12)]
+        assert orders == {F(7, 2), 7}
 
     def test_unknown_identity(self, run_cli):
         code, _, err = run_cli("verify", "--id", "T9_9")

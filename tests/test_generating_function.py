@@ -1,6 +1,7 @@
 """The defining generating functions as the oracle for the closed-form path:
 n! times the t^n coefficient of each family's series, expanded by the series
-engine over the (x, y) polynomial ring, must equal the production value."""
+engine over the (x, y) polynomial ring, must equal the production value.  The
+same engine checks the umbral layer's Appell base series h and 1/h."""
 
 from fractions import Fraction as F
 from functools import lru_cache
@@ -94,3 +95,16 @@ def test_closed_form_matches_series_at_random_rational_order(alpha, n):
 def test_closed_form_matches_umbral_inverse_at_integer_order(mu, n):
     ctx = AppellContext.create(mu, max(n, 1))
     assert seq.bell_euler_poly(n, mu) == appell_inverse_apply(ctx, n)
+
+
+APPELL_ORDER = 20
+
+
+@pytest.mark.parametrize("mu", [0, 1, 3, -1, F(1, 2), F(-5, 3)], ids=str)
+def test_appell_base_matches_series_engine(mu):
+    # h = ((e^t+1)/2)^mu e^{-y(e^t-1)} and 1/h, coefficient by coefficient
+    expm1 = Series.exp_t(XY, APPELL_ORDER) - 1
+    h = ((Series.exp_t(XY, APPELL_ORDER) + 1) / 2).pow(mu) * (expm1 * -Y).exp()
+    ctx = AppellContext.create(mu, APPELL_ORDER)
+    assert ctx.h == tuple(h.coeffs)
+    assert ctx.h_inverse == tuple(h.inverse().coeffs)

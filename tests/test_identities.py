@@ -73,14 +73,15 @@ class TestNegativeControl:
 
 
 def test_T4_1_alpha_pairs_override():
-    report = check_T4_1(Grid(n_max=3, alpha_pairs=((0, 1), (1, 1))))
-    assert report.passed and report.checked == 8
+    # the order pairs are the grid's orders squared: 4 pairs at each n <= 3
+    report = check_T4_1(Grid(n_max=3, alphas=(0, F(7, 2))))
+    assert report.passed and report.checked == 16
 
 
 def test_T4_1_member_table_cannot_hide_a_wrong_member(monkeypatch):
     # T4_1 builds each substituted member once per call; a wrong member must
     # still fail, and a table kept between calls would show in either order
-    grid = Grid(n_max=3, alpha_pairs=((1, 1),))
+    grid = Grid(n_max=3, alphas=(1,))
     assert check_T4_1(grid).passed
     true_member = seq.bell_euler_poly
 
@@ -101,6 +102,11 @@ def test_T4_3_classical_reduction_to_n_10():
     report = check_T4_3(Grid(n_max=10))
     assert report.passed
     assert report.checked == 22   # bivariate + classical for each n
+
+
+def test_T4_3_order_shift_at_any_exact_order():
+    report = check_T4_3(Grid(n_max=8, alphas=(0, 1, 2, F(7, 2), F(-5, 3))))
+    assert report.passed and report.checked == 9 * 5 * 2
 
 
 def test_iterated_derivative_collapses_to_factorial():

@@ -9,10 +9,10 @@ import pytest
 
 from belleuler import sequences as seq
 from belleuler.algebra import Poly, QQ, Series, XY
+from belleuler.cli import main as cli_main
 from belleuler.identities import Grid
 from belleuler.umbral import (
     CHECKS as UMBRAL_CHECKS,
-    INTEGER_ORDER_CHECKS,
     AppellContext,
     appell_inverse_apply,
     apply_operator,
@@ -33,9 +33,11 @@ from belleuler.umbral import (
 
 X, Y = Poly.gens("x", "y")
 
+RATIONAL_AND_NONPOSITIVE_ORDERS = (F(1, 2), F(-5, 3), 0, -1)
+
 
 def t_power(k, order, ring=QQ):
-    return Series.one(ring, order).shift(k)
+    return Series.one(ring, order).shift(k).coeffs
 
 
 class TestPairing:
@@ -48,24 +50,24 @@ class TestPairing:
 
     def test_exponential_evaluates(self):
         e2t = (Series.t(QQ, 4) * 2).exp()
-        assert pair(e2t, X**3) == 8
+        assert pair(e2t.coeffs, X**3) == 8
         # <e^{ct} | q(x)> = q(c)
         q = X**2 - 3 * X + F(1, 4)
         for c in (F(0), F(1), F(-2, 5)):
             ect = (Series.t(QQ, 3) * c).exp()
-            assert pair(ect, q) == q.evaluate({"x": c, "y": 0})
+            assert pair(ect.coeffs, q) == q.evaluate({"x": c, "y": 0})
 
     def test_linearity_example(self):
         expm1 = Series.exp_t(QQ, 3) - 1
-        assert pair(expm1, X**2 + 1) == 1   # (1^2+1) - (0^2+1)
+        assert pair(expm1.coeffs, X**2 + 1) == 1   # (1^2+1) - (0^2+1)
 
     def test_truncation_bound(self):
         with pytest.raises(ValueError):
-            pair(Series.one(QQ, 2), X**3)
+            pair(Series.one(QQ, 2).coeffs, X**3)
 
     def test_polynomial_valued_pairing(self):
         # against a series with formal-y coefficients the result carries y
-        h = Series(XY, [Poly.constant(1), Y, Y**2])
+        h = Series(XY, [Poly.constant(1), Y, Y**2]).coeffs
         assert pair(h, X) == Y
         assert pair(h, X**2) == 2 * Y**2
 
@@ -78,10 +80,10 @@ class TestPairing:
             f2 = Series(QQ, [F(rng.randint(-9, 9), rng.randint(1, 9))
                              for _ in range(order + 1)])
             for n in range(order + 1):
-                direct = pair(f1 * f2, X**n)
+                direct = pair((f1 * f2).coeffs, X**n)
                 expanded = sum(
                     (F(factorial(n), factorial(i) * factorial(n - i))
-                     * pair(f1, X**i) * pair(f2, X**(n - i))
+                     * pair(f1.coeffs, X**i) * pair(f2.coeffs, X**(n - i))
                      for i in range(n + 1)), F(0))
                 assert direct == expanded
 
@@ -93,7 +95,7 @@ class TestPairing:
             for n in range(max(q.degree("x"), 0) + 1):
                 qn = q.coefficient_in("x", n)
                 if qn:
-                    total = total + factorial(n) * f.coefficient(n) * qn
+                    total = total + factorial(n) * f[n] * qn
             return total
 
         rng = random.Random(17)
@@ -105,7 +107,7 @@ class TestPairing:
                 coeffs = [scalar() if ring is QQ else
                           scalar() + scalar() * Y + scalar() * Y**2
                           for _ in range(order + 1)]
-                f = Series(ring, coeffs)
+                f = Series(ring, coeffs).coeffs
                 q = sum((scalar() * X**i * Y**j for i in range(order + 1)
                          for j in range(3) if rng.random() < 0.5), Poly.zero())
                 got = pair(f, q)
@@ -115,10 +117,10 @@ class TestPairing:
 
 class TestOperators:
     def test_t_differentiates(self):
-        assert apply_operator(Series.t(QQ, 3), X**3) == 3 * X**2
+        assert apply_operator(Series.t(QQ, 3).coeffs, X**3) == 3 * X**2
 
     def test_exp_shifts(self):
-        assert apply_operator(Series.exp_t(QQ, 2), X**2) == (X + 1) ** 2
+        assert apply_operator(Series.exp_t(QQ, 2).coeffs, X**2) == (X + 1) ** 2
 
     def test_difference_quotient(self):
         for z in (F(1), F(1, 3), F(-2, 7)):
@@ -127,7 +129,7 @@ class TestOperators:
                 z * X**2 + z**2 * X + Poly.constant(z**3 / 3)
 
     def test_degree_lowering_on_family(self):
-        t_big = Series.t(QQ, 12)
+        t_big = Series.t(QQ, 12).coeffs
         for mu in (0, 1, 2, 3):
             for n in range(11):
                 lhs = apply_operator(t_big, seq.bell_euler_poly(n, mu))
@@ -136,18 +138,20 @@ class TestOperators:
 
     def test_truncation_bound(self):
         with pytest.raises(ValueError):
-            apply_operator(Series.one(QQ, 1), X**3)
+            apply_operator(Series.one(QQ, 1).coeffs, X**3)
 
 
 class TestAppellContext:
     def test_formal_base_series_is_invertible(self):
         ctx = AppellContext.create(2, 6)
-        assert ctx.h.coefficient(0) == 1
-        assert ctx.h.is_invertible()
+        assert len(ctx.h) == 7 and ctx.h[0] == 1
+        assert ctx.h_inverse[0] == 1
 
     def test_non_integer_order_rejected(self):
+        # an inexact order is refused; exact rational orders are accepted
         with pytest.raises(ValueError):
-            AppellContext.create(F(1, 2), 4)
+            AppellContext.create(1.5, 4)
+        assert AppellContext.create(F(4, 2), 4).mu == 2
 
 
 class TestInversePath:
@@ -171,9 +175,10 @@ class TestOrthogonality:
         report = check_orthogonality(Grid(n_max=4, alphas=(1, 2)))
         assert report.passed and report.checked == 2 * 25
 
-    def test_rational_mu_rejected_in_grid(self):
-        with pytest.raises(ValueError):
-            check_orthogonality(Grid(alphas=(F(1, 2),)))
+    @pytest.mark.parametrize("mu", RATIONAL_AND_NONPOSITIVE_ORDERS, ids=str)
+    def test_any_exact_order_full_square(self, mu):
+        report = check_orthogonality(Grid(n_max=5, alphas=(mu,)))
+        assert report.passed and report.checked == 36
 
 
 def test_only_multinomial_needs_positive_orders():
@@ -184,18 +189,33 @@ def test_only_multinomial_needs_positive_orders():
     validate_orders(["multinomial"], (1, 2))
 
 
-def test_integer_order_checks_are_the_ones_that_reject_rationals():
+def test_only_multinomial_rejects_rationals():
     grid = Grid(n_max=1, alphas=(F(1, 2),))
     for check_id, check in UMBRAL_CHECKS.items():
-        if check_id in INTEGER_ORDER_CHECKS:
-            with pytest.raises(ValueError):
+        if check_id == "multinomial":
+            with pytest.raises(ValueError, match="integer orders"):
                 check(grid)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="integer orders"):
                 validate_orders([check_id], grid.alphas)
         else:
             assert check(grid).passed
             validate_orders([check_id], grid.alphas)
     validate_orders(list(UMBRAL_CHECKS), None)
+
+
+def test_no_production_path_builds_a_series(monkeypatch, capsys):
+    # Series is the tests' oracle: the umbral checks and expand must run
+    # with its constructor disabled
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a production path built a Series")
+
+    monkeypatch.setattr(Series, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        Series.one(QQ, 2)
+    for check in UMBRAL_CHECKS.values():
+        assert check(Grid(n_max=4)).passed
+    assert cli_main(["expand", "--mu", "2", "x^3 - 2/3"]) == 0
+    assert '"residual":"0"' in capsys.readouterr().out
 
 
 class TestExpansion:
@@ -225,6 +245,10 @@ class TestExpansion:
         report = check_roundtrip()
         assert report.passed and report.checked == 100
 
+    def test_roundtrip_at_any_exact_order(self):
+        report = check_roundtrip(Grid(n_max=6, alphas=RATIONAL_AND_NONPOSITIVE_ORDERS))
+        assert report.passed and report.checked == 100
+
 
 class TestIntegral:
     def test_degree_zero_gives_z(self):
@@ -251,6 +275,10 @@ class TestIntegral:
     def test_registry_grid(self):
         report = check_integral(Grid(n_max=8))
         assert report.passed and report.checked == 9 * 3 * 2
+
+    def test_members_run_over_the_grid_orders(self):
+        report = check_integral(Grid(n_max=4, alphas=(0, F(7, 2), F(-5, 3))))
+        assert report.passed and report.checked == 5 * 3 * 3 * 2
 
 
 class TestMultinomial:
