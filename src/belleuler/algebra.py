@@ -6,11 +6,20 @@ floating point anywhere.  Two value types do all the work:
 * :class:`Poly` -- a sparse polynomial in a fixed tuple of named variables
   (the default ring is ``("x", "y")``).  It stores integer numerators over
   one common denominator, as FLINT's ``fmpq_poly`` does: a map
-  ``{exponent tuple: nonzero int}`` and an int ``den > 0``, reduced so that
-  ``den`` and the numerators share no factor.  That form is canonical, so
-  equality is a comparison of ints and is the library's notion of
-  "identity holds".  Arithmetic runs on ints; :attr:`Poly.terms` shows the
-  coefficients as Fractions.
+  ``{monomial key: nonzero int}`` and an int ``den > 0``, reduced so that
+  ``den`` and the numerators share no factor.  A monomial key packs the
+  exponent tuple ``(e_0, e_1, ...)`` into the one int
+  ``sum_i e_i << (FIELD_BITS * i)`` (Kronecker substitution), so the key of
+  a product of monomials is the sum of their keys.  The top bit of each
+  field is a guard: exponents stay below
+  ``EXPONENT_CEILING = 2**(FIELD_BITS - 1)``, and a product or
+  antiderivative that reaches the ceiling raises ``ValueError`` instead of
+  carrying into the next variable.  That form is canonical, so equality is
+  a comparison of ints and is the library's notion of "identity holds".
+  :meth:`Poly.sum_of_products` is the one kernel for the sums
+  ``sum_k c_k * a_k * b_k`` that the identity checks and the umbral layer
+  build; :attr:`Poly.terms` shows the coefficients as Fractions under
+  exponent tuples.
 
 * :class:`Series` -- a formal power series in ``t``, truncated at a fixed
   order ``N``, over either plain Fractions or a polynomial ring.  Position
@@ -28,10 +37,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from operator import add
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+# bits per variable in a packed monomial key; the top one is the guard
+FIELD_BITS = 15
+EXPONENT_CEILING = 1 << (FIELD_BITS - 1)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -47,6 +61,12 @@ def format_fraction(value: Fraction) -> str:
     return str(value)
 
 
+def _format_ratio(num: int, den: int) -> str:
+    # format_fraction(Fraction(num, den)) with one gcd and no Fraction
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -55,15 +75,53 @@ def _as_fraction(value) -> Fraction:
     raise ValueError(f"exact scalar required, got {type(value).__name__}")
 
 
+def _pack(exps, nvars: int) -> int:
+    """The packed key of an exponent tuple, after checking each exponent."""
+    exps = tuple(exps)
+    if len(exps) != nvars:
+        raise ValueError("exponent tuple does not match variables")
+    key = 0
+    for i, e in enumerate(exps):
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise ValueError(f"exponent must be an int, got {e!r}")
+        if not 0 <= e < EXPONENT_CEILING:
+            raise ValueError(f"exponent {e} outside 0..{EXPONENT_CEILING - 1}")
+        key |= e << (FIELD_BITS * i)
+    return key
+
+
+def _unpack(key: int, nvars: int) -> tuple:
+    if nvars == 2:   # the (x, y) ring of every family
+        return key & _FIELD_MASK, key >> FIELD_BITS
+    return tuple([(key >> shift) & _FIELD_MASK
+                  for shift in range(0, FIELD_BITS * nvars, FIELD_BITS)])
+
+
+@lru_cache(maxsize=None)
+def _guard(nvars: int) -> int:
+    """The guard bits of ``nvars`` fields."""
+    return sum(EXPONENT_CEILING << (FIELD_BITS * i) for i in range(nvars))
+
+
+def _check_ceiling(num: dict, nvars: int) -> None:
+    # two exponents below the ceiling sum below 2 * ceiling, so a key that
+    # outgrew its field shows its guard bit and never a carry
+    guard = _guard(nvars)
+    if any(map(guard.__and__, num)):
+        raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
+
+
 class Poly:
     """Sparse polynomial with rational coefficients in named variables.
 
-    The coefficient of ``exps`` is ``_num[exps] / _den``: ``_num`` maps
-    exponent tuples to nonzero ints and ``_den > 0`` is reduced against
-    them, so equal polynomials have equal ``(names, _num, _den)``.
-    ``Poly(names, terms)`` is the public constructor; it validates a map
-    ``{exps: Fraction | int}``.  Internal results come from the trusted
-    :meth:`_make`, which only divides out the common gcd.
+    The coefficient of the monomial with packed key ``k`` is
+    ``_num[k] / _den``: ``_num`` maps keys to nonzero ints and ``_den > 0``
+    is reduced against them, so equal polynomials have equal
+    ``(names, _num, _den)``.  ``Poly(names, terms)`` is the public
+    constructor; it validates a map ``{exps: Fraction | int}`` whose
+    exponents are ints in ``0..EXPONENT_CEILING - 1``.  Internal results
+    come from the trusted :meth:`_make`, which only divides out the common
+    gcd.
 
     Instances are immutable values: every operation returns a new Poly.
 
@@ -82,28 +140,27 @@ class Poly:
         names = tuple(names)
         coeffs = {}
         for exps, coeff in terms.items():
+            key = _pack(exps, len(names))
             coeff = _as_fraction(coeff)
             if coeff:
-                exps = tuple(exps)
-                if len(exps) != len(names):
-                    raise ValueError("exponent tuple does not match variables")
-                coeffs[exps] = coeff
+                coeffs[key] = coeff
         # over the lcm of reduced denominators the numerators share no factor
         den = lcm(*(c.denominator for c in coeffs.values()))
         self.names = names
-        self._num = {e: c.numerator * (den // c.denominator)
-                     for e, c in coeffs.items()}
+        self._num = {k: c.numerator * (den // c.denominator)
+                     for k, c in coeffs.items()}
         self._den = den
 
     @classmethod
     def _make(cls, names: tuple, num: dict, den: int) -> "Poly":
-        """Trusted constructor: ``num`` holds nonzero ints under exponent
-        tuples of length ``len(names)``, and ``den > 0``.  The new Poly
-        keeps ``num``, so the caller must not change it afterwards."""
+        """Trusted constructor: ``num`` holds nonzero ints under packed keys
+        of ``len(names)`` fields with no guard bit set, and ``den > 0``.
+        The new Poly keeps ``num``, so the caller must not change it
+        afterwards."""
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
-                num = {e: c // g for e, c in num.items()}
+                num = {k: c // g for k, c in num.items()}
                 den //= g
         poly = object.__new__(cls)
         poly.names = names
@@ -111,14 +168,65 @@ class Poly:
         poly._den = den
         return poly
 
+    @classmethod
+    def sum_of_products(cls, names, items) -> "Poly":
+        """sum c * a * b over ``items`` of ``(c, a, b)``: c an int or
+        Fraction, a and b Polys in ``names``, and b None for c * a alone.
+
+        The kernel under every identity and umbral sum: the products go
+        straight into one map of int numerators over the lcm of the items'
+        denominators, and the gcd is taken once, at the end.
+
+        >>> x, y = Poly.gens("x", "y")
+        >>> Poly.sum_of_products(("x", "y"), [(2, x, y), (Fraction(1, 3), y, None)])
+        Poly('2*x*y + 1/3*y')
+        >>> Poly.sum_of_products(("x", "y"), [(1, x, x), (-1, x, x)])
+        Poly('0')
+        """
+        names = tuple(names)
+        work, den, products = [], 1, False
+        for c, a, b in items:
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"exact scalar required, got {type(c).__name__}")
+            if a.names != names or (b is not None and b.names != names):
+                raise ValueError(f"variable mismatch: expected {names}")
+            if not c or not a._num or (b is not None and not b._num):
+                continue
+            d = c.denominator * a._den
+            if b is not None:
+                d *= b._den
+                products = True
+                # the longer factor runs in the inner loop
+                if len(a._num) > len(b._num):
+                    a, b = b, a
+            work.append((c.numerator, d, a._num,
+                         None if b is None else list(b._num.items())))
+            den = lcm(den, d)
+        acc = {}
+        get = acc.get
+        for p, d, left, right in work:
+            scale = p * (den // d)
+            if right is None:
+                for k, v in left.items():
+                    acc[k] = get(k, 0) + scale * v
+                continue
+            for k1, v1 in left.items():
+                s = scale * v1
+                for k2, v2 in right:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + s * v2
+        num = {k: v for k, v in acc.items() if v}
+        if products:
+            _check_ceiling(num, len(names))
+        return cls._make(names, num, den)
+
     # -- construction -----------------------------------------------------
 
     @classmethod
     def constant(cls, value, names=("x", "y")) -> "Poly":
         value = _as_fraction(value)
-        names = tuple(names)
-        num = {(0,) * len(names): value.numerator} if value else {}
-        return cls._make(names, num, value.denominator)
+        num = {0: value.numerator} if value else {}
+        return cls._make(tuple(names), num, value.denominator)
 
     @classmethod
     def zero(cls, names=("x", "y")) -> "Poly":
@@ -126,10 +234,10 @@ class Poly:
 
     @classmethod
     def gen(cls, name, names=("x", "y")) -> "Poly":
-        exps = tuple(1 if n == name else 0 for n in names)
-        if sum(exps) != 1:
+        names = tuple(names)
+        if names.count(name) != 1:
             raise ValueError(f"{name!r} is not one of {names}")
-        return cls._make(tuple(names), {exps: 1}, 1)
+        return cls._make(names, {1 << (FIELD_BITS * names.index(name)): 1}, 1)
 
     @classmethod
     def gens(cls, *names) -> "tuple[Poly, ...]":
@@ -138,8 +246,8 @@ class Poly:
     @property
     def terms(self) -> "dict[tuple, Fraction]":
         """The coefficients as a fresh map ``{exps: Fraction}``, no zeros."""
-        den = self._den
-        return {e: Fraction(c, den) for e, c in self._num.items()}
+        den, nvars = self._den, len(self.names)
+        return {_unpack(k, nvars): Fraction(c, den) for k, c in self._num.items()}
 
     # -- ring structure ---------------------------------------------------
 
@@ -156,14 +264,14 @@ class Poly:
         d1, d2 = self._den, other._den
         g = gcd(d1, d2)
         m1, m2 = d2 // g, sign * (d1 // g)
-        num = {e: c * m1 for e, c in self._num.items()} if m1 != 1 \
+        num = {k: c * m1 for k, c in self._num.items()} if m1 != 1 \
             else dict(self._num)
-        for e, c in other._num.items():
-            value = num.get(e, 0) + c * m2
+        for k, c in other._num.items():
+            value = num.get(k, 0) + c * m2
             if value:
-                num[e] = value
+                num[k] = value
             else:
-                del num[e]
+                del num[k]
         return Poly._make(self.names, num, d1 * m1)
 
     def __add__(self, other):
@@ -174,7 +282,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._make(self.names, {e: -c for e, c in self._num.items()}, self._den)
+        return Poly._make(self.names, {k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, (Poly, int, Fraction)):
@@ -191,7 +299,7 @@ class Poly:
         if not numerator:
             return Poly._make(self.names, {}, 1)
         return Poly._make(self.names,
-                          {e: c * numerator for e, c in self._num.items()},
+                          {k: c * numerator for k, c in self._num.items()},
                           self._den * denominator)
 
     def __mul__(self, other):
@@ -204,11 +312,12 @@ class Poly:
         num = {}
         get = num.get
         right = list(other._num.items())
-        for e1, c1 in self._num.items():
-            for e2, c2 in right:
-                key = tuple(map(add, e1, e2))
+        for k1, c1 in self._num.items():
+            for k2, c2 in right:
+                key = k1 + k2
                 num[key] = get(key, 0) + c1 * c2
-        num = {e: c for e, c in num.items() if c}
+        num = {k: c for k, c in num.items() if c}
+        _check_ceiling(num, len(self.names))
         return Poly._make(self.names, num, self._den * other._den)
 
     __rmul__ = __mul__
@@ -254,47 +363,59 @@ class Poly:
 
     # -- structure queries ------------------------------------------------
 
+    def _shift(self, var) -> int:
+        """Bit offset of ``var``'s field in a packed key."""
+        return FIELD_BITS * self.names.index(var)
+
     def degree(self, var=None) -> int:
         """Largest exponent of ``var`` (total degree if None); -1 for the zero poly."""
         if not self._num:
             return -1
         if var is None:
-            return max(sum(e) for e in self._num)
-        i = self.names.index(var)
-        return max(e[i] for e in self._num)
+            nvars = len(self.names)
+            return max(sum(_unpack(k, nvars)) for k in self._num)
+        shift = self._shift(var)
+        return max((k >> shift) & _FIELD_MASK for k in self._num)
 
     def coefficient(self, exps) -> Fraction:
-        return Fraction(self._num.get(tuple(exps), 0), self._den)
+        return Fraction(self._num.get(_pack(exps, len(self.names)), 0), self._den)
 
     def coefficient_in(self, var, k: int) -> "Poly":
         """Coefficient of ``var**k`` as a polynomial in the remaining variables."""
-        i = self.names.index(var)
-        num = {e[:i] + (0,) + e[i + 1:]: c
-               for e, c in self._num.items() if e[i] == k}
+        shift = self._shift(var)
+        drop = k << shift
+        num = {key - drop: c for key, c in self._num.items()
+               if (key >> shift) & _FIELD_MASK == k}
         return Poly._make(self.names, num, self._den)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self._num)
+        return not any(self._num)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self.pretty()}")
-        return self.coefficient((0,) * len(self.names))
+        return Fraction(self._num.get(0, 0), self._den)
 
     # -- calculus ---------------------------------------------------------
 
     def derivative(self, var) -> "Poly":
-        i = self.names.index(var)
-        num = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-               for e, c in self._num.items() if e[i]}
+        shift = self._shift(var)
+        unit = 1 << shift
+        num = {}
+        for k, c in self._num.items():
+            e = (k >> shift) & _FIELD_MASK
+            if e:
+                num[k - unit] = c * e
         return Poly._make(self.names, num, self._den)
 
     def antiderivative(self, var) -> "Poly":
         """Formal antiderivative with zero constant term in ``var``."""
-        i = self.names.index(var)
-        scale = lcm(*(e[i] + 1 for e in self._num))
-        num = {e[:i] + (e[i] + 1,) + e[i + 1:]: c * (scale // (e[i] + 1))
-               for e, c in self._num.items()}
+        shift = self._shift(var)
+        unit = 1 << shift
+        steps = {k: ((k >> shift) & _FIELD_MASK) + 1 for k in self._num}
+        scale = lcm(*steps.values())
+        num = {k + unit: c * (scale // steps[k]) for k, c in self._num.items()}
+        _check_ceiling(num, len(self.names))
         return Poly._make(self.names, num, self._den * scale)
 
     # -- substitution -----------------------------------------------------
@@ -335,10 +456,11 @@ class Poly:
             powers.append(table)
 
         # each term's image, then one sum over the lcm of their denominators
+        nvars = len(self.names)
         products = []
-        for e, c in self._num.items():
+        for key, c in self._num.items():
             term = None
-            for table, k in zip(powers, e):
+            for table, k in zip(powers, _unpack(key, nvars)):
                 if k:
                     term = table[k] if term is None else term * table[k]
             products.append((c, one if term is None else term))
@@ -347,9 +469,9 @@ class Poly:
         get = num.get
         for c, term in products:
             scale = c * (den // term._den)
-            for e, v in term._num.items():
-                num[e] = get(e, 0) + v * scale
-        num = {e: c for e, c in num.items() if c}
+            for k, v in term._num.items():
+                num[k] = get(k, 0) + v * scale
+        num = {k: c for k, c in num.items() if c}
         return Poly._make(target, num, self._den * den)
 
     def evaluate(self, assignments) -> Fraction:
@@ -357,9 +479,10 @@ class Poly:
         point = [_as_fraction(assignments[name]) for name in self.names]
         # clear every variable's denominator up to its top degree, sum as ints
         tops = [max(self.degree(name), 0) for name in self.names]
+        nvars = len(self.names)
         total = 0
-        for e, c in self._num.items():
-            for v, k, top in zip(point, e, tops):
+        for key, c in self._num.items():
+            for v, k, top in zip(point, _unpack(key, nvars), tops):
                 c *= v.numerator ** k * v.denominator ** (top - k)
             total += c
         den = self._den
@@ -369,39 +492,40 @@ class Poly:
 
     # -- serialization ----------------------------------------------------
 
-    def _json_order(self):
-        return sorted(self._num, key=lambda e: (-sum(e), tuple(-k for k in e)))
-
-    def _pretty_order(self):
-        return sorted(self._num, key=lambda e: (-e[0],) + e[1:] if e else ())
+    def _unpacked(self):
+        """(exponent tuple, numerator) per term, in storage order."""
+        nvars = len(self.names)
+        return [(_unpack(k, nvars), c) for k, c in self._num.items()]
 
     def _monomial_key(self, exps) -> str:
-        parts = [f"{n}^{k}" for n, k in zip(self.names, exps) if k]
-        return "*".join(parts) if parts else "1"
+        return "*".join([f"{n}^{k}" for n, k in zip(self.names, exps) if k]) or "1"
 
     def to_json_map(self) -> "dict[str, str]":
         """Ordered monomial-key map, e.g. {"x^2": "1", "x^1*y^1": "2"}."""
-        terms = self.terms
-        return {self._monomial_key(e): format_fraction(terms[e])
-                for e in self._json_order()}
+        den = self._den
+        # total degree, then the exponent tuple, both descending
+        ordered = sorted(self._unpacked(), key=lambda t: (sum(t[0]), t[0]),
+                         reverse=True)
+        return {self._monomial_key(e): _format_ratio(c, den) for e, c in ordered}
 
     def pretty(self) -> str:
         """Human-readable form: "x^2 - x", "1/2 - y", "0" for the zero poly."""
         if not self._num:
             return "0"
-        terms = self.terms
+        den = self._den
+        ordered = sorted(self._unpacked(),
+                         key=lambda t: (-t[0][0],) + t[0][1:] if t[0] else ())
         chunks = []
-        for e in self._pretty_order():
-            coeff = terms[e]
+        for e, c in ordered:
             mono = "*".join(n if k == 1 else f"{n}^{k}"
                             for n, k in zip(self.names, e) if k)
             if not mono:
-                body = format_fraction(abs(coeff))
-            elif abs(coeff) == 1:
+                body = _format_ratio(abs(c), den)
+            elif abs(c) == den:
                 body = mono
             else:
-                body = f"{format_fraction(abs(coeff))}*{mono}"
-            chunks.append(("-" if coeff < 0 else "+", body))
+                body = f"{_format_ratio(abs(c), den)}*{mono}"
+            chunks.append(("-" if c < 0 else "+", body))
         sign, body = chunks[0]
         text = ("-" if sign == "-" else "") + body
         for sign, body in chunks[1:]:

@@ -41,9 +41,24 @@ FAMILIES = {
 
 _JSON_COMPACT = {"separators": (",", ":")}
 
+# The largest size each command accepts, so that a mistyped size is refused
+# at once instead of running for minutes.  Each is the largest measured size
+# whose slowest case stays near 10 s of CPU and 200 MB (Python 3.11, 2 vCPUs;
+# README, "Limits"), far below the exponent ceiling of the packed keys.
+MAX_COMPUTE_N = 256       # bell-euler at order -5/3: 5.3 s, 74 MB (n 384: 31 s)
+MAX_TABLE_N = 96          # bell-euler at order -5/3: 3.4 s, 80 MB (n-max 128: 11 s)
+MAX_VERIFY_N = 24         # verify --all: 6.3 s, 96 MB
+MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 4.6 s, 51 MB (degree 128: 17 s)
+
 
 class UsageError(Exception):
     """Parameter problem reported on stderr with exit code 2."""
+
+
+def _within(value: int, limit: int, name: str) -> int:
+    if value > limit:
+        raise UsageError(f"{name} {value} is over the limit {limit}")
+    return value
 
 
 def _parse_order(text: str, name: str = "alpha"):
@@ -106,6 +121,7 @@ def _family(args):
 
 
 def cmd_compute(args) -> int:
+    _within(args.n, MAX_COMPUTE_N, "--n")
     generate, flag, params = _family(args)
     k = _flag(args, "k", flag == "k")
     value = generate(args.n, *params) if k is None else generate(args.n, k)
@@ -120,6 +136,7 @@ def cmd_table(args) -> int:
     n_max = args.n_max
     if n_max < 0:
         raise UsageError("--n-max must be non-negative")
+    _within(n_max, MAX_TABLE_N, "--n-max")
     generate, flag, params = _family(args)
 
     if flag == "k":
@@ -145,7 +162,8 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     overrides = {}
     if args.n_max is not None:
-        overrides["n_max"] = validate_n_max(args.n_max)
+        overrides["n_max"] = validate_n_max(_within(args.n_max, MAX_VERIFY_N,
+                                                    "--n-max"))
     if args.alphas is not None:
         overrides["alphas"] = _parse_alphas(args.alphas)
     grid = Grid(**overrides)
@@ -175,7 +193,8 @@ _POLY_TOKEN = re.compile(
 
 
 def parse_x_polynomial(text: str) -> Poly:
-    """Parse a univariate polynomial literal like "x^3 - 2/3" or "1/2*x + 1"."""
+    """Parse a univariate polynomial literal like "x^3 - 2/3" or "1/2*x + 1",
+    of degree at most MAX_EXPAND_DEGREE."""
     stripped = text.replace(" ", "")
     if not stripped:
         raise UsageError("empty polynomial literal")
@@ -192,6 +211,7 @@ def parse_x_polynomial(text: str) -> Poly:
         exponent = 0
         if match.group(3):
             exponent = int(match.group(4)) if match.group(4) else 1
+            _within(exponent, MAX_EXPAND_DEGREE, "degree")
         total = total + sign * coeff * seq.X ** exponent
     return total
 

@@ -105,10 +105,9 @@ def check_T3_3(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial = binomial convolution of Euler polynomials of the
     same order with Bell polynomials."""
     def pair(n, a):
-        rhs = Poly.zero()
-        for k in range(n + 1):
-            rhs = rhs + (comb(n, k) * seq.euler_poly_order(k, a)
-                         * seq.bell_poly(n - k))
+        rhs = Poly.sum_of_products(seq.NAMES, (
+            (comb(n, k), seq.euler_poly_order(k, a), seq.bell_poly(n - k))
+            for k in range(n + 1)))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T3_3", _grid_cases(grid, pair))
 
@@ -117,10 +116,9 @@ def check_T3_4(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial = convolution of Euler numbers with bivariate Bell
     polynomials."""
     def pair(n, a):
-        rhs = Poly.zero()
-        for k in range(n + 1):
-            rhs = rhs + (comb(n, k) * seq.euler_number_order(k, a)
-                         * seq.bivariate_bell(n - k))
+        rhs = Poly.sum_of_products(seq.NAMES, (
+            (comb(n, k) * seq.euler_number_order(k, a), seq.bivariate_bell(n - k), None)
+            for k in range(n + 1)))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T3_4", _grid_cases(grid, pair))
 
@@ -129,10 +127,9 @@ def check_T3_5(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial = convolution of its own x=0 specialization with
     powers of x."""
     def pair(n, a):
-        rhs = Poly.zero()
-        for k in range(n + 1):
-            rhs = rhs + (comb(n, k) * seq.special_case(k, a)
-                         * seq.X ** (n - k))
+        rhs = Poly.sum_of_products(seq.NAMES, (
+            (comb(n, k), seq.special_case(k, a), seq.X ** (n - k))
+            for k in range(n + 1)))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T3_5", _grid_cases(grid, pair))
 
@@ -162,9 +159,9 @@ def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
 
     def ring_pair(n, a1, a2):
         lhs = image(n, a1 + a2, "sum")
-        rhs = Poly.zero(_FOUR_VARS)
-        for k in range(n + 1):
-            rhs = rhs + comb(n, k) * image(k, a1, "left") * image(n - k, a2, "right")
+        rhs = Poly.sum_of_products(_FOUR_VARS, (
+            (comb(n, k), image(k, a1, "left"), image(n - k, a2, "right"))
+            for k in range(n + 1)))
         return lhs, rhs
 
     def cases():
@@ -181,9 +178,8 @@ def check_R4_2(grid: Grid = Grid()) -> IdentityReport:
     """Unit shift in x equals the full binomial sum of lower members."""
     def pair(n, a):
         lhs = seq.bell_euler_poly(n, a).subs({"x": seq.X + 1})
-        rhs = Poly.zero()
-        for k in range(n + 1):
-            rhs = rhs + comb(n, k) * seq.bell_euler_poly(k, a)
+        rhs = Poly.sum_of_products(seq.NAMES, (
+            (comb(n, k), seq.bell_euler_poly(k, a), None) for k in range(n + 1)))
         return lhs, rhs
     return run_cases("R4_2", _grid_cases(grid, pair))
 
@@ -194,9 +190,8 @@ def check_T4_2(grid: Grid = Grid()) -> IdentityReport:
     def pair(n, a):
         top = seq.bell_euler_poly(n + 1, a)
         lhs = top.subs({"x": seq.X + 1}) - top
-        rhs = Poly.zero()
-        for k in range(n + 1):
-            rhs = rhs + comb(n + 1, k) * seq.bell_euler_poly(k, a)
+        rhs = Poly.sum_of_products(seq.NAMES, (
+            (comb(n + 1, k), seq.bell_euler_poly(k, a), None) for k in range(n + 1)))
         return lhs, rhs
     return run_cases("T4_2", _grid_cases(grid, pair))
 
@@ -228,20 +223,18 @@ def check_T4_3(grid: Grid = Grid()) -> IdentityReport:
 @lru_cache(maxsize=None)
 def _stirling_weight(j: int) -> Poly:
     # sum_k (x)_k S2(j, k): the change of basis from falling factorials
-    total = Poly.zero()
-    for k in range(j + 1):
-        total = total + seq.falling_factorial(k) * seq.stirling2_number(j, k)
-    return total
+    return Poly.sum_of_products(seq.NAMES, (
+        (seq.stirling2_number(j, k), seq.falling_factorial(k), None)
+        for k in range(j + 1)))
 
 
 def check_T4_4_corrected(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial rebuilt from its x=0 family through the
     falling-factorial/Stirling change of basis (the index-corrected form)."""
     def pair(n, a):
-        rhs = Poly.zero()
-        for j in range(n + 1):
-            rhs = rhs + (comb(n, j) * _stirling_weight(j)
-                         * seq.special_case(n - j, a))
+        rhs = Poly.sum_of_products(seq.NAMES, (
+            (comb(n, j), _stirling_weight(j), seq.special_case(n - j, a))
+            for j in range(n + 1)))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T4_4_corrected", _grid_cases(grid, pair))
 
@@ -253,9 +246,8 @@ def check_T4_4_literal(grid: Grid = Grid()) -> IdentityReport:
     with a counterexample at n = 1."""
     def pair(n, a):
         base = seq.special_case(n, a)
-        rhs = Poly.zero()
-        for j in range(n + 1):
-            rhs = rhs + comb(n, j) * _stirling_weight(j) * base
+        rhs = Poly.sum_of_products(seq.NAMES, (
+            (comb(n, j), _stirling_weight(j), base) for j in range(n + 1)))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T4_4_literal", _grid_cases(grid, pair))
 

@@ -22,10 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .algebra import Poly
+from .algebra import EXPONENT_CEILING, FIELD_BITS, Poly
 
-X = Poly.gen("x")
-Y = Poly.gen("y")
+NAMES = ("x", "y")
+X = Poly.gen("x", NAMES)
+Y = Poly.gen("y", NAMES)
 
 
 def validate_order(alpha):
@@ -41,6 +42,9 @@ def validate_order(alpha):
 def _degree(n: int) -> int:
     if n < 0:
         raise ValueError("degree n must be non-negative")
+    if n >= EXPONENT_CEILING:
+        # the builders below write packed keys, which hold smaller exponents
+        raise ValueError(f"degree n must be below {EXPONENT_CEILING}")
     return n
 
 
@@ -81,8 +85,9 @@ def _euler_numerator(k: int, alpha) -> int:
 
 
 def _poly(numerators, denominator: int = 1) -> Poly:
-    # the tables already give integer numerators over one denominator
-    return Poly._make(("x", "y"), {e: c for e, c in numerators.items() if c},
+    # the tables already give integer numerators over one denominator, under
+    # packed keys x^e y^j -> e | j << FIELD_BITS with e, j <= n
+    return Poly._make(NAMES, {k: c for k, c in numerators.items() if c},
                       denominator)
 
 
@@ -102,26 +107,27 @@ def _bell_euler_poly(n: int, alpha) -> Poly:
             row = rows[n - k - i]
             for j, s in enumerate(_stirling_row(i)):
                 row[j] += c * s
-    return _poly({(e, j): c for e, row in enumerate(rows) for j, c in enumerate(row)},
+    return _poly({e | j << FIELD_BITS: c
+                  for e, row in enumerate(rows) for j, c in enumerate(row)},
                  scale ** n)
 
 
 @lru_cache(maxsize=None)
 def _euler_poly_order(n: int, alpha) -> Poly:
     scale = _order_scale(alpha)
-    return _poly({(n - k, 0): comb(n, k) * _euler_numerator(k, alpha) * scale ** (n - k)
+    return _poly({n - k: comb(n, k) * _euler_numerator(k, alpha) * scale ** (n - k)
                   for k in range(n + 1)}, scale ** n)
 
 
 @lru_cache(maxsize=None)
 def _bivariate_bell(n: int) -> Poly:
-    return _poly({(n - i, j): comb(n, i) * s
+    return _poly({(n - i) | j << FIELD_BITS: comb(n, i) * s
                   for i in range(n + 1) for j, s in enumerate(_stirling_row(i))})
 
 
 @lru_cache(maxsize=None)
 def _stirling2_poly(n: int, k: int) -> Poly:
-    return _poly({(n - i, 0): comb(n, i) * _stirling_row(i)[k]
+    return _poly({n - i: comb(n, i) * _stirling_row(i)[k]
                   for i in range(k, n + 1)})
 
 
@@ -132,7 +138,7 @@ def bivariate_bell(n: int) -> Poly:
 
 def bell_poly(n: int) -> Poly:
     """Classical Bell polynomial sum_k S2(n, k) y^k: bivariate value at x = 0."""
-    return _poly({(0, k): s for k, s in enumerate(_stirling_row(n))})
+    return _poly({k << FIELD_BITS: s for k, s in enumerate(_stirling_row(n))})
 
 
 def bell_number(n: int) -> Fraction:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
 
-from .algebra import Poly
+from .algebra import FIELD_BITS, Poly
 from .identities import Grid, IdentityReport, run_cases
 from . import sequences as seq
 
@@ -41,24 +41,24 @@ def _truncation(coeffs, q: Poly, role: str) -> int:
     return deg
 
 
+def _item(scale: int, c, p: Poly) -> tuple:
+    """The kernel item for scale * c * p, where c is a scalar or a Poly."""
+    return (scale, c, p) if isinstance(c, Poly) else (scale * c, p, None)
+
+
 def pair(coeffs, q: Poly) -> Poly:
     """Dual pairing <f | q> of the series f = sum_k coeffs[k] t^k with q,
     read as a polynomial in x.
 
     Returns a polynomial in q's ring, constant in x.
     """
-    total = Poly.zero(q.names)
+    items = []
     for n in range(max(_truncation(coeffs, q, "functional"), 0) + 1):
-        fn = coeffs[n]
-        if not fn:
-            continue
-        qn = q.coefficient_in("x", n)
-        if qn:
-            # a scalar coefficient scales instead of multiplying polynomials
-            if qn.is_constant():
-                qn = qn.constant_value()
-            total = total + factorial(n) * fn * qn
-    return total
+        if coeffs[n]:
+            qn = q.coefficient_in("x", n)
+            if qn:
+                items.append(_item(factorial(n), coeffs[n], qn))
+    return Poly.sum_of_products(q.names, items)
 
 
 def apply_operator(coeffs, q: Poly) -> Poly:
@@ -67,14 +67,13 @@ def apply_operator(coeffs, q: Poly) -> Poly:
 
     e.g. applying the series of e^{ct} shifts x -> x + c.
     """
-    result = Poly.zero(q.names)
+    items = []
     d = q
     for k in range(max(_truncation(coeffs, q, "operator"), 0) + 1):
-        gk = coeffs[k]
-        if gk and d:
-            result = result + gk * d
+        if coeffs[k] and d:
+            items.append(_item(1, coeffs[k], d))
         d = d.derivative("x")
-    return result
+    return Poly.sum_of_products(q.names, items)
 
 
 def difference_quotient_operator(z, order: int) -> tuple:
@@ -104,8 +103,8 @@ def _appell_series(mu, order: int, y_sign: int) -> tuple:
             c = sum(row[j] * comb(j, m) * falling[j - m] * scale ** (k - j + m)
                     for j in range(m, k + 1))
             if c:
-                num[(0, m)] = y_sign ** m * c
-        coeffs.append(Poly._make(("x", "y"), num, factorial(k) * scale ** k))
+                num[m << FIELD_BITS] = y_sign ** m * c   # the key of y^m
+        coeffs.append(Poly._make(seq.NAMES, num, factorial(k) * scale ** k))
     return tuple(coeffs)
 
 
@@ -169,10 +168,9 @@ def expand_in_appell(q: Poly, ctx: AppellContext) -> AppellExpansion:
 
 
 def reconstruct(expansion: AppellExpansion, ctx: AppellContext) -> Poly:
-    total = Poly.zero()
-    for k, b in enumerate(expansion.coeffs):
-        total = total + b * seq.bell_euler_poly(k, ctx.mu)
-    return total
+    return Poly.sum_of_products(seq.NAMES, (
+        _item(1, b, seq.bell_euler_poly(k, ctx.mu))
+        for k, b in enumerate(expansion.coeffs)))
 
 
 def _orthogonality_cases(ctx: AppellContext, n_max: int):
@@ -231,7 +229,7 @@ def multinomial_decomposition(n: int, mu: int):
     weighted by order-1 Euler numbers."""
     mu = _part_count(mu)
     lhs = seq.special_case(n, mu)
-    rhs = Poly.zero()
+    items = []
     for parts in _compositions(n, mu):
         weight = Fraction(factorial(n))
         for i in parts:
@@ -239,8 +237,8 @@ def multinomial_decomposition(n: int, mu: int):
         for i in parts[:-1]:
             weight *= seq.euler_number_order(i, 1)
         if weight:
-            rhs = rhs + weight * seq.special_case(parts[-1], 1)
-    return lhs, rhs
+            items.append((weight, seq.special_case(parts[-1], 1), None))
+    return lhs, Poly.sum_of_products(seq.NAMES, items)
 
 
 # -- registry wrappers ------------------------------------------------------

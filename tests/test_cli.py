@@ -330,6 +330,44 @@ class TestUsageErrors:
         assert code == 2 and out == "" and "n_max must be at least 1" in err
         assert calls == []
 
+    def test_compute_n_over_the_limit(self, run_cli, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli.FAMILIES, "bell-number", calls.append)
+        code, out, err = run_cli("compute", "--family", "bell-number",
+                                 "--n", str(cli.MAX_COMPUTE_N + 1))
+        assert code == 2 and out == "" and "over the limit" in err
+        assert calls == []
+
+    def test_table_n_max_over_the_limit(self, run_cli, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli.FAMILIES, "stirling2", calls.append)
+        code, out, err = run_cli("table", "--family", "stirling2",
+                                 "--n-max", str(cli.MAX_TABLE_N + 1))
+        assert code == 2 and out == "" and "over the limit" in err
+        assert calls == []
+
+    def test_verify_n_max_over_the_limit(self, run_cli, monkeypatch):
+        calls = []
+        for check_id in list(cli.REGISTRY):
+            monkeypatch.setitem(cli.REGISTRY, check_id, calls.append)
+        code, out, err = run_cli("verify", "--all",
+                                 "--n-max", str(cli.MAX_VERIFY_N + 1))
+        assert code == 2 and out == "" and "over the limit" in err
+        assert calls == []
+
+    def test_expand_degree_over_the_limit(self, run_cli, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "expand_in_appell", lambda *args: calls.append(args))
+        code, out, err = run_cli("expand", "--mu", "1",
+                                 f"x^{cli.MAX_EXPAND_DEGREE + 1} - x")
+        assert code == 2 and out == "" and "over the limit" in err
+        assert calls == []
+
+    def test_limits_cover_the_benchmark_sizes(self):
+        # compute n 40, table n-max 32, verify n-max 10, expand degree 16
+        assert cli.MAX_COMPUTE_N >= 40 and cli.MAX_TABLE_N >= 32
+        assert cli.MAX_VERIFY_N >= 10 and cli.MAX_EXPAND_DEGREE >= 16
+
     @pytest.mark.parametrize("grid", [Grid(n_max=0), Grid(n_max=-1), Grid(alphas=())],
                              ids=["n_max=0", "n_max=-1", "alphas=()"])
     def test_every_registry_check_rejects_an_empty_grid(self, grid):

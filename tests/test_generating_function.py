@@ -1,7 +1,8 @@
 """The defining generating functions as the oracle for the closed-form path:
 n! times the t^n coefficient of each family's series, expanded by the series
 engine over the (x, y) polynomial ring, must equal the production value.  The
-same engine checks the umbral layer's Appell base series h and 1/h."""
+same engine checks the umbral layer's Appell base series h and 1/h.  When
+sympy is installed, its ``series`` rebuilds a few members as well."""
 
 from fractions import Fraction as F
 from functools import lru_cache
@@ -108,3 +109,20 @@ def test_appell_base_matches_series_engine(mu):
     ctx = AppellContext.create(mu, APPELL_ORDER)
     assert ctx.h == tuple(h.coeffs)
     assert ctx.h_inverse == tuple(h.inverse().coeffs)
+
+
+@pytest.mark.parametrize("n, alpha", [(5, 2), (5, F(1, 2)), (4, F(-5, 3))], ids=str)
+def test_closed_form_matches_sympy_series(n, alpha):
+    # an oracle sharing no code with this package: sympy expands each factor
+    # of (2/(e^t+1))^alpha * e^{xt} * e^{y(e^t-1)} and multiplies the series
+    sympy = pytest.importorskip("sympy")
+    t, x, y = sympy.symbols("t x y")
+    factors = ((2 / (sympy.exp(t) + 1)) ** sympy.Rational(alpha.numerator,
+                                                          alpha.denominator),
+               sympy.exp(x * t), sympy.exp(y * (sympy.exp(t) - 1)))
+    product = sympy.Integer(1)
+    for factor in factors:
+        product = sympy.expand(product * sympy.series(factor, t, 0, n + 1).removeO())
+    member = sympy.Poly(sympy.factorial(n) * product.coeff(t, n), x, y)
+    expected = {exps: F(int(c.p), int(c.q)) for exps, c in member.terms()}
+    assert seq.bell_euler_poly(n, alpha).terms == expected

@@ -1,6 +1,7 @@
 """Differential tests for the integer kernel under ``Poly``: every operation
-against the plain ``{exps: Fraction}`` reference in ``oracles``, plus the
-canonical-form invariants and the eq/hash contract."""
+and the fused ``sum_of_products`` against the plain ``{exps: Fraction}``
+reference in ``oracles``, plus the canonical-form invariants, the exponent
+ceiling of the packed keys and the eq/hash contract."""
 
 from fractions import Fraction as F
 from math import gcd
@@ -10,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from belleuler.algebra import Poly
+from belleuler import sequences as seq
+from belleuler.algebra import EXPONENT_CEILING, FIELD_BITS, Poly
+from belleuler.cli import parse_x_polynomial
+from belleuler.identities import Grid, check_T3_3
 
 RINGS = (("x", "y"), ("x1", "x2", "y1", "y2"))
 
@@ -42,7 +46,12 @@ def check_canonical(p: Poly):
     assert p._den > 0
     assert gcd(p._den, *p._num.values()) == 1
     assert all(type(c) is int and c for c in p._num.values())
-    assert all(len(e) == len(p.names) for e in p._num)
+    # packed keys: ints that fit len(names) fields, with no guard bit set
+    fields = len(p.names)
+    guard = sum(EXPONENT_CEILING << (FIELD_BITS * i) for i in range(fields))
+    assert all(type(k) is int and 0 <= k < 1 << (FIELD_BITS * fields)
+               and not k & guard for k in p._num)
+    assert all(len(e) == fields for e in p.terms)
     assert 0 not in p.terms.values()
 
 
@@ -150,7 +159,7 @@ def test_constants_equal_and_hash_like_their_value(value, names):
 
 def test_public_constructor_validates_and_reduces():
     p = Poly(["x", "y"], {(1, 0): F(2, 4), (0, 1): 3, (2, 2): F(0)})
-    assert p._num == {(1, 0): 1, (0, 1): 6} and p._den == 2
+    assert p._num == {1: 1, 1 << FIELD_BITS: 6} and p._den == 2
     assert p.terms == {(1, 0): F(1, 2), (0, 1): F(3)}
     assert Poly(("x", "y"), {}) == Poly.zero() and Poly.zero()._den == 1
     for bad in ({(1,): F(1)}, {(1, 0): 0.5}):
@@ -164,3 +173,93 @@ def test_terms_is_a_fresh_read_only_view():
     assert p.terms == {(1, 0): F(1, 3)}
     with pytest.raises(AttributeError):
         p.terms = {}
+
+
+@pytest.mark.parametrize("exps", [(-1, 0), (0, -2), (1.5, 0), (1.0, 0), (True, 0),
+                                  (0, False), (EXPONENT_CEILING, 0), (0, 2**40)])
+def test_public_constructor_rejects_invalid_exponents(exps):
+    # negative, non-int (bool included) and at or above the field ceiling
+    with pytest.raises(ValueError, match="exponent"):
+        Poly(("x", "y"), {exps: 1})
+
+
+@st.composite
+def product_items(draw):
+    """Items (c, a, b) in one ring: int or Fraction scales over mixed
+    denominators, b None for a scalar multiple, and at times an item that
+    cancels an earlier one."""
+    names = draw(st.sampled_from(RINGS))
+    items = []
+    for _ in range(draw(st.integers(0, 4))):
+        c = draw(st.one_of(nonzero, st.integers(-5, 5)))
+        b = draw(st.one_of(st.none(), term_maps(len(names))))
+        items.append((c, draw(term_maps(len(names))), b))
+    if items and draw(st.booleans()):
+        c, a, b = draw(st.sampled_from(items))
+        items.append((-c, a, b))
+    return names, items
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_items())
+def test_sum_of_products_matches_reference(case):
+    names, items = case
+    reference = {}
+    for c, a, b in items:
+        term = a if b is None else oracles.dict_mul(a, b)
+        reference = oracles.dict_add(reference, oracles.dict_scale(term, F(c)))
+    polys = [(c, Poly(names, a), None if b is None else Poly(names, b))
+             for c, a, b in items]
+    check_matches(Poly.sum_of_products(names, polys), names, reference)
+
+
+def test_sum_of_products_edge_cases():
+    x, y = Poly.gens("x", "y")
+    assert Poly.sum_of_products(("x", "y"), []) == Poly.zero()
+    cancelled = Poly.sum_of_products(("x", "y"), [(F(1, 3), x, y), (F(-1, 3), y, x)])
+    check_canonical(cancelled)
+    assert cancelled == 0 and cancelled._den == 1
+    with pytest.raises(ValueError, match="variable mismatch"):
+        Poly.sum_of_products(("x", "y"), [(1, Poly.gen("x", ("x",)), None)])
+    with pytest.raises(ValueError, match="exact scalar"):
+        Poly.sum_of_products(("x", "y"), [(0.5, x, y)])
+
+
+@pytest.mark.parametrize("names", RINGS)
+def test_exponent_ceiling_raises_and_never_wraps(names):
+    top = EXPONENT_CEILING - 1          # 2^(FIELD_BITS - 1) - 1
+    for i, var in enumerate(names):
+        p = Poly(names, {tuple(top if j == i else 0 for j in range(len(names))): 1})
+        v = Poly.gen(var, names)
+        assert p.degree(var) == top and p.degree() == top
+        assert (p.derivative(var) * v) == top * p
+        for overflow in (lambda: p * v, lambda: p * p, lambda: p.antiderivative(var),
+                         lambda: Poly.sum_of_products(names, [(1, p, v)])):
+            with pytest.raises(ValueError, match="ceiling"):
+                overflow()
+
+
+def test_family_builders_refuse_degrees_the_keys_cannot_hold():
+    # the builders write packed keys directly, so they check n up front
+    with pytest.raises(ValueError, match="below"):
+        seq.bell_euler_poly(EXPONENT_CEILING, 1)
+
+
+def test_oracle_subs_and_parser_never_call_the_kernel(monkeypatch):
+    # the oracle is the independent path the kernel's results are held
+    # against, so it must build with the kernel disabled
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel was called")
+
+    for cached in (seq.euler_poly_recurrence, seq.euler_numbers_of_order,
+                   seq.stirling2_recurrence):
+        cached.cache_clear()
+    monkeypatch.setattr(Poly, "sum_of_products", refuse)
+    with pytest.raises(AssertionError):
+        check_T3_3(Grid(n_max=2))
+    assert seq.bell_euler_convolution(6, 2).terms == oracles.bell_euler_dict(6, 2)
+    assert seq.euler_poly_recurrence(8).terms == \
+        {(j, 0): c for j, c in enumerate(oracles.euler_poly_coeffs(8)) if c}
+    shifted = seq.bell_euler_poly(5, 1).subs({"x": seq.X + 1, "y": F(1, 2)})
+    assert shifted.degree("x") == 5 and shifted.degree("y") == 0
+    assert parse_x_polynomial("x^3 - 2/3") == seq.X ** 3 - F(2, 3)
