@@ -18,8 +18,11 @@ floating point anywhere.  Two value types do all the work:
   a comparison of ints and is the library's notion of "identity holds".
   :meth:`Poly.sum_of_products` is the one kernel for the sums
   ``sum_k c_k * a_k * b_k`` that the identity checks and the umbral layer
-  build; :attr:`Poly.terms` shows the coefficients as Fractions under
-  exponent tuples.
+  build.  :meth:`Poly.subs` keeps its own accumulate loop instead: each
+  term's image goes straight into one int map, with no product ``Poly`` per
+  term.  :meth:`Poly.columns` splits a polynomial into its columns in one
+  variable in one scan, which the dual pairing reads.  :attr:`Poly.terms`
+  shows the coefficients as Fractions under exponent tuples.
 
 * :class:`Series` -- a formal power series in ``t``, truncated at a fixed
   order ``N``, over either plain Fractions or a polynomial ring.  Position
@@ -101,6 +104,17 @@ def _unpack(key: int, nvars: int) -> tuple:
 def _guard(nvars: int) -> int:
     """The guard bits of ``nvars`` fields."""
     return sum(EXPONENT_CEILING << (FIELD_BITS * i) for i in range(nvars))
+
+
+def _variable_key(poly) -> int:
+    """The key of ``poly`` if it is a lone variable (coefficient 1,
+    exponent 1), else 0."""
+    if poly._den != 1 or len(poly._num) != 1:
+        return 0
+    (key, c), = poly._num.items()
+    if c != 1 or key & (key - 1) or (key.bit_length() - 1) % FIELD_BITS:
+        return 0
+    return key
 
 
 def _check_ceiling(num: dict, nvars: int) -> None:
@@ -388,6 +402,25 @@ class Poly:
                if (key >> shift) & _FIELD_MASK == k}
         return Poly._make(self.names, num, self._den)
 
+    def columns(self, var) -> "dict[int, Poly]":
+        """``{k: coefficient_in(var, k)}`` for every k whose column is
+        nonzero, from one scan of the terms.
+
+        >>> x, y = Poly.gens("x", "y")
+        >>> (x**2 * y + x**2 + 3 * y).columns("x")
+        {2: Poly('1 + y'), 0: Poly('3*y')}
+        """
+        shift = self._shift(var)
+        split = {}
+        for key, c in self._num.items():
+            k = (key >> shift) & _FIELD_MASK
+            column = split.get(k)
+            if column is None:
+                split[k] = column = {}
+            column[key - (k << shift)] = c
+        return {k: Poly._make(self.names, num, self._den)
+                for k, num in split.items()}
+
     def is_constant(self) -> bool:
         return not any(self._num)
 
@@ -449,29 +482,55 @@ class Poly:
         # power tables keep repeated exponentiation out of the inner loop
         one = Poly.constant(1, target)
         powers = []
-        for i, img in enumerate(images):
-            table = [one]
-            for _ in range(max(self.degree(self.names[i]), 0)):
-                table.append(table[-1] * img)
+        for name, img in zip(self.names, images):
+            top = max(self.degree(name), 0)
+            unit = _variable_key(img)
+            if unit:
+                # a lone variable's powers are its monomials, below the
+                # ceiling because top is one of self's exponents
+                table = [Poly._make(target, {k * unit: 1}, 1) for k in range(top + 1)]
+            else:
+                table = [one]
+                for _ in range(top):
+                    table.append(table[-1] * img)
             powers.append(table)
 
-        # each term's image, then one sum over the lcm of their denominators
+        # a term c * head * tail: tail is the last variable's table entry and
+        # head the product of the others' (one entry in the (x, y) ring)
         nvars = len(self.names)
-        products = []
+        *lead, last = powers
+        work, dens = [], set()
         for key, c in self._num.items():
-            term = None
-            for table, k in zip(powers, _unpack(key, nvars)):
+            exps = _unpack(key, nvars)
+            head = one
+            for table, k in zip(lead, exps):
                 if k:
-                    term = table[k] if term is None else term * table[k]
-            products.append((c, one if term is None else term))
-        den = lcm(*(term._den for _, term in products))
-        num = {}
-        get = num.get
-        for c, term in products:
-            scale = c * (den // term._den)
-            for k, v in term._num.items():
-                num[k] = get(k, 0) + v * scale
-        num = {k: c for k, c in num.items() if c}
+                    head = table[k] if head is one else head * table[k]
+            tail = last[exps[-1]]
+            if head._num and tail._num:
+                d = head._den * tail._den
+                dens.add(d)
+                left, right = head._num, tail._num
+                if len(left) > len(right):
+                    left, right = right, left
+                work.append((c, d, left, right))
+
+        # every product goes straight into one map over the lcm of their
+        # denominators; subs keeps this loop of its own, off sum_of_products,
+        # so the oracle paths that substitute share no code with the kernel
+        den = lcm(*dens)
+        acc = {}
+        get = acc.get
+        for c, d, left, right in work:
+            scale = c * (den // d)
+            for k1, v1 in left.items():
+                s = scale * v1
+                for k2, v2 in right.items():
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + s * v2
+        num = {k: v for k, v in acc.items() if v}
+        # head * tail skipped __mul__, so its ceiling check is done here
+        _check_ceiling(num, len(target))
         return Poly._make(target, num, self._den * den)
 
     def evaluate(self, assignments) -> Fraction:

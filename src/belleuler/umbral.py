@@ -31,9 +31,9 @@ from .identities import Grid, IdentityReport, run_cases
 from . import sequences as seq
 
 
-def _truncation(coeffs, q: Poly, role: str) -> int:
-    """deg_x(q), which the truncation order of ``coeffs`` must cover."""
-    deg = q.degree("x")
+def _truncation(coeffs, deg: int, role: str) -> int:
+    """deg, the x-degree of the argument, which the truncation order of
+    ``coeffs`` must cover."""
     if deg > len(coeffs) - 1:
         raise ValueError(
             f"{role} truncated at order {len(coeffs) - 1} cannot act on a "
@@ -46,19 +46,21 @@ def _item(scale: int, c, p: Poly) -> tuple:
     return (scale, c, p) if isinstance(c, Poly) else (scale * c, p, None)
 
 
+def _pair_columns(coeffs, columns: dict, names: tuple) -> Poly:
+    """<f | q> from q's x-columns ``{n: coefficient of x^n}``."""
+    _truncation(coeffs, max(columns, default=-1), "functional")
+    return Poly.sum_of_products(names, (
+        _item(factorial(n), coeffs[n], columns[n])
+        for n in sorted(columns) if coeffs[n]))
+
+
 def pair(coeffs, q: Poly) -> Poly:
     """Dual pairing <f | q> of the series f = sum_k coeffs[k] t^k with q,
     read as a polynomial in x.
 
     Returns a polynomial in q's ring, constant in x.
     """
-    items = []
-    for n in range(max(_truncation(coeffs, q, "functional"), 0) + 1):
-        if coeffs[n]:
-            qn = q.coefficient_in("x", n)
-            if qn:
-                items.append(_item(factorial(n), coeffs[n], qn))
-    return Poly.sum_of_products(q.names, items)
+    return _pair_columns(coeffs, q.columns("x"), q.names)
 
 
 def apply_operator(coeffs, q: Poly) -> Poly:
@@ -69,7 +71,7 @@ def apply_operator(coeffs, q: Poly) -> Poly:
     """
     items = []
     d = q
-    for k in range(max(_truncation(coeffs, q, "operator"), 0) + 1):
+    for k in range(max(_truncation(coeffs, q.degree("x"), "operator"), 0) + 1):
         if coeffs[k] and d:
             items.append(_item(1, coeffs[k], d))
         d = d.derivative("x")
@@ -160,10 +162,12 @@ class AppellExpansion:
 
 
 def expand_in_appell(q: Poly, ctx: AppellContext) -> AppellExpansion:
-    """b_k = (1/k!) <h(t) t^k | q>; reconstruction is exact by orthogonality."""
-    degree = max(q.degree("x"), 0)
-    coeffs = tuple(pair(ctx.functionals[k], q) / factorial(k)
-                   for k in range(degree + 1))
+    """b_k = (1/k!) <h(t) t^k | q>; reconstruction is exact by orthogonality.
+    q is split into its x-columns once, for every k."""
+    columns = q.columns("x")
+    degree = max(columns, default=0)
+    coeffs = tuple(_pair_columns(ctx.functionals[k], columns, q.names)
+                   / factorial(k) for k in range(degree + 1))
     return AppellExpansion(ctx.mu, coeffs)
 
 
@@ -176,9 +180,11 @@ def reconstruct(expansion: AppellExpansion, ctx: AppellContext) -> Poly:
 def _orthogonality_cases(ctx: AppellContext, n_max: int):
     """<h(t) t^k | S_n> = n! delta_{n,k} over the full (n, k) square."""
     for n in range(n_max + 1):
+        # BE_n is split into its x-columns once, for every k
+        columns = seq.bell_euler_poly(n, ctx.mu).columns("x")
         for k in range(n_max + 1):
-            def pair_nk(n=n, k=k):
-                lhs = pair(ctx.functionals[k], seq.bell_euler_poly(n, ctx.mu))
+            def pair_nk(n=n, k=k, columns=columns):
+                lhs = _pair_columns(ctx.functionals[k], columns, seq.NAMES)
                 return lhs, Poly.constant(factorial(n) if n == k else 0)
             yield {"mu": _json_order(ctx.mu), "n": n, "k": k}, pair_nk
 

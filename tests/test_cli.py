@@ -363,10 +363,22 @@ class TestUsageErrors:
         assert code == 2 and out == "" and "over the limit" in err
         assert calls == []
 
+    def test_verify_alphas_longer_than_the_limit(self, run_cli, monkeypatch):
+        calls = []
+        for check_id in list(cli.REGISTRY):
+            monkeypatch.setitem(cli.REGISTRY, check_id, calls.append)
+        orders = ",".join(["1"] * (cli.MAX_VERIFY_ALPHAS + 1))
+        code, out, err = run_cli("verify", "--all", "--n-max", "2",
+                                 f"--alphas={orders}")
+        assert code == 2 and out == "" and "over the limit" in err
+        assert calls == []
+
     def test_limits_cover_the_benchmark_sizes(self):
         # compute n 40, table n-max 32, verify n-max 10, expand degree 16
         assert cli.MAX_COMPUTE_N >= 40 and cli.MAX_TABLE_N >= 32
         assert cli.MAX_VERIFY_N >= 10 and cli.MAX_EXPAND_DEGREE >= 16
+        # the default grids use at most four orders
+        assert cli.MAX_VERIFY_ALPHAS >= 4
 
     @pytest.mark.parametrize("grid", [Grid(n_max=0), Grid(n_max=-1), Grid(alphas=())],
                              ids=["n_max=0", "n_max=-1", "alphas=()"])

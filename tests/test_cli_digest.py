@@ -1,13 +1,16 @@
-"""Byte-golden digest of `compute` and `table` output over every family.
+"""Byte-golden digests of the CLI's stdout.
 
-One sha256 covers the stdout of every family in every format, at n <= 12,
-orders {0, 1, 2, 3, -1, 1/2, -5/3} and block counts k <= 6, so any change in
-a coefficient or in its formatting shows up here.
+One sha256 covers the stdout of `compute` and `table` for every family in
+every format, at n <= 12, orders {0, 1, 2, 3, -1, 1/2, -5/3} and block
+counts k <= 6, so any change in a coefficient or in its formatting shows up
+here.  A second covers `verify` and `expand`, the paths that go through
+`Poly.subs` and the dual pairing.
 """
 
 import contextlib
 import hashlib
 import io
+import re
 
 from belleuler import cli
 
@@ -50,3 +53,42 @@ def test_compute_and_table_output_digest():
         count += 1
     assert count == 1854
     assert digest.hexdigest() == DIGEST
+
+
+# every check but multinomial, which takes integer orders >= 1 only
+RATIONAL_ORDER_CHECKS = [i for i in cli.REGISTRY
+                         if i not in cli.NEGATIVE_CONTROLS and i != "multinomial"]
+VERIFY_RUNS = (
+    (["verify", "--all", "--n-max", "10"], 0),
+    (["verify", "--id", "T4_4_literal"], 1),
+    (["verify", "--n-max", "4", "--alphas=1/2,-5/3",
+      *(arg for i in RATIONAL_ORDER_CHECKS for arg in ("--id", i))], 0),
+)
+EXPAND_LITERALS = ("x^5 - 2/3*x^2 + 1/2*x - 7", "x^8 + 3*x^3", "x", "5/4")
+EXPAND_ORDERS = ("2", "3", "1/2", "-5/3")
+ELAPSED = re.compile(r',"elapsed_ms":[0-9.e+-]+')
+
+# sha256 of the joined stdout, elapsed_ms stripped, taken before Poly.subs and
+# pair wrote their products in one pass
+VERIFY_EXPAND_DIGEST = "cc5969e2f3369f3f26b669e54b8f7a7bcaa19f8b13df4e3a4f7381d4decda60d"
+
+
+def _verify_expand_outputs():
+    for argv, code in VERIFY_RUNS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == code, argv
+        yield ELAPSED.sub("", out.getvalue())
+    for literal in EXPAND_LITERALS:
+        for mu in EXPAND_ORDERS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["expand", f"--mu={mu}", literal]) == 0
+            yield out.getvalue()
+
+
+def test_verify_and_expand_output_digest():
+    outputs = list(_verify_expand_outputs())
+    assert '"pass":false' in outputs[1] and '"n":1,' in outputs[1]
+    digest = hashlib.sha256("".join(outputs).encode())
+    assert digest.hexdigest() == VERIFY_EXPAND_DIGEST

@@ -239,6 +239,15 @@ def test_exponent_ceiling_raises_and_never_wraps(names):
                 overflow()
 
 
+def test_subs_checks_the_ceiling_of_the_products_it_writes():
+    # every power-table entry stays below the ceiling, but the image of the
+    # term x*y, head * tail = x^8192 * x^8192, reaches it
+    x, y = Poly.gens("x", "y")
+    half = x ** (EXPONENT_CEILING // 2)
+    with pytest.raises(ValueError, match="ceiling"):
+        (x * y).subs({"x": half, "y": half})
+
+
 def test_family_builders_refuse_degrees_the_keys_cannot_hold():
     # the builders write packed keys directly, so they check n up front
     with pytest.raises(ValueError, match="below"):
