@@ -190,7 +190,7 @@ def falling_factorial(k: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def _special_case(n: int, alpha) -> Poly:
-    return _bell_euler_poly(n, alpha).subs({"x": 0})
+    return _bell_euler_poly(n, alpha).coefficient_in("x", 0)
 
 
 def special_case(n: int, alpha) -> Poly:
@@ -213,11 +213,16 @@ def bell_number_triangle(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def stirling2_recurrence(n: int, k: int) -> Fraction:
-    if k == n:
-        return Fraction(1)
-    if k == 0 or k > n or k < 0:
+    """S2(n, k) from S2(m, j) = j S2(m-1, j) + S2(m-1, j-1), filled bottom-up
+    in m over the columns j <= k (a recursion per degree overflows the stack)."""
+    if k < 0 or k > n:
         return Fraction(0)
-    return k * stirling2_recurrence(n - 1, k) + stirling2_recurrence(n - 1, k - 1)
+    row = [1] + [0] * k
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return Fraction(row[k])
 
 
 def bell_poly_from_stirling(n: int) -> Poly:
@@ -247,12 +252,14 @@ def euler_numbers_of_order(alpha: int, n_max: int) -> tuple:
             Fraction(sum(comb(m, i) * i ** n for i in range(m + 1)), 2 ** m)
             if n else Fraction(1)
             for n in range(n_max + 1))
-    prev = euler_numbers_of_order(alpha - 1, n_max)
     base = [euler_poly_recurrence(n).evaluate({"x": 0, "y": 0})
             for n in range(n_max + 1)]
-    return tuple(
-        sum((comb(n, k) * prev[k] * base[n - k] for k in range(n + 1)), Fraction(0))
-        for n in range(n_max + 1))
+    numbers = euler_numbers_of_order(0, n_max)
+    for _ in range(alpha):  # a loop: a recursion per order overflows the stack
+        numbers = tuple(
+            sum((comb(n, k) * numbers[k] * base[n - k] for k in range(n + 1)), Fraction(0))
+            for n in range(n_max + 1))
+    return numbers
 
 
 def euler_poly_order_convolution(n: int, alpha: int) -> Poly:

@@ -211,15 +211,6 @@ def integral_pairing_form(n: int, z, alpha=1):
     return lhs, rhs
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def _part_count(mu) -> int:
     # the composition sum splits n into mu parts, so mu counts at least one
     mu = seq.validate_order(mu)
@@ -232,18 +223,18 @@ def _part_count(mu) -> int:
 
 def multinomial_decomposition(n: int, mu: int):
     """x=0 member of order mu versus the composition sum over order-1 members
-    weighted by order-1 Euler numbers."""
+    weighted by order-1 Euler numbers, grouped by the last part i:
+    rhs = sum_i C(n,i) (n-i)! g_(n-i) BE_i^(1)(0; y), where g_m is the t^m
+    coefficient of f^(mu-1), f_k = E_k^(1)/k!, from J. C. P. Miller's power
+    recurrence g_m = (1/m) sum_(k=1..m) (mu k - m) f_k g_(m-k), O(n^2)."""
     mu = _part_count(mu)
     lhs = seq.special_case(n, mu)
-    items = []
-    for parts in _compositions(n, mu):
-        weight = Fraction(factorial(n))
-        for i in parts:
-            weight /= factorial(i)
-        for i in parts[:-1]:
-            weight *= seq.euler_number_order(i, 1)
-        if weight:
-            items.append((weight, seq.special_case(parts[-1], 1), None))
+    f = [seq.euler_number_order(k, 1) / factorial(k) for k in range(n + 1)]
+    g = [Fraction(1)]
+    for m in range(1, n + 1):
+        g.append(sum((mu * k - m) * f[k] * g[m - k] for k in range(1, m + 1)) / m)
+    items = [(comb(n, i) * factorial(n - i) * g[n - i], seq.special_case(i, 1), None)
+             for i in range(n + 1)]
     return lhs, Poly.sum_of_products(seq.NAMES, items)
 
 

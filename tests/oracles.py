@@ -8,7 +8,7 @@ Fraction per coefficient and no shared denominator.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 
 def bell_triangle(n_max):
@@ -184,4 +184,33 @@ def bell_euler_dict(n, alpha):
             dict_mul(euler_poly_dict(k, alpha), bell_poly_dict(n - k)),
             Fraction(comb(n, k)))
         out = dict_add(out, piece)
+    return out
+
+
+def compositions(total, parts):
+    """Every tuple of ``parts`` non-negative ints that sums to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def multinomial_rhs_dict(n, mu):
+    """The multinomial check's composition sum built literally: over every
+    split p_1 + ... + p_mu = n, the weight n!/(p_1! ... p_mu!) times the
+    order-1 Euler numbers E_(p_1) ... E_(p_(mu-1)), times the x = 0 part of
+    the order-1 hybrid polynomial of degree p_mu."""
+    euler = euler_numbers(1, n)
+    members = [{key: c for key, c in bell_euler_dict(i, 1).items() if key[0] == 0}
+               for i in range(n + 1)]
+    out = {}
+    for parts in compositions(n, mu):
+        weight = Fraction(factorial(n))
+        for p in parts:
+            weight /= factorial(p)
+        for p in parts[:-1]:
+            weight *= euler[p]
+        out = dict_add(out, dict_scale(members[parts[-1]], weight))
     return out

@@ -4,7 +4,8 @@ One sha256 covers the stdout of `compute` and `table` for every family in
 every format, at n <= 12, orders {0, 1, 2, 3, -1, 1/2, -5/3} and block
 counts k <= 6, so any change in a coefficient or in its formatting shows up
 here.  A second covers `verify` and `expand`, the paths that go through
-`Poly.subs` and the dual pairing.
+`Poly.subs` and the dual pairing.  A third covers `verify --id multinomial`
+at orders past its default grid.
 """
 
 import contextlib
@@ -92,3 +93,17 @@ def test_verify_and_expand_output_digest():
     assert '"pass":false' in outputs[1] and '"n":1,' in outputs[1]
     digest = hashlib.sha256("".join(outputs).encode())
     assert digest.hexdigest() == VERIFY_EXPAND_DIGEST
+
+
+# sha256 of the stdout, elapsed_ms stripped, taken from the composition
+# enumeration that the power recurrence replaced
+MULTINOMIAL_ARGV = ["verify", "--id", "multinomial", "--n-max", "10", "--alphas=1,2,5,8"]
+MULTINOMIAL_DIGEST = "19c05b6c5809e0b4cc9de55f0c92c7445e864d66df5704a72e5e1ffad77580af"
+
+
+def test_multinomial_output_digest():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(MULTINOMIAL_ARGV) == 0
+    digest = hashlib.sha256(ELAPSED.sub("", out.getvalue()).encode())
+    assert digest.hexdigest() == MULTINOMIAL_DIGEST

@@ -66,6 +66,11 @@ class TestEulerFamilies:
         for n in range(9):
             assert seq.euler_number_order(n, 2) == oracles.euler_numbers(2, 8)[n]
 
+    def test_recurrence_numbers_at_a_deep_order(self):
+        # one convolution per order, so the order sets no recursion depth
+        assert seq.euler_numbers_of_order(1500, 2) == \
+            tuple(seq.euler_number_order(n, 1500) for n in range(3))
+
     def test_rational_order_convolution_square(self):
         # order-1/2 numbers convolved with themselves give the order-1 numbers
         from math import comb
@@ -98,6 +103,9 @@ class TestStirling:
             for k in range(n + 1):
                 assert seq.stirling2_number(n, k) == oracles.stirling2_rec(n, k)
                 assert seq.stirling2_recurrence(n, k) == oracles.stirling2_rec(n, k)
+
+    def test_recurrence_at_a_deep_degree(self):
+        assert seq.stirling2_recurrence(1200, 2) == seq.stirling2_number(1200, 2)
 
     def test_poly_reduces_to_number(self):
         for n in range(7):
@@ -149,6 +157,9 @@ class TestBellEuler:
                     oracles.bell_euler_dict(n, alpha)
                 assert seq.bell_euler_convolution(n, alpha) == \
                     seq.bell_euler_poly(n, alpha)
+
+    def test_recurrence_convolution_at_a_deep_order(self):
+        assert seq.bell_euler_convolution(3, 1200) == seq.bell_euler_poly(3, 1200)
 
     def test_monic_in_x(self):
         for n in range(13):

@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+import oracles
 from belleuler import sequences as seq
 from belleuler.algebra import Poly, QQ, Series, XY
 from belleuler.cli import main as cli_main
@@ -301,3 +302,15 @@ class TestMultinomial:
     def test_mu_zero_rejected(self):
         with pytest.raises(ValueError):
             multinomial_decomposition(3, 0)
+
+    @pytest.mark.parametrize("mu", range(1, 6))
+    def test_rhs_matches_literal_composition_sum(self, mu):
+        for n in range(9):
+            _, rhs = multinomial_decomposition(n, mu)
+            assert rhs.terms == oracles.multinomial_rhs_dict(n, mu)
+
+    def test_orders_too_large_to_enumerate_compositions(self):
+        # C(n+mu-1, mu-1) compositions: 352716 at (10, 12), and more than
+        # can ever be listed at mu = 10^9
+        report = check_multinomial(Grid(n_max=10, alphas=(12, 10**9)))
+        assert report.passed and report.checked == 22
