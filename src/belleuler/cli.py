@@ -48,7 +48,7 @@ _JSON_COMPACT = {"separators": (",", ":")}
 MAX_COMPUTE_N = 256       # bell-euler at order -5/3: 5.3 s, 74 MB (n 384: 31 s)
 MAX_TABLE_N = 96          # bell-euler at order -5/3: 3.4 s, 80 MB (n-max 128: 11 s)
 MAX_VERIFY_N = 24         # verify --all: 6.3 s, 96 MB
-MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 4.6 s, 51 MB (degree 128: 17 s)
+MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 4.5 s, 55 MB (degree 128: 15 s)
 MAX_VERIFY_ALPHAS = 32    # verify --n-max 10, orders j/97: 10.8 s, 58 MB (48: 20 s)
 
 

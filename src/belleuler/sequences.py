@@ -177,11 +177,13 @@ def bell_euler_poly(n: int, alpha) -> Poly:
 
 
 def bell_euler_number(n: int, alpha) -> Fraction:
-    return bell_euler_poly(n, alpha).evaluate({"x": 0, "y": 1})
+    return special_case(n, alpha).evaluate({"x": 0, "y": 1})
 
 
 def falling_factorial(k: int) -> Poly:
     """x(x-1)...(x-k+1); the empty product is 1."""
+    if k < 0:
+        raise ValueError("falling factorial length k must be non-negative")
     result = Poly.constant(1)
     for i in range(k):
         result = result * (X - i)
@@ -189,8 +191,22 @@ def falling_factorial(k: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _special_case(n: int, alpha) -> Poly:
-    return _bell_euler_poly(n, alpha).coefficient_in("x", 0)
+def _special_case(n: int, alpha, y_sign: int = 1) -> Poly:
+    """BE_n^(alpha)(0; y_sign y) from one Stirling row, in O(n^2).  Its series
+    is (1+u)^mu e^{2yu} = sum_i C(mu, i) u^i e^{2yu} with u = (e^t-1)/2 and
+    mu = -alpha = p/q, so the y^m coefficient is
+    y_sign^m sum_j S2(n, j) C(j, m) f_(j-m) (2q)^(n-j+m) / (2q)^n,
+    f_i = p (p-q) ... (p-(i-1)q) = q^i i! C(mu, i)."""
+    p, q = -Fraction(alpha).numerator, Fraction(alpha).denominator
+    scale = _order_scale(alpha)
+    falling = [1]
+    for i in range(n):
+        falling.append(falling[-1] * (p - i * q))
+    row = _stirling_row(n)
+    return _poly({m << FIELD_BITS: y_sign ** m * sum(
+                      row[j] * comb(j, m) * falling[j - m] * scale ** (n - j + m)
+                      for j in range(m, n + 1))
+                  for m in range(n + 1)}, scale ** n)
 
 
 def special_case(n: int, alpha) -> Poly:

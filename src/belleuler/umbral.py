@@ -12,10 +12,10 @@ x^n reproduces the family, and <h t^k | .> extracts expansion coefficients.
 The parameter y is carried formally, as a polynomial generator, and mu may
 be any exact order.
 
-With u = (e^t-1)/2, h = (1+u)^mu e^{-2yu} and 1/h = (1+u)^{-mu} e^{2yu}, so
-both are read off the shared Stirling triangle like the families of
-:mod:`.sequences`; the tests hold them against the ``Series`` engine of
-:mod:`.algebra`, which no production path uses.
+1/h generates the x = 0 members BE_k^(mu)(0; y), and h generates
+BE_k^(-mu)(0; -y), so both are read off the closed form of
+:func:`.sequences.special_case`; the tests hold them against the ``Series``
+engine of :mod:`.algebra`, which no production path uses.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
 
-from .algebra import FIELD_BITS, Poly
+from .algebra import Poly
 from .identities import Grid, IdentityReport, run_cases
 from . import sequences as seq
 
@@ -78,36 +78,17 @@ def apply_operator(coeffs, q: Poly) -> Poly:
     return Poly.sum_of_products(q.names, items)
 
 
+def _exact_z(z) -> Fraction:
+    # a float or a string would be converted silently, so neither is taken
+    if isinstance(z, bool) or not isinstance(z, (int, Fraction)):
+        raise ValueError(f"z must be an exact int or Fraction, got {type(z).__name__}")
+    return Fraction(z)
+
+
 def difference_quotient_operator(z, order: int) -> tuple:
     """The series (e^{zt} - 1)/t to t^order: coefficient z^(k+1)/(k+1)!."""
-    z = Fraction(z)
+    z = _exact_z(z)
     return tuple(z ** (k + 1) / factorial(k + 1) for k in range(order + 1))
-
-
-def _appell_series(mu, order: int, y_sign: int) -> tuple:
-    """(1+u)^mu e^{2 y_sign y u} with u = (e^t-1)/2, to t^order, as Polys in y.
-
-    (1+u)^mu = sum_i C(mu, i) u^i and u^j = j!/2^j sum_k S2(k, j) t^k/k!, so
-    for mu = p/q the t^k y^m coefficient is
-    y_sign^m sum_j S2(k, j) C(j, m) f_(j-m) (2q)^(k-j+m) / (k! (2q)^k),
-    with f_i = p (p-q) ... (p-(i-1)q) = q^i i! C(mu, i) an integer.
-    """
-    p, q = Fraction(mu).numerator, Fraction(mu).denominator
-    scale = seq._order_scale(mu)
-    falling = [1]
-    for i in range(order):
-        falling.append(falling[-1] * (p - i * q))
-    coeffs = []
-    for k in range(order + 1):
-        row = seq._stirling_row(k)
-        num = {}
-        for m in range(k + 1):
-            c = sum(row[j] * comb(j, m) * falling[j - m] * scale ** (k - j + m)
-                    for j in range(m, k + 1))
-            if c:
-                num[m << FIELD_BITS] = y_sign ** m * c   # the key of y^m
-        coeffs.append(Poly._make(seq.NAMES, num, factorial(k) * scale ** k))
-    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -121,13 +102,16 @@ class AppellContext:
 
     @classmethod
     def create(cls, mu, order: int) -> "AppellContext":
+        # h(t) = ((e^t+1)/2)^mu e^{-y(e^t-1)} generates BE^(-mu)(0; -y)
         mu = seq.validate_order(mu)
-        return cls(mu, order, _appell_series(mu, order, -1))
+        return cls(mu, order, tuple(seq._special_case(k, -mu, -1) / factorial(k)
+                                    for k in range(order + 1)))
 
     @cached_property
     def h_inverse(self) -> tuple:
-        """1/h(t) = (1+u)^{-mu} e^{2yu}, read off the same table."""
-        return _appell_series(-self.mu, self.order, 1)
+        """1/h(t) generates the x = 0 members BE^(mu)(0; y)."""
+        return tuple(seq.special_case(k, self.mu) / factorial(k)
+                     for k in range(self.order + 1))
 
     @cached_property
     def functionals(self) -> tuple:
@@ -192,7 +176,7 @@ def _orthogonality_cases(ctx: AppellContext, n_max: int):
 def integral_via_operator(n: int, z, alpha=1):
     """Both routes to the running integral of the order-alpha family member:
     exact antiderivative from x to x+z, and the (e^{zt}-1)/t operator."""
-    z = Fraction(z)
+    z = _exact_z(z)
     member = seq.bell_euler_poly(n, alpha)
     anti = member.antiderivative("x")
     lhs = anti.subs({"x": seq.X + z}) - anti
@@ -203,7 +187,7 @@ def integral_via_operator(n: int, z, alpha=1):
 def integral_pairing_form(n: int, z, alpha=1):
     """Corollary form: the integral from 0 to z equals the pairing of
     (e^{zt}-1)/t against the member, read as a polynomial in x."""
-    z = Fraction(z)
+    z = _exact_z(z)
     member = seq.bell_euler_poly(n, alpha)
     anti = member.antiderivative("x")
     lhs = anti.subs({"x": z}) - anti.subs({"x": 0})

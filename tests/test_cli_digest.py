@@ -5,15 +5,19 @@ every format, at n <= 12, orders {0, 1, 2, 3, -1, 1/2, -5/3} and block
 counts k <= 6, so any change in a coefficient or in its formatting shows up
 here.  A second covers `verify` and `expand`, the paths that go through
 `Poly.subs` and the dual pairing.  A third covers `verify --id multinomial`
-at orders past its default grid.
+at orders past its default grid.  A fourth covers both sides of every case
+of every registry check, which `verify` stdout reduces to a count.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import re
+from fractions import Fraction
 
-from belleuler import cli
+from belleuler import cli, identities, umbral
+from belleuler.identities import Grid
 
 N_MAX = 12
 ORDERS = ("0", "1", "2", "3", "-1", "1/2", "-5/3")
@@ -107,3 +111,41 @@ def test_multinomial_output_digest():
         assert cli.main(MULTINOMIAL_ARGV) == 0
     digest = hashlib.sha256(ELAPSED.sub("", out.getvalue()).encode())
     assert digest.hexdigest() == MULTINOMIAL_DIGEST
+
+
+# every registry check at the default orders, and every check but multinomial
+# at rational ones
+CHECK_VALUE_GRIDS = (
+    (tuple(cli.REGISTRY), Grid(n_max=6)),
+    (tuple(i for i in cli.REGISTRY if i != "multinomial"),
+     Grid(n_max=4, alphas=(Fraction(1, 2), Fraction(-5, 3)))),
+)
+# sha256 of the recorded [id, params, lhs, rhs] of every case, taken while the
+# x = 0 member had two builders (sequences and umbral)
+CHECK_VALUE_DIGEST = "2cf42bfde37dd4b9f01eab553ad06a5a95c4faa703affe138a1a9d5c79f6b386"
+
+
+def test_check_values_digest(monkeypatch):
+    # the verify digests see case counts only; this pins both sides of every
+    # case a check evaluates, up to the negative control's first failure
+    records = []
+    run_cases = identities.run_cases
+
+    def recording_run_cases(check_id, cases):
+        def recorded(params, thunk):
+            lhs, rhs = thunk()
+            records.append([check_id, params, lhs.to_json_map(), rhs.to_json_map()])
+            return lhs, rhs
+        return run_cases(check_id, (
+            (params, lambda params=params, thunk=thunk: recorded(params, thunk))
+            for params, thunk in cases))
+
+    # umbral imports the name, so it is patched there too
+    monkeypatch.setattr(identities, "run_cases", recording_run_cases)
+    monkeypatch.setattr(umbral, "run_cases", recording_run_cases)
+    for check_ids, grid in CHECK_VALUE_GRIDS:
+        for check_id in check_ids:
+            cli.REGISTRY[check_id](grid)
+    assert len(records) == 942
+    digest = hashlib.sha256(json.dumps(records).encode())
+    assert digest.hexdigest() == CHECK_VALUE_DIGEST

@@ -131,6 +131,10 @@ class TestFallingFactorialBasis:
         assert seq.falling_factorial(2) == X**2 - X
         assert seq.falling_factorial(2).evaluate({"x": 3, "y": 0}) == 6
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            seq.falling_factorial(-2)
+
     def test_power_basis_change(self):
         # x^n = sum_k (x)_k S2(n, k)
         for n in range(13):
@@ -207,10 +211,14 @@ class TestSpecialCases:
 
     def test_x_zero(self):
         assert seq.special_case(2, 0) == Y**2 + Y
-        # matches substitution into the full polynomial
-        for n in range(7):
-            assert seq.special_case(n, 2) == \
-                seq.bell_euler_poly(n, 2).subs({"x": 0})
+        # special_case and bell_euler_number have their own closed form; both
+        # match the x^0 column of the full member
+        for alpha in (0, 1, 2, 3, -1, F(1, 2), F(-5, 3)):
+            for n in range(17):
+                member = seq.bell_euler_poly(n, alpha)
+                assert seq.special_case(n, alpha) == member.coefficient_in("x", 0)
+                assert seq.bell_euler_number(n, alpha) == \
+                    member.evaluate({"x": 0, "y": 1})
 
     def test_memo_keys_on_normalized_arguments(self):
         # equal orders share an entry, distinct orders do not

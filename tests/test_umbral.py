@@ -273,6 +273,15 @@ class TestIntegral:
                 lhs, rhs = integral_pairing_form(n, z)
                 assert lhs == rhs
 
+    def test_inexact_z_rejected(self):
+        # a float would be read as its binary expansion, a string parsed
+        for z in (0.1, "1/3", True):
+            for call in (lambda: difference_quotient_operator(z, 2),
+                         lambda: integral_via_operator(2, z),
+                         lambda: integral_pairing_form(2, z)):
+                with pytest.raises(ValueError, match="exact"):
+                    call()
+
     def test_registry_grid(self):
         report = check_integral(Grid(n_max=8))
         assert report.passed and report.checked == 9 * 3 * 2
