@@ -19,8 +19,8 @@ from fractions import Fraction
 from .algebra import Poly, format_fraction, parse_fraction
 from .identities import (CHECKS as IDENTITY_CHECKS, Grid, NEGATIVE_CONTROLS,
                          validate_n_max)
-from .umbral import (CHECKS as UMBRAL_CHECKS, AppellContext, expand_in_appell,
-                     reconstruct, validate_orders)
+from .umbral import (CHECKS as UMBRAL_CHECKS, expand_in_appell, reconstruct,
+                     validate_orders)
 from . import sequences as seq
 
 REGISTRY = {**IDENTITY_CHECKS, **UMBRAL_CHECKS}
@@ -171,6 +171,8 @@ def cmd_verify(args) -> int:
         overrides["alphas"] = _parse_alphas(args.alphas)
     grid = Grid(**overrides)
 
+    if args.id and args.all:
+        raise UsageError("verify takes --id or --all, not both")
     if args.id:
         unknown = [i for i in args.id if i not in REGISTRY]
         if unknown:
@@ -222,9 +224,8 @@ def parse_x_polynomial(text: str) -> Poly:
 def cmd_expand(args) -> int:
     mu = _parse_order(args.mu, "mu")
     q = parse_x_polynomial(args.polynomial)
-    ctx = AppellContext.create(mu, max(q.degree("x"), 0) + 1)
-    expansion = expand_in_appell(q, ctx)
-    residual = q - reconstruct(expansion, ctx)
+    expansion = expand_in_appell(q, mu)
+    residual = q - reconstruct(expansion)
     payload = expansion.to_json_dict()
     payload["residual"] = residual.pretty()
     print(json.dumps(payload, **_JSON_COMPACT))

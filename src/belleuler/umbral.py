@@ -13,9 +13,9 @@ The parameter y is carried formally, as a polynomial generator, and mu may
 be any exact order.
 
 1/h generates the x = 0 members BE_k^(mu)(0; y), and h generates
-BE_k^(-mu)(0; -y), so both are read off the closed form of
-:func:`.sequences.special_case`; the tests hold them against the ``Series``
-engine of :mod:`.algebra`, which no production path uses.
+BE_k^(-mu)(0; -y): both are read off :func:`.sequences.special_case`, so
+the expansion takes mu alone and only the orthogonality pairing truncates h.
+The tests hold h and 1/h against the ``Series`` engine of :mod:`.algebra`.
 """
 
 from __future__ import annotations
@@ -104,6 +104,9 @@ class AppellContext:
     def create(cls, mu, order: int) -> "AppellContext":
         # h(t) = ((e^t+1)/2)^mu e^{-y(e^t-1)} generates BE^(-mu)(0; -y)
         mu = seq.validate_order(mu)
+        if isinstance(order, bool) or not isinstance(order, int) or order < 0:
+            raise ValueError(
+                f"truncation order must be a non-negative int, got {order!r}")
         return cls(mu, order, tuple(seq._special_case(k, -mu, -1) / factorial(k)
                                     for k in range(order + 1)))
 
@@ -126,9 +129,9 @@ def _json_order(mu):
     return mu if isinstance(mu, int) else str(mu)
 
 
-def appell_inverse_apply(ctx: AppellContext, n: int) -> Poly:
-    """(1/h(t)) x^n: the umbral route to the degree-n family member."""
-    return apply_operator(ctx.h_inverse, Poly.gen("x") ** n)
+def appell_inverse_apply(mu, n: int) -> Poly:
+    """(1/h(t)) x^n: the umbral route to the degree-n member of order mu."""
+    return apply_operator(AppellContext.create(mu, n).h_inverse, Poly.gen("x") ** n)
 
 
 @dataclass(frozen=True)
@@ -145,19 +148,20 @@ class AppellExpansion:
         }
 
 
-def expand_in_appell(q: Poly, ctx: AppellContext) -> AppellExpansion:
-    """b_k = (1/k!) <h(t) t^k | q>; reconstruction is exact by orthogonality.
-    q is split into its x-columns once, for every k."""
+def expand_in_appell(q: Poly, mu) -> AppellExpansion:
+    """b_k = sum_(n >= k) C(n, k) BE_(n-k)^(-mu)(0; -y) q_n over q's x-columns
+    q_n: the closed form of (1/k!) <h(t) t^k | q>, the pairing the tests use."""
+    mu = seq.validate_order(mu)
     columns = q.columns("x")
-    degree = max(columns, default=0)
-    coeffs = tuple(_pair_columns(ctx.functionals[k], columns, q.names)
-                   / factorial(k) for k in range(degree + 1))
-    return AppellExpansion(ctx.mu, coeffs)
+    return AppellExpansion(mu, tuple(Poly.sum_of_products(q.names, (
+        (comb(n, k), seq._special_case(n - k, -mu, -1), q_n)
+        for n, q_n in columns.items() if n >= k))
+        for k in range(max(columns, default=0) + 1)))
 
 
-def reconstruct(expansion: AppellExpansion, ctx: AppellContext) -> Poly:
+def reconstruct(expansion: AppellExpansion) -> Poly:
     return Poly.sum_of_products(seq.NAMES, (
-        _item(1, b, seq.bell_euler_poly(k, ctx.mu))
+        _item(1, b, seq.bell_euler_poly(k, expansion.mu))
         for k, b in enumerate(expansion.coeffs)))
 
 
@@ -293,17 +297,17 @@ def check_roundtrip(grid: Grid = Grid()) -> IdentityReport:
     seeded random rational polynomials cycling through the grid's orders."""
     max_degree, alphas = grid.resolve(8, (1, 2, 3))
     rng = random.Random(ROUNDTRIP_SEED)
-    contexts = [AppellContext.create(mu, max_degree + 1) for mu in alphas]
+    mus = [seq.validate_order(mu) for mu in alphas]
 
     def cases():
         for index in range(ROUNDTRIP_COUNT):
-            ctx = contexts[index % len(contexts)]
+            mu = mus[index % len(mus)]
             degree = rng.randint(0, max_degree)
             q = random_rational_poly(rng, degree)
 
-            def roundtrip(q=q, ctx=ctx):
-                return q, reconstruct(expand_in_appell(q, ctx), ctx)
-            yield ({"instance": index, "mu": _json_order(ctx.mu), "degree": degree},
+            def roundtrip(q=q, mu=mu):
+                return q, reconstruct(expand_in_appell(q, mu))
+            yield ({"instance": index, "mu": _json_order(mu), "degree": degree},
                    roundtrip)
 
     return run_cases("roundtrip", cases())

@@ -2,8 +2,10 @@
 deterministic serialization."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,6 +275,14 @@ class TestUsageErrors:
         assert code == 2 and out == "" and "integer orders" in err
         assert calls == []
 
+    def test_id_and_all_together_rejected_before_any_check(self, run_cli, monkeypatch):
+        calls = []
+        for check_id in list(cli.REGISTRY):
+            monkeypatch.setitem(cli.REGISTRY, check_id, calls.append)
+        code, out, err = run_cli("verify", "--all", "--id", "T4_4_literal")
+        assert code == 2 and out == "" and "not both" in err
+        assert calls == []
+
     @pytest.mark.parametrize("selection, alphas", [(("--all",), "-1,2"),
                                                    (("--id", "multinomial"), "0")])
     def test_multinomial_orders_below_one_rejected_before_any_check(
@@ -414,9 +424,13 @@ class TestDeterminism:
 
 
 def test_module_invocation_subprocess():
+    # pytest's pythonpath setting reaches this process only, so the child gets
+    # this checkout's src first, ahead of any installed belleuler
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "belleuler", "compute",
          "--family", "bell-number", "--n", "5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout == "52\n"
