@@ -45,10 +45,10 @@ _JSON_COMPACT = {"separators": (",", ":")}
 # at once instead of running for minutes.  Each is the largest measured size
 # whose slowest case stays near 10 s of CPU and 200 MB (Python 3.11, 2 vCPUs;
 # README, "Limits"), far below the exponent ceiling of the packed keys.
-MAX_COMPUTE_N = 256       # bell-euler at order -5/3: 5.3 s, 74 MB (n 384: 31 s)
-MAX_TABLE_N = 96          # bell-euler at order -5/3: 3.4 s, 80 MB (n-max 128: 11 s)
+MAX_COMPUTE_N = 256       # bell-euler at order -5/3: 4.0 s, 81 MB (n 384: 24 s)
+MAX_TABLE_N = 96          # bell-euler at order -5/3: 1.9 s, 85 MB (n-max 128: 204 MB)
 MAX_VERIFY_N = 24         # verify --all: 6.3 s, 96 MB
-MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 4.5 s, 55 MB (degree 128: 15 s)
+MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 2.8 s, 55 MB (degree 128: 12 s)
 MAX_VERIFY_ALPHAS = 32    # verify --n-max 10, orders j/97: 10.8 s, 58 MB (48: 20 s)
 
 

@@ -125,7 +125,9 @@ def check_T3_4(grid: Grid = Grid()) -> IdentityReport:
 
 def check_T3_5(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial = convolution of its own x=0 specialization with
-    powers of x."""
+    powers of x.  The member is built from x = 0 rows of the Euler-number
+    convolution (T3_4 at x = 0); ``special_case`` reads the same rows off its
+    falling-product form, so the check holds two distinct closed forms."""
     def pair(n, a):
         rhs = Poly.sum_of_products(seq.NAMES, (
             (comb(n, k), seq.special_case(k, a), seq.X ** (n - k))

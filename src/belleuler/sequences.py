@@ -10,6 +10,16 @@ factors into Stirling numbers and rising factorials:
     B_m(x; y)     = sum_i C(m, i) x^(m-i) sum_j S2(i, j) y^j
     BE_n^(a)(x;y) = sum_k C(n, k) E_k^(a) B_{n-k}(x; y)
 
+Every polynomial family is an Appell sequence in x, P_n(x) = sum_m C(n, m)
+x^(n-m) Z_m with Z_m = P_m(0), and one builder (``_appell``) writes each
+member from its x = 0 rows: the Euler numbers for E_n^(a)(x), the Stirling
+rows for B_n(x; y) and for the Stirling polynomials, and, for the hybrid
+family, the rows Z_m(y) = sum_k C(m, k) E_k^(a) B_{m-k}(y), the Euler-number
+convolution at x = 0.  An order's rows are kept, so a sweep of members 0..n
+costs O(n^3) once.  ``special_case`` reads the same Z_n(y) off a different
+closed form, a falling product over one Stirling row; the T3_5 check holds
+the two against each other, so the members never read ``special_case``.
+
 The recurrence path uses only binomials and triangle recurrences.  Tests hold
 the two against each other, against brute-force enumeration, and against the
 generating function expanded by the series engine of :mod:`.algebra`.
@@ -20,6 +30,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .algebra import EXPONENT_CEILING, FIELD_BITS, Poly
@@ -51,14 +62,15 @@ def _degree(n: int) -> int:
 # -- closed-form path -------------------------------------------------------
 
 _stirling_rows = [(1,)]
-_stirling_lock = threading.Lock()
+_member_rows = {}  # order -> [Z_0, Z_1, ...], the x = 0 rows of bell_euler_poly
+_rows_lock = threading.Lock()  # guards the growth of both tables
 
 
 def _stirling_row(n: int) -> tuple:
     """(S2(n, 0), ..., S2(n, n)) as ints; the shared triangle grows row by row."""
     rows = _stirling_rows
     if _degree(n) >= len(rows):
-        with _stirling_lock:
+        with _rows_lock:
             while len(rows) <= n:
                 prev = rows[-1]
                 rows.append((0,) + tuple(k * prev[k] + prev[k - 1]
@@ -91,49 +103,44 @@ def _poly(numerators, denominator: int = 1) -> Poly:
                       denominator)
 
 
+def _appell(n: int, row, scale: int = 1) -> Poly:
+    """sum_m C(n, m) x^(n-m) Z_m(y) over scale^n, with row(m)[j] the y^j
+    coefficient of the x = 0 row Z_m times scale^m: each (m, j) owns one key."""
+    return _poly({n - m | j << FIELD_BITS: weight * c for m in range(n + 1)
+                  for weight in (comb(n, m) * scale ** (n - m),)
+                  for j, c in enumerate(row(m))}, scale ** n)
+
+
+def _bell_euler_rows(n: int, alpha) -> list:
+    """The x = 0 rows Z_m = BE_m^(alpha)(0; y), m <= n, as numerators over
+    scale^m, from Z_m[y^j] = sum_k C(m, k) E_k S2(m - k, j).  An order's
+    table grows like the Stirling triangle, so a sweep to n costs O(n^3)."""
+    rows = _member_rows.setdefault(alpha, [])
+    if n >= len(rows):
+        scale = _order_scale(alpha)
+        # reading these grows the Stirling triangle to row n under the lock,
+        # so they are read before this function takes it
+        euler = [_euler_numerator(k, alpha) for k in range(n + 1)]
+        with _rows_lock:
+            for m in range(len(rows), n + 1):
+                z = [0] * (m + 1)
+                for k in range(m + 1):
+                    c = comb(m, k) * euler[k] * scale ** (m - k)
+                    if c:
+                        for j, s in enumerate(_stirling_rows[m - k]):
+                            z[j] += c * s
+                rows.append(tuple(z))
+    return rows
+
+
 @lru_cache(maxsize=None)
 def _bell_euler_poly(n: int, alpha) -> Poly:
-    # sum_{k,i,j} C(n,k) E_k C(n-k,i) S2(i,j) x^(n-k-i) y^j over scale^n
-    scale = _order_scale(alpha)
-    # rows[e][j] accumulates x^e y^j: list cells instead of a tuple-keyed
-    # dict, so the O(n^3) loop allocates no key per term
-    rows = [[0] * (n - e + 1) for e in range(n + 1)]
-    for k in range(n + 1):
-        weight = comb(n, k) * _euler_numerator(k, alpha) * scale ** (n - k)
-        if not weight:
-            continue
-        for i in range(n - k + 1):
-            c = weight * comb(n - k, i)
-            row = rows[n - k - i]
-            for j, s in enumerate(_stirling_row(i)):
-                row[j] += c * s
-    return _poly({e | j << FIELD_BITS: c
-                  for e, row in enumerate(rows) for j, c in enumerate(row)},
-                 scale ** n)
-
-
-@lru_cache(maxsize=None)
-def _euler_poly_order(n: int, alpha) -> Poly:
-    scale = _order_scale(alpha)
-    return _poly({n - k: comb(n, k) * _euler_numerator(k, alpha) * scale ** (n - k)
-                  for k in range(n + 1)}, scale ** n)
-
-
-@lru_cache(maxsize=None)
-def _bivariate_bell(n: int) -> Poly:
-    return _poly({(n - i) | j << FIELD_BITS: comb(n, i) * s
-                  for i in range(n + 1) for j, s in enumerate(_stirling_row(i))})
-
-
-@lru_cache(maxsize=None)
-def _stirling2_poly(n: int, k: int) -> Poly:
-    return _poly({n - i: comb(n, i) * _stirling_row(i)[k]
-                  for i in range(k, n + 1)})
+    return _appell(n, _bell_euler_rows(n, alpha).__getitem__, _order_scale(alpha))
 
 
 def bivariate_bell(n: int) -> Poly:
     """n-th polynomial of e^{xt + y(e^t - 1)}: mixes powers of x with partition counts."""
-    return _bivariate_bell(_degree(n))
+    return _appell(_degree(n), _stirling_row)
 
 
 def bell_poly(n: int) -> Poly:
@@ -142,13 +149,20 @@ def bell_poly(n: int) -> Poly:
 
 
 def bell_number(n: int) -> Fraction:
-    """Number of set partitions of an n-element set."""
-    return Fraction(sum(_stirling_row(n)))
+    """Number of set partitions of an n-element set, from the int Bell
+    triangle: it holds one row of O(n) ints and leaves the Stirling
+    triangle alone."""
+    row = [1]
+    for _ in range(_degree(n)):
+        row = list(accumulate(row, initial=row[-1]))
+    return Fraction(row[0])
 
 
 def euler_poly_order(n: int, alpha) -> Poly:
     """Euler polynomial of order alpha (univariate in x)."""
-    return _euler_poly_order(_degree(n), validate_order(alpha))
+    alpha = validate_order(alpha)
+    return _appell(_degree(n), lambda m: (_euler_numerator(m, alpha),),
+                   _order_scale(alpha))
 
 
 def euler_number_order(n: int, alpha) -> Fraction:
@@ -160,7 +174,7 @@ def stirling2_poly(n: int, k: int) -> Poly:
     """n-th polynomial of (e^t - 1)^k / k! * e^{xt}."""
     if k < 0:
         raise ValueError("block count k must be non-negative")
-    return _stirling2_poly(_degree(n), k)
+    return _appell(_degree(n), lambda m: (_stirling_row(m)[k] if k <= m else 0,))
 
 
 def stirling2_number(n: int, k: int) -> Fraction:

@@ -1,10 +1,15 @@
 """The benchmark's tracer wraps functions of this package by "module:qualname".
-Each of those names must still resolve, or a traced benchmark run crashes."""
+Each of those names must still resolve, or a traced benchmark run crashes.
+The benchmark's driver computes its expected outputs with functions of
+`sequences`, which must resolve too."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
+
+from belleuler import sequences
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -35,3 +40,10 @@ def test_every_span_registry_resolves(tracer):
         registry = getattr(owner, attr)
         assert isinstance(registry, dict) and registry
         assert all(callable(check) for check in registry.values())
+
+
+def test_benchmark_oracle_names_resolve():
+    # run.py reads the recurrence path as `seq.<name>`
+    names = set(re.findall(r"\bseq\.(\w+)", TRACER.with_name("run.py").read_text()))
+    assert names
+    assert sorted(n for n in names if not callable(getattr(sequences, n, None))) == []

@@ -19,6 +19,18 @@ class TestBellFamilies:
         for n in range(16):
             assert seq.bell_number(n) == triangle[n]
 
+    def test_bell_numbers_are_stirling_row_sums(self):
+        for n in range(61):
+            assert seq.bell_number(n) == \
+                sum(seq.stirling2_number(n, k) for k in range(n + 1))
+
+    def test_bell_number_leaves_the_stirling_triangle_alone(self):
+        # the shared triangle keeps every row for the life of the process,
+        # O(n^2) big ints, while a Bell number needs only O(n) of them
+        before = len(seq._stirling_rows)
+        seq.bell_number(max(300, before))
+        assert len(seq._stirling_rows) == before
+
     def test_bell_poly_values(self):
         assert seq.bell_poly(0) == 1
         assert seq.bell_poly(3) == Y**3 + 3 * Y**2 + Y
@@ -161,6 +173,36 @@ class TestBellEuler:
                     oracles.bell_euler_dict(n, alpha)
                 assert seq.bell_euler_convolution(n, alpha) == \
                     seq.bell_euler_poly(n, alpha)
+
+    def test_members_never_read_special_case(self, monkeypatch):
+        # T3_5 holds each member against special_case's closed form, so the
+        # members must be built without it
+        orders = (0, 1, 3, F(1, 2), F(-5, 3))
+        built = {(n, a): seq.bell_euler_poly(n, a) for a in orders for n in range(13)}
+
+        def refuse(*args):
+            raise AssertionError("a member read special_case")
+
+        monkeypatch.setattr(seq, "special_case", refuse)
+        monkeypatch.setattr(seq, "_special_case", refuse)
+        seq._bell_euler_poly.cache_clear()
+        seq._member_rows.clear()
+        for (n, a), member in built.items():
+            assert seq.bell_euler_poly(n, a) == member
+
+    def test_a_sweep_builds_each_x0_row_once(self):
+        alpha = F(11, 131)  # an order no other test builds
+        assert alpha not in seq._member_rows
+        for n in range(41):
+            seq.bell_euler_poly(n, alpha)
+        rows = seq._member_rows[alpha]
+        assert len(rows) == 41
+        seq._bell_euler_poly.cache_clear()
+        for n in range(41):
+            seq.bell_euler_poly(n, alpha)
+        assert len(rows) == 41
+        seq.bell_euler_poly(41, alpha)
+        assert len(rows) == 42
 
     def test_recurrence_convolution_at_a_deep_order(self):
         assert seq.bell_euler_convolution(3, 1200) == seq.bell_euler_poly(3, 1200)
