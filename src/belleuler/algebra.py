@@ -535,19 +535,8 @@ class Poly:
 
     def evaluate(self, assignments) -> Fraction:
         """Evaluate at an exact rational point; every variable must be assigned."""
-        point = [_as_fraction(assignments[name]) for name in self.names]
-        # clear every variable's denominator up to its top degree, sum as ints
-        tops = [max(self.degree(name), 0) for name in self.names]
-        nvars = len(self.names)
-        total = 0
-        for key, c in self._num.items():
-            for v, k, top in zip(point, _unpack(key, nvars), tops):
-                c *= v.numerator ** k * v.denominator ** (top - k)
-            total += c
-        den = self._den
-        for v, top in zip(point, tops):
-            den *= v.denominator ** top
-        return Fraction(total, den)
+        return self.subs({name: _as_fraction(assignments[name])
+                          for name in self.names}).constant_value()
 
     # -- serialization ----------------------------------------------------
 

@@ -50,6 +50,9 @@ MAX_TABLE_N = 96          # bell-euler at order -5/3: 1.9 s, 85 MB (n-max 128: 2
 MAX_VERIFY_N = 24         # verify --all: 6.3 s, 96 MB
 MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 2.8 s, 55 MB (degree 128: 12 s)
 MAX_VERIFY_ALPHAS = 32    # verify --n-max 10, orders j/97: 10.8 s, 58 MB (48: 20 s)
+# digits of the numerator, and of the denominator, of a compute/table --alpha
+# or an expand --mu; verify --alphas is not bounded by it
+MAX_ORDER_DIGITS = 4      # compute bell-euler n 256, -9973/9967: 12.8 s, 160 MB (5: 15 s)
 
 
 class UsageError(Exception):
@@ -67,6 +70,16 @@ def _parse_order(text: str, name: str = "alpha"):
         return seq.validate_order(parse_fraction(text))
     except ValueError as exc:
         raise UsageError(f"bad {name} {text!r}: {exc}") from None
+
+
+def _printed_order(text: str, name: str):
+    """An order for a command that prints polynomials, whose coefficients
+    grow with the digits of its numerator and denominator."""
+    order = _parse_order(text, name)
+    ratio = Fraction(order)
+    digits = max(len(str(abs(ratio.numerator))), len(str(ratio.denominator)))
+    _within(digits, MAX_ORDER_DIGITS, f"--{name} digit count")
+    return order
 
 
 def _parse_alphas(text: str):
@@ -119,7 +132,7 @@ def _family(args):
     tuple of arguments after n; compute and table both check --alpha here."""
     flag = family_flag(args.family)
     alpha = _flag(args, "alpha", flag == "alpha")
-    params = () if alpha is None else (_parse_order(alpha),)
+    params = () if alpha is None else (_printed_order(alpha, "alpha"),)
     return FAMILIES[args.family], flag, params
 
 
@@ -222,7 +235,7 @@ def parse_x_polynomial(text: str) -> Poly:
 
 
 def cmd_expand(args) -> int:
-    mu = _parse_order(args.mu, "mu")
+    mu = _printed_order(args.mu, "mu")
     q = parse_x_polynomial(args.polynomial)
     expansion = expand_in_appell(q, mu)
     residual = q - reconstruct(expansion)

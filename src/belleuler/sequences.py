@@ -118,16 +118,17 @@ def _bell_euler_rows(n: int, alpha) -> list:
     rows = _member_rows.setdefault(alpha, [])
     if n >= len(rows):
         scale = _order_scale(alpha)
-        # reading these grows the Stirling triangle to row n under the lock,
-        # so they are read before this function takes it
+        # the rows read the order's Euler numerators and the Stirling rows
+        # 0..n; both are read before the lock, since _stirling_row takes it
         euler = [_euler_numerator(k, alpha) for k in range(n + 1)]
+        stirling = [_stirling_row(i) for i in range(n + 1)]
         with _rows_lock:
             for m in range(len(rows), n + 1):
                 z = [0] * (m + 1)
                 for k in range(m + 1):
                     c = comb(m, k) * euler[k] * scale ** (m - k)
                     if c:
-                        for j, s in enumerate(_stirling_rows[m - k]):
+                        for j, s in enumerate(stirling[m - k]):
                             z[j] += c * s
                 rows.append(tuple(z))
     return rows

@@ -94,21 +94,25 @@ def difference_quotient_operator(z, order: int) -> tuple:
 @dataclass(frozen=True)
 class AppellContext:
     """Invertible base series h for the order-mu Bell-based Euler family,
-    as its coefficient tuple up to t^order."""
+    truncated at t^order; h, 1/h and the functionals are coefficient tuples
+    built on first read."""
 
     mu: "int | Fraction"
     order: int
-    h: tuple
 
     @classmethod
     def create(cls, mu, order: int) -> "AppellContext":
-        # h(t) = ((e^t+1)/2)^mu e^{-y(e^t-1)} generates BE^(-mu)(0; -y)
         mu = seq.validate_order(mu)
         if isinstance(order, bool) or not isinstance(order, int) or order < 0:
             raise ValueError(
                 f"truncation order must be a non-negative int, got {order!r}")
-        return cls(mu, order, tuple(seq._special_case(k, -mu, -1) / factorial(k)
-                                    for k in range(order + 1)))
+        return cls(mu, order)
+
+    @cached_property
+    def h(self) -> tuple:
+        """h(t) = ((e^t+1)/2)^mu e^{-y(e^t-1)} generates BE^(-mu)(0; -y)."""
+        return tuple(seq._special_case(k, -self.mu, -1) / factorial(k)
+                     for k in range(self.order + 1))
 
     @cached_property
     def h_inverse(self) -> tuple:
@@ -241,7 +245,7 @@ def check_orthogonality(grid: Grid = Grid()) -> IdentityReport:
 
     def cases():
         for mu in mus:
-            yield from _orthogonality_cases(AppellContext.create(mu, n_max + 1), n_max)
+            yield from _orthogonality_cases(AppellContext.create(mu, n_max), n_max)
 
     return run_cases("orthogonality", cases())
 

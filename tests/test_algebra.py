@@ -100,6 +100,9 @@ class TestPoly:
         assert p.evaluate({"x": F(2), "y": F(1, 3)}) == F(4, 3) - F(1, 3)
         with pytest.raises(KeyError):
             p.evaluate({"x": 1})
+        assert isinstance(p.evaluate({"x": 3, "y": 2}), F)
+        with pytest.raises(ValueError, match="exact scalar"):
+            p.evaluate({"x": 1.5, "y": 1})
 
     def test_degrees(self):
         p = X**2 * Y + Y**4

@@ -383,6 +383,37 @@ class TestUsageErrors:
         assert code == 2 and out == "" and "over the limit" in err
         assert calls == []
 
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--family", "bell-euler", "--n", "256",
+         "--alpha=1/10000000000000000"),
+        ("table", "--family", "euler", "--n-max", "4", "--alpha=-10007/3"),
+        ("expand", "--mu=12345", "x"),
+    ], ids=["compute", "table", "expand"])
+    def test_order_with_too_many_digits_refused_before_any_work(
+            self, run_cli, monkeypatch, argv):
+        calls = []
+        for family in ("bell-euler", "euler"):
+            monkeypatch.setitem(cli.FAMILIES, family,
+                                lambda n, alpha: calls.append((n, alpha)))
+        monkeypatch.setattr(cli, "expand_in_appell", lambda *args: calls.append(args))
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "" and "digit count" in err
+        assert calls == []
+
+    def test_order_at_the_digit_limit_accepted(self, run_cli):
+        top = "9" * cli.MAX_ORDER_DIGITS
+        alpha = F(-int(top), int(top) - 1)
+        code, out, _ = run_cli("compute", "--family", "bell-euler", "--n", "3",
+                               f"--alpha={alpha}")
+        assert code == 0 and out == seq.bell_euler_poly(3, alpha).pretty() + "\n"
+        code, out, _ = run_cli("expand", f"--mu={alpha}", "x^3 - 2/3")
+        assert code == 0 and json.loads(out)["residual"] == "0"
+
+    def test_verify_orders_are_not_bounded_by_digits(self, run_cli):
+        code, out, _ = run_cli("verify", "--id", "multinomial", "--n-max", "4",
+                               "--alphas=1000000000")
+        assert code == 0 and json.loads(out)[0]["pass"] is True
+
     def test_limits_cover_the_benchmark_sizes(self):
         # compute n 40, table n-max 32, verify n-max 10, expand degree 16
         assert cli.MAX_COMPUTE_N >= 40 and cli.MAX_TABLE_N >= 32

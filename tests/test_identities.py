@@ -7,9 +7,12 @@ from math import factorial
 import pytest
 
 from belleuler import sequences as seq
+from belleuler.algebra import Poly
 from belleuler.identities import (
     CHECKS,
+    Counterexample,
     Grid,
+    IdentityReport,
     NEGATIVE_CONTROLS,
     check_T4_1,
     check_T4_3,
@@ -124,3 +127,12 @@ def test_report_passed_matches_counterexample_invariant():
     assert payload["pass"] is True
     assert "counterexample" not in payload
     assert set(payload) == {"id", "pass", "checked", "elapsed_ms"}
+
+
+def test_report_passed_is_read_off_its_counterexample():
+    failed = IdentityReport("T", 3, Counterexample({"n": 2}, Poly.zero(),
+                                                   Poly.constant(1)), 0.0)
+    assert not failed.passed and failed.to_json_dict()["pass"] is False
+    assert IdentityReport("T", 3, None, 0.0).passed
+    with pytest.raises(TypeError):
+        IdentityReport("T", True, 3, None, 0.0)

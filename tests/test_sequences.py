@@ -190,6 +190,17 @@ class TestBellEuler:
         for (n, a), member in built.items():
             assert seq.bell_euler_poly(n, a) == member
 
+    def test_x0_rows_grow_the_stirling_rows_they_read(self, monkeypatch):
+        # the order's Euler numerators are memoized while the Stirling triangle
+        # is back at row 0: the rows must still read rows 1..n of the triangle
+        alpha = F(7, 11)
+        monkeypatch.setattr(seq, "_member_rows", {})
+        expected = list(seq._bell_euler_rows(8, alpha))
+        monkeypatch.setattr(seq, "_member_rows", {})
+        monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
+        assert seq._bell_euler_rows(8, alpha) == expected
+        assert len(seq._stirling_rows) == 9
+
     def test_a_sweep_builds_each_x0_row_once(self):
         alpha = F(11, 131)  # an order no other test builds
         assert alpha not in seq._member_rows

@@ -154,6 +154,20 @@ class TestAppellContext:
             AppellContext.create(1.5, 4)
         assert AppellContext.create(F(4, 2), 4).mu == 2
 
+    def test_orthogonality_truncates_h_at_n_max(self, monkeypatch):
+        # the (n, k) square pairs t^k h(t) with members of degree <= n_max
+        real = seq._special_case
+        read = []
+
+        def record(n, alpha, y_sign=1):
+            if y_sign == -1:
+                read.append(n)
+            return real(n, alpha, y_sign)
+
+        monkeypatch.setattr(seq, "_special_case", record)
+        assert check_orthogonality(Grid(n_max=5, alphas=(F(13, 7),))).passed
+        assert sorted(set(read)) == list(range(6))
+
     @pytest.mark.parametrize("order", [-1, 2.5, True], ids=repr)
     def test_truncation_order_must_be_a_non_negative_int(self, order):
         with pytest.raises(ValueError, match="non-negative int"):
@@ -168,6 +182,20 @@ class TestInversePath:
 
     def test_degree_zero(self):
         assert appell_inverse_apply(1, 0) == 1
+
+    @pytest.mark.parametrize("mu", [1, F(1, 2), F(-5, 3)], ids=str)
+    def test_reads_only_the_inverse_series(self, monkeypatch, mu):
+        # h is the y_sign = -1 family of _special_case; 1/h is the y_sign = 1 one
+        real = seq._special_case
+
+        def refuse_h(n, alpha, y_sign=1):
+            if y_sign == -1:
+                raise AssertionError("appell_inverse_apply built h")
+            return real(n, alpha, y_sign)
+
+        monkeypatch.setattr(seq, "_special_case", refuse_h)
+        for n in range(9):
+            assert appell_inverse_apply(mu, n) == seq.bell_euler_poly(n, mu)
 
 
 class TestOrthogonality:
