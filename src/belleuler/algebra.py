@@ -22,7 +22,14 @@ floating point anywhere.  Two value types do all the work:
   term's image goes straight into one int map, with no product ``Poly`` per
   term.  :meth:`Poly.columns` splits a polynomial into its columns in one
   variable in one scan, which the dual pairing reads.  :attr:`Poly.terms`
-  shows the coefficients as Fractions under exponent tuples.
+  shows the coefficients as Fractions under exponent tuples.  The two
+  formatters read the packed keys directly: :meth:`Poly.pretty` orders the
+  terms by the first exponent descending, then the others ascending, and
+  :meth:`Poly.to_json_map` by total degree, then exponent tuple, both
+  descending.  In the (x, y) ring each order is one int per key, so no
+  term unpacks to a tuple.  Each call spells every power that occurs once,
+  into a table per variable, writes each coefficient with one gcd against
+  the common denominator (none when it is 1), and joins the text once.
 
 * :class:`Series` -- a formal power series in ``t``, truncated at a fixed
   order ``N``, over either plain Fractions or a polynomial ring.  Position
@@ -540,45 +547,82 @@ class Poly:
 
     # -- serialization ----------------------------------------------------
 
-    def _unpacked(self):
-        """(exponent tuple, numerator) per term, in storage order."""
-        nvars = len(self.names)
-        return [(_unpack(k, nvars), c) for k, c in self._num.items()]
-
-    def _monomial_key(self, exps) -> str:
-        return "*".join([f"{n}^{k}" for n, k in zip(self.names, exps) if k]) or "1"
+    def _monomials(self, keys, power) -> list:
+        """The text of each monomial in ``keys``, "" for the constant one.
+        ``power(name, e)`` spells a power e >= 1 once per call, into a table
+        of the exponents that occur; a table that ran to the degree would
+        make ``x^16383 + 1`` spell 16383 powers."""
+        names = self.names
+        if len(names) == 2:
+            x, y = names
+            xs = {e: power(x, e) for e in set(map(_FIELD_MASK.__and__, keys))}
+            ys = {e: power(y, e) for e in {k >> FIELD_BITS for k in keys}}
+            # a power of y follows a power of x after "*", or stands alone
+            tail = {e: "*" + text for e, text in ys.items()}
+            xs[0] = ys[0] = tail[0] = ""
+            return [xs[k & _FIELD_MASK] + tail[k >> FIELD_BITS] if k & _FIELD_MASK
+                    else ys[k >> FIELD_BITS] for k in keys]
+        exps = [_unpack(k, len(names)) for k in keys]
+        tables = [{e: power(name, e) for e in {t[i] for t in exps} if e}
+                  for i, name in enumerate(names)]
+        return ["*".join([t[e] for t, e in zip(tables, ex) if e]) for ex in exps]
 
     def to_json_map(self) -> "dict[str, str]":
-        """Ordered monomial-key map, e.g. {"x^2": "1", "x^1*y^1": "2"}."""
-        den = self._den
-        # total degree, then the exponent tuple, both descending
-        ordered = sorted(self._unpacked(), key=lambda t: (sum(t[0]), t[0]),
-                         reverse=True)
-        return {self._monomial_key(e): _format_ratio(c, den) for e, c in ordered}
+        """Ordered monomial-key map, e.g. {"x^2": "1", "x^1*y^1": "2"}.
+
+        Terms run by total degree, then by exponent tuple, both descending;
+        every power is written out ("x^1") and "1" keys the constant term.
+        """
+        num, den = self._num, self._den
+        nvars = len(self.names)
+        if nvars == 2:
+            # (e_x + e_y, e_x) in one int; e_y follows from the two
+            keys = sorted(num, reverse=True, key=lambda k: (
+                (k & _FIELD_MASK) + (k >> FIELD_BITS) << FIELD_BITS) | k & _FIELD_MASK)
+        else:
+            def order(k):
+                e = _unpack(k, nvars)
+                return sum(e), e
+            keys = sorted(num, key=order, reverse=True)
+        monos = self._monomials(keys, lambda name, e: f"{name}^{e}")
+        values = [str(num[k]) for k in keys] if den == 1 \
+            else [_format_ratio(num[k], den) for k in keys]
+        return {mono or "1": value for mono, value in zip(monos, values)}
 
     def pretty(self) -> str:
-        """Human-readable form: "x^2 - x", "1/2 - y", "0" for the zero poly."""
-        if not self._num:
+        """Human-readable form: "x^2 - x", "1/2 - y", "0" for the zero poly.
+
+        Terms run by the first variable's exponent descending, then by the
+        other exponents ascending; a coefficient of 1 is left out of a term
+        with a monomial.
+        """
+        num, den = self._num, self._den
+        if not num:
             return "0"
-        den = self._den
-        ordered = sorted(self._unpacked(),
-                         key=lambda t: (-t[0][0],) + t[0][1:] if t[0] else ())
-        chunks = []
-        for e, c in ordered:
-            mono = "*".join(n if k == 1 else f"{n}^{k}"
-                            for n, k in zip(self.names, e) if k)
-            if not mono:
-                body = _format_ratio(abs(c), den)
-            elif abs(c) == den:
-                body = mono
+        nvars = len(self.names)
+        if nvars == 2:
+            # (-e_x, e_y) in one int: the field of e_x holds its complement
+            keys = sorted(num, key=lambda k: (
+                (_FIELD_MASK - (k & _FIELD_MASK)) << FIELD_BITS) | (k >> FIELD_BITS))
+        else:
+            keys = sorted(num, key=lambda k: (-(k & _FIELD_MASK),)
+                          + _unpack(k, nvars)[1:])
+        monos = self._monomials(keys, lambda name, e: name if e == 1 else f"{name}^{e}")
+        parts = []
+        append = parts.append
+        for k, mono in zip(keys, monos):
+            c = num[k]
+            if c < 0:
+                append(" - ")
+                c = -c
             else:
-                body = f"{_format_ratio(abs(c), den)}*{mono}"
-            chunks.append(("-" if c < 0 else "+", body))
-        sign, body = chunks[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+                append(" + ")
+            if c != den or not mono:
+                body = str(c) if den == 1 else _format_ratio(c, den)
+                mono = f"{body}*{mono}" if mono else body
+            append(mono)
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
 
 
 class CoefficientRing:

@@ -46,9 +46,9 @@ _JSON_COMPACT = {"separators": (",", ":")}
 # whose slowest case stays near 10 s of CPU and 200 MB (Python 3.11, 2 vCPUs;
 # README, "Limits"), far below the exponent ceiling of the packed keys.
 MAX_COMPUTE_N = 256       # bell-euler at order -5/3: 4.0 s, 81 MB (n 384: 24 s)
-MAX_TABLE_N = 96          # bell-euler at order -5/3: 1.9 s, 85 MB (n-max 128: 204 MB)
+MAX_TABLE_N = 96          # bell-euler at order -5/3: 1.2 s, 79 MB (n-max 128: 198 MB)
 MAX_VERIFY_N = 24         # verify --all: 6.3 s, 96 MB
-MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 2.8 s, 55 MB (degree 128: 12 s)
+MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 2.9 s, 52 MB (degree 128: 10 s)
 MAX_VERIFY_ALPHAS = 32    # verify --n-max 10, orders j/97: 10.8 s, 58 MB (48: 20 s)
 # digits of the numerator, and of the denominator, of a compute/table --alpha
 # or an expand --mu; verify --alphas is not bounded by it

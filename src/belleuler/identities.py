@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
 
 from .algebra import Poly
@@ -103,10 +103,13 @@ def _grid_cases(grid: Grid, pair_fn):
 def check_T3_3(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial = binomial convolution of Euler polynomials of the
     same order with Bell polynomials."""
+    # members recur across grid points; each table dies with this call, so
+    # a later call builds them afresh (T3_4, T4_1 and T4_3 do the same)
+    euler, bell = cache(seq.euler_poly_order), cache(seq.bell_poly)
+
     def pair(n, a):
         rhs = Poly.sum_of_products(seq.NAMES, (
-            (comb(n, k), seq.euler_poly_order(k, a), seq.bell_poly(n - k))
-            for k in range(n + 1)))
+            (comb(n, k), euler(k, a), bell(n - k)) for k in range(n + 1)))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T3_3", _grid_cases(grid, pair))
 
@@ -114,9 +117,11 @@ def check_T3_3(grid: Grid = Grid()) -> IdentityReport:
 def check_T3_4(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial = convolution of Euler numbers with bivariate Bell
     polynomials."""
+    bivariate = cache(seq.bivariate_bell)
+
     def pair(n, a):
         rhs = Poly.sum_of_products(seq.NAMES, (
-            (comb(n, k) * seq.euler_number_order(k, a), seq.bivariate_bell(n - k), None)
+            (comb(n, k) * seq.euler_number_order(k, a), bivariate(n - k), None)
             for k in range(n + 1)))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T3_4", _grid_cases(grid, pair))
@@ -148,15 +153,10 @@ def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
     x1, x2, y1, y2 = Poly.gens(*_FOUR_VARS)
     points = {"sum": {"x": x1 + x2, "y": y1 + y2},
               "left": {"x": x1, "y": y1}, "right": {"x": x2, "y": y2}}
-    # members recur across grid points; the table dies with this call, so a
-    # later call reads seq.bell_euler_poly afresh
-    images = {}
 
+    @cache
     def image(k, a, point):
-        key = (k, a, point)
-        if key not in images:
-            images[key] = seq.bell_euler_poly(k, a).subs(points[point])
-        return images[key]
+        return seq.bell_euler_poly(k, a).subs(points[point])
 
     def ring_pair(n, a1, a2):
         lhs = image(n, a1 + a2, "sum")
@@ -203,6 +203,7 @@ def check_T4_3(grid: Grid = Grid()) -> IdentityReport:
     shadow).  At a = 1 this is the bivariate Bell polynomial and the
     classical 'average equals x^n' relation."""
     n_max, alphas = grid.resolve(alphas_default=(1,))
+    euler = cache(seq.euler_poly_order)
 
     def average(member):
         return (member.subs({"x": seq.X + 1}) + member) / 2
@@ -215,8 +216,7 @@ def check_T4_3(grid: Grid = Grid()) -> IdentityReport:
                        lambda n=n, a=a: (seq.bell_euler_poly(n, a - 1),
                                          average(seq.bell_euler_poly(n, a))))
                 yield ({**params, "part": "classical"},
-                       lambda n=n, a=a: (seq.euler_poly_order(n, a - 1),
-                                         average(seq.euler_poly_order(n, a))))
+                       lambda n=n, a=a: (euler(n, a - 1), average(euler(n, a))))
 
     return run_cases("T4_3", cases())
 

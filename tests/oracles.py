@@ -8,7 +8,7 @@ Fraction per coefficient and no shared denominator.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 
 def bell_triangle(n_max):
@@ -214,3 +214,68 @@ def multinomial_rhs_dict(n, mu):
             weight *= euler[p]
         out = dict_add(out, dict_scale(members[parts[-1]], weight))
     return out
+
+
+# -- reference formatters ---------------------------------------------------
+# The formatters of ``Poly`` as they stood before they read the packed keys
+# directly: one exponent tuple per term, tuple sort keys and f-strings.  The
+# helpers are copied too, so these share no code with ``belleuler.algebra``.
+
+_REF_FIELD_BITS = 15
+_REF_FIELD_MASK = (1 << _REF_FIELD_BITS) - 1
+
+
+def _ref_unpack(key, nvars):
+    if nvars == 2:   # the (x, y) ring of every family
+        return key & _REF_FIELD_MASK, key >> _REF_FIELD_BITS
+    return tuple([(key >> shift) & _REF_FIELD_MASK
+                  for shift in range(0, _REF_FIELD_BITS * nvars, _REF_FIELD_BITS)])
+
+
+def _ref_format_ratio(num, den):
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _ref_unpacked(poly):
+    nvars = len(poly.names)
+    return [(_ref_unpack(k, nvars), c) for k, c in poly._num.items()]
+
+
+def _ref_monomial_key(poly, exps):
+    return "*".join([f"{n}^{k}" for n, k in zip(poly.names, exps) if k]) or "1"
+
+
+def reference_to_json_map(poly):
+    """``Poly.to_json_map``: terms by total degree, then exponent tuple,
+    both descending."""
+    den = poly._den
+    ordered = sorted(_ref_unpacked(poly), key=lambda t: (sum(t[0]), t[0]),
+                     reverse=True)
+    return {_ref_monomial_key(poly, e): _ref_format_ratio(c, den) for e, c in ordered}
+
+
+def reference_pretty(poly):
+    """``Poly.pretty``: terms by the first exponent descending, then the
+    others ascending."""
+    if not poly._num:
+        return "0"
+    den = poly._den
+    ordered = sorted(_ref_unpacked(poly),
+                     key=lambda t: (-t[0][0],) + t[0][1:] if t[0] else ())
+    chunks = []
+    for e, c in ordered:
+        mono = "*".join(n if k == 1 else f"{n}^{k}"
+                        for n, k in zip(poly.names, e) if k)
+        if not mono:
+            body = _ref_format_ratio(abs(c), den)
+        elif abs(c) == den:
+            body = mono
+        else:
+            body = f"{_ref_format_ratio(abs(c), den)}*{mono}"
+        chunks.append(("-" if c < 0 else "+", body))
+    sign, body = chunks[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in chunks[1:]:
+        text += f" {sign} {body}"
+    return text

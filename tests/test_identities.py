@@ -1,6 +1,7 @@
 """The identity registry: every check passes on its default grid, grids are
 overridable, and the negative control fails exactly as documented."""
 
+from collections import Counter
 from fractions import Fraction as F
 from math import factorial
 
@@ -14,6 +15,8 @@ from belleuler.identities import (
     Grid,
     IdentityReport,
     NEGATIVE_CONTROLS,
+    check_T3_3,
+    check_T3_4,
     check_T4_1,
     check_T4_3,
     check_T4_4_corrected,
@@ -99,6 +102,47 @@ def test_T4_1_member_table_cannot_hide_a_wrong_member(monkeypatch):
         assert report.counterexample.params == {"n": 2, "alpha1": "1", "alpha2": "1"}
     monkeypatch.undo()
     assert check_T4_1(grid).passed
+
+
+@pytest.mark.parametrize("check, builder, grid", [
+    (check_T3_3, "euler_poly_order", Grid(n_max=6)),
+    (check_T3_3, "bell_poly", Grid(n_max=6)),
+    (check_T3_4, "bivariate_bell", Grid(n_max=6)),
+    # at orders 1 and 2 the member of order 1 is read as a and as a - 1
+    (check_T4_3, "euler_poly_order", Grid(n_max=6, alphas=(1, 2))),
+])
+def test_checks_build_each_member_once_per_call(monkeypatch, check, builder, grid):
+    calls = Counter()
+    build = getattr(seq, builder)
+
+    def counted(*args):
+        calls[args] += 1
+        return build(*args)
+
+    monkeypatch.setattr(seq, builder, counted)
+    for _ in range(2):
+        calls.clear()
+        assert check(grid).passed
+        assert calls and set(calls.values()) == {1}
+
+
+def test_T3_3_member_table_cannot_hide_a_wrong_member(monkeypatch):
+    # as for T4_1: a wrong Euler member fails on every call
+    grid = Grid(n_max=3, alphas=(1,))
+    assert check_T3_3(grid).passed
+    true_member = seq.euler_poly_order
+
+    def perturbed(n, a):
+        member = true_member(n, a)
+        return member + 1 if (n, a) == (2, 1) else member
+
+    monkeypatch.setattr(seq, "euler_poly_order", perturbed)
+    for _ in range(2):
+        report = check_T3_3(grid)
+        assert not report.passed and report.checked == 3
+        assert report.counterexample.params == {"n": 2, "alpha": "1"}
+    monkeypatch.undo()
+    assert check_T3_3(grid).passed
 
 
 def test_T4_3_classical_reduction_to_n_10():
