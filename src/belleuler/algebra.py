@@ -20,13 +20,20 @@ floating point anywhere.  Two value types do all the work:
   ``sum_k c_k * a_k * b_k`` that the identity checks and the umbral layer
   build.  :meth:`Poly.subs` keeps its own accumulate loop instead: each
   term's image goes straight into one int map, with no product ``Poly`` per
-  term.  :meth:`Poly.columns` splits a polynomial into its columns in one
-  variable in one scan, which the dual pairing reads.  :attr:`Poly.terms`
-  shows the coefficients as Fractions under exponent tuples.  The two
-  formatters read the packed keys directly: :meth:`Poly.pretty` orders the
-  terms by the first exponent descending, then the others ascending, and
-  :meth:`Poly.to_json_map` by total degree, then exponent tuple, both
-  descending.  In the (x, y) ring each order is one int per key, so no
+  term, and builds no power table per call.  A scalar or constant image
+  ``p/q`` folds into the coefficient as ``p^e q^(top-e)`` over one
+  ``q^top``; a lone variable, or an unmapped one, moves the key by ``e``
+  times its own; any other image reads its powers from a table kept per
+  image value for the process (the 64 most recently used, grown under a
+  lock by one product at a time).  It raises where multiplying the images
+  out would: at an image power, at a product of the images of every
+  variable but the last, or in the result.  :meth:`Poly.columns` splits a
+  polynomial into its columns in one variable in one scan, which the dual
+  pairing reads.  :attr:`Poly.terms` shows the coefficients as Fractions
+  under exponent tuples.  The two formatters read the packed keys
+  directly: :meth:`Poly.pretty` orders the terms by the first exponent
+  descending, then the others ascending, and :meth:`Poly.to_json_map` by
+  total degree, then exponent tuple, both descending.  In the (x, y) ring each order is one int per key, so no
   term unpacks to a tuple.  Each call spells every power that occurs once,
   into a table per variable, writes each coefficient with one gcd against
   the common denominator (none when it is 1), and joins the text once.
@@ -46,6 +53,7 @@ returning zero.
 from __future__ import annotations
 
 import re
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -130,6 +138,59 @@ def _check_ceiling(num: dict, nvars: int) -> None:
     guard = _guard(nvars)
     if any(map(guard.__and__, num)):
         raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
+
+
+def _degree_key(image) -> "int | None":
+    """The packed degrees of a substitution image in each of its ring's
+    variables: 0 for a nonzero scalar, None for zero."""
+    if not image:
+        return None
+    if not isinstance(image, Poly):
+        return 0
+    return sum(image.degree(v) << (FIELD_BITS * i) for i, v in enumerate(image.names))
+
+
+def _check_lead_products(num: dict, images: list, nvars: int) -> None:
+    """Raise where a term's images of every variable but the last, multiplied
+    out in order, reach the ceiling, as __mul__ would.  The image of the last
+    variable is left to the check of the result, after cancellation.  Each
+    addend stays below the ceiling, so a field that outgrows it shows its
+    guard bit before a carry can hide it."""
+    degrees = [_degree_key(image) for image in images[:-1]]
+    guard = _guard(nvars)
+    for key in num:
+        reached = 0
+        for degree, e in zip(degrees, _unpack(key, len(images))):
+            if e:
+                if degree is None:
+                    break       # a zero image: the product stays zero
+                reached += e * degree
+                if reached & guard:
+                    raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
+
+
+# [image^0, image^1, ...] per polynomial image that subs has met, least
+# recently used first; a table grows by one product at a time, never rebuilt
+_power_tables = {}
+_POWER_TABLES_KEPT = 64
+_power_tables_lock = threading.Lock()
+
+
+def _powers(image, top: int) -> list:
+    """The power table of ``image``, grown to at least ``image^top``.  A
+    power that would reach the ceiling raises before any is built."""
+    if top * max(map(image.degree, image.names)) >= EXPONENT_CEILING:
+        raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
+    with _power_tables_lock:
+        table = _power_tables.pop(image, None)
+        if table is None:
+            table = [Poly.constant(1, image.names)]
+            if len(_power_tables) >= _POWER_TABLES_KEPT:
+                del _power_tables[next(iter(_power_tables))]
+        _power_tables[image] = table
+        while len(table) <= top:
+            table.append(table[-1] * image)
+        return table
 
 
 class Poly:
@@ -481,46 +542,68 @@ class Poly:
         for name in self.names:
             if name in mapping:
                 value = mapping[name]
-                images.append(value if isinstance(value, Poly)
-                              else Poly.constant(value, target))
+                images.append(value if isinstance(value, Poly) else _as_fraction(value))
             else:
                 images.append(Poly.gen(name, target))
 
-        # power tables keep repeated exponentiation out of the inner loop
-        one = Poly.constant(1, target)
-        powers = []
-        for name, img in zip(self.names, images):
-            top = max(self.degree(name), 0)
-            unit = _variable_key(img)
-            if unit:
-                # a lone variable's powers are its monomials, below the
-                # ceiling because top is one of self's exponents
-                table = [Poly._make(target, {k * unit: 1}, 1) for k in range(top + 1)]
-            else:
-                table = [one]
-                for _ in range(top):
-                    table.append(table[-1] * img)
-            powers.append(table)
+        # an image acts on a term's exponent e in one of three ways: a scalar
+        # p/q multiplies the coefficient by p^e q^(top-e) over one q^top, a
+        # lone variable adds e times its key to the term's key, and any other
+        # polynomial contributes its e-th power from the process-wide tables
+        num, nvars = self._num, len(self.names)
+        scalars, renames, polys, scalar_den = [], [], [], 1
+        for i, image in enumerate(images):
+            shift = FIELD_BITS * i
+            if isinstance(image, Poly):
+                if not image.is_constant():
+                    unit = _variable_key(image)
+                    if unit:
+                        renames.append((i, unit))
+                    else:
+                        top = max([(k >> shift) & _FIELD_MASK for k in num], default=0)
+                        polys.append((i, _powers(image, top)))
+                    continue
+                image = Fraction(image._num.get(0, 0), image._den)
+            p, q = image.numerator, image.denominator
+            if p != q:      # an image of 1 leaves the coefficients alone
+                exps = {(k >> shift) & _FIELD_MASK for k in num}
+                top = max(exps, default=0)
+                scalars.append((i, {e: p ** e * q ** (top - e) for e in exps}))
+                scalar_den *= q ** top
+        if nvars > 2:
+            _check_lead_products(num, images, len(target))
 
-        # a term c * head * tail: tail is the last variable's table entry and
-        # head the product of the others' (one entry in the (x, y) ring)
-        nvars = len(self.names)
-        *lead, last = powers
+        # a term becomes c * head * tail, tail the power of its last
+        # polynomial image and head the product of the others, moved by the
+        # sum of its renames' keys
         work, dens = [], set()
-        for key, c in self._num.items():
+        for key, c in num.items():
             exps = _unpack(key, nvars)
-            head = one
-            for table, k in zip(lead, exps):
-                if k:
-                    head = table[k] if head is one else head * table[k]
-            tail = last[exps[-1]]
-            if head._num and tail._num:
-                d = head._den * tail._den
-                dens.add(d)
-                left, right = head._num, tail._num
-                if len(left) > len(right):
-                    left, right = right, left
-                work.append((c, d, left, right))
+            for i, factors in scalars:
+                c *= factors[exps[i]]
+            if not c:
+                continue
+            offset = 0
+            for i, unit in renames:
+                offset += exps[i] * unit
+            powers = [table[exps[i]] for i, table in polys if exps[i]]
+            if not powers:
+                work.append((c, 1, offset, None, None))
+                continue
+            tail = powers.pop()
+            if not powers:
+                dens.add(tail._den)
+                work.append((c, tail._den, offset, tail._num, None))
+                continue
+            head = powers[0]
+            for power in powers[1:]:
+                head = head * power
+            d = head._den * tail._den
+            dens.add(d)
+            left, right = head._num, tail._num
+            if len(left) > len(right):
+                left, right = right, left
+            work.append((c, d, offset, left, right))
 
         # every product goes straight into one map over the lcm of their
         # denominators; subs keeps this loop of its own, off sum_of_products,
@@ -528,17 +611,25 @@ class Poly:
         den = lcm(*dens)
         acc = {}
         get = acc.get
-        for c, d, left, right in work:
+        for c, d, offset, left, right in work:
             scale = c * (den // d)
-            for k1, v1 in left.items():
-                s = scale * v1
-                for k2, v2 in right.items():
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + s * v2
+            if left is None:
+                acc[offset] = get(offset, 0) + scale
+            elif right is None:
+                for k, v in left.items():
+                    k += offset
+                    acc[k] = get(k, 0) + scale * v
+            else:
+                for k1, v1 in left.items():
+                    s = scale * v1
+                    k1 += offset
+                    for k2, v2 in right.items():
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + s * v2
         num = {k: v for k, v in acc.items() if v}
         # head * tail skipped __mul__, so its ceiling check is done here
         _check_ceiling(num, len(target))
-        return Poly._make(target, num, self._den * den)
+        return Poly._make(target, num, self._den * scalar_den * den)
 
     def evaluate(self, assignments) -> Fraction:
         """Evaluate at an exact rational point; every variable must be assigned."""

@@ -219,7 +219,7 @@ def parse_x_polynomial(text: str) -> Poly:
     tokens = re.findall(r"[+-]?[^+-]+", stripped)
     if "".join(tokens) != stripped:
         raise UsageError(f"cannot parse polynomial literal {text!r}")
-    total = Poly.zero()
+    coeffs = {}   # exponent -> the sum of its tokens' coefficients
     for token in tokens:
         match = _POLY_TOKEN.match(token)
         if not match or (match.group(2) is None and match.group(3) is None):
@@ -230,8 +230,8 @@ def parse_x_polynomial(text: str) -> Poly:
         if match.group(3):
             exponent = int(match.group(4)) if match.group(4) else 1
             _within(exponent, MAX_EXPAND_DEGREE, "degree")
-        total = total + sign * coeff * seq.X ** exponent
-    return total
+        coeffs[exponent] = coeffs.get(exponent, 0) + sign * coeff
+    return Poly(seq.NAMES, {(e, 0): c for e, c in coeffs.items()})
 
 
 def cmd_expand(args) -> int:
@@ -297,9 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_session_parser = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s parser, built on the first main call and kept for
+    the process: every call parses into a fresh Namespace, and the tree of
+    subparsers, arguments and help texts never changes."""
+    global _session_parser
+    if _session_parser is None:
+        _session_parser = build_parser()
+    return _session_parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, ValueError) as exc:

@@ -126,9 +126,14 @@ def dict_scale(a, s):
 
 
 def dict_pow(a, k, nvars):
+    """a^k by repeated squaring, so exponents near the ceiling stay cheap."""
     out = {(0,) * nvars: Fraction(1)}
-    for _ in range(k):
-        out = dict_mul(out, a)
+    while k:
+        if k & 1:
+            out = dict_mul(out, a)
+        k >>= 1
+        if k:
+            a = dict_mul(a, a)
     return out
 
 

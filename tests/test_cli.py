@@ -168,6 +168,18 @@ class TestPolynomialLiteralParsing:
         with pytest.raises(Exception):
             parse_x_polynomial(bad)
 
+    def test_tokens_of_one_power_sum(self):
+        assert parse_x_polynomial("x^2 + 1/2 - x^2 + 2x - 1/2 - x") == X
+        assert parse_x_polynomial("x - x") == Poly.zero()
+        assert parse_x_polynomial("0*x^3 + 1") == Poly.constant(1)
+
+    def test_errors_come_in_token_order(self):
+        over = f"x^{cli.MAX_EXPAND_DEGREE + 1}"
+        with pytest.raises(cli.UsageError, match="degree"):
+            parse_x_polynomial(f"{over} + y")
+        with pytest.raises(cli.UsageError, match="term 'y'"):
+            parse_x_polynomial(f"y + {over}")
+
 
 class TestVerify:
     def test_single_identity(self, run_cli):
@@ -438,6 +450,61 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["compute", "--family", "fibonacci", "--n", "2"])
         assert excinfo.value.code == 2
+
+
+class TestParserReuse:
+    """main builds its parser once per process; every call still behaves as
+    with a parser of its own."""
+
+    @staticmethod
+    def _fresh_outcome(capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(argv)
+        return excinfo.value.code, capsys.readouterr()
+
+    @staticmethod
+    def _main_outcome(capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        return excinfo.value.code, capsys.readouterr()
+
+    def test_main_builds_the_parser_once(self, run_cli, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        monkeypatch.setattr(cli, "_session_parser", None)
+        assert run_cli("compute", "--family", "bell-number", "--n", "5")[:2] == (0, "52\n")
+        assert run_cli("table", "--family", "stirling2", "--n-max", "4")[:2] \
+            == (0, STIRLING_TABLE)
+        assert run_cli("verify", "--id", "T3_3", "--n-max", "2")[0] == 0
+        assert run_cli("expand", "--mu", "1", "x")[0] == 0
+        assert len(built) == 1
+        # build_parser itself still returns a new parser on every call
+        assert build() is not build()
+
+    def test_usage_error_after_a_successful_command(self, run_cli, capsys):
+        argv = ["compute", "--family", "fibonacci", "--n", "2"]
+        fresh = self._fresh_outcome(capsys, argv)
+        assert run_cli("compute", "--family", "bell-number", "--n", "5")[0] == 0
+        reused = self._main_outcome(capsys, argv)
+        assert reused == fresh and reused[0] == 2
+        assert reused[1].out == "" and "invalid choice: 'fibonacci'" in reused[1].err
+        # a later call parses into a fresh Namespace: nothing leaks across
+        assert run_cli("compute", "--family", "bell-number", "--n", "5")[:2] == (0, "52\n")
+
+    @pytest.mark.parametrize("command", [[], ["compute"], ["table"], ["verify"],
+                                         ["expand"]])
+    def test_help_text_matches_a_fresh_parser(self, run_cli, capsys, command):
+        run_cli("compute", "--family", "bell-number", "--n", "5")
+        argv = command + ["--help"]
+        fresh = self._fresh_outcome(capsys, argv)
+        assert fresh[0] == 0 and fresh[1].out.startswith("usage: belleuler")
+        assert self._main_outcome(capsys, argv) == fresh
 
 
 class TestDeterminism:

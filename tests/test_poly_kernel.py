@@ -3,6 +3,8 @@ and the fused ``sum_of_products`` against the plain ``{exps: Fraction}``
 reference in ``oracles``, plus the canonical-form invariants, the exponent
 ceiling of the packed keys and the eq/hash contract."""
 
+import sys
+import threading
 from fractions import Fraction as F
 from math import gcd
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from belleuler import algebra
 from belleuler import sequences as seq
 from belleuler.algebra import EXPONENT_CEILING, FIELD_BITS, Poly
 from belleuler.cli import parse_x_polynomial
@@ -140,6 +143,163 @@ def test_subs_matches_reference(case):
                for name, v in mapping.items()}
     check_matches(Poly(names, a).subs(mapping), target,
                   oracles.dict_subs(a, images, len(target)))
+
+
+SUBS_RINGS = (("x",), ("x", "y"), ("x", "y", "z"), RINGS[1])
+
+
+def _unit(j, nvars):
+    return {tuple(int(i == j) for i in range(nvars)): F(1)}
+
+
+@st.composite
+def image_kinds(draw):
+    """A source poly in 1 to 4 variables and an image of every kind that
+    subs tells apart: a rename onto a variable of the target ring (several
+    may land on one), an int or Fraction scalar, a constant or zero poly,
+    another poly, or the variable kept.  The target ring is the source's
+    or another one; the first image is then a poly, which fixes it."""
+    names = draw(st.sampled_from(SUBS_RINGS))
+    target = draw(st.sampled_from((names, names, ("t",)) + SUBS_RINGS))
+    a = draw(term_maps(len(names)))
+    n = len(target)
+    mapping, images = {}, []
+    for i, name in enumerate(names):
+        kinds = ["rename", "constant", "zero", "poly"]
+        if i or target == names:
+            kinds.append("scalar")
+            if name in target:
+                kinds.append("keep")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "keep":
+            images.append(_unit(target.index(name), n))
+            continue
+        if kind == "rename":
+            j = draw(st.integers(0, n - 1))
+            mapping[name], image = Poly.gen(target[j], target), _unit(j, n)
+        elif kind == "scalar":
+            value = draw(st.one_of(coefficients, st.integers(-3, 3)))
+            mapping[name], image = value, {(0,) * n: F(value)} if value else {}
+        else:
+            if kind == "constant":
+                image = {(0,) * n: draw(nonzero)}
+            else:
+                image = {} if kind == "zero" else draw(term_maps(n, max_size=3))
+            mapping[name] = Poly(target, image)
+        images.append(image)
+    return names, a, target, mapping, images
+
+
+@settings(max_examples=300, deadline=None)
+@given(image_kinds())
+def test_subs_of_every_image_kind_matches_reference(case):
+    names, a, target, mapping, images = case
+    check_matches(Poly(names, a).subs(mapping), target,
+                  oracles.dict_subs(a, images, len(target)))
+
+
+big_exponents = st.one_of(st.integers(0, 3),
+                          st.integers(EXPONENT_CEILING // 3, EXPONENT_CEILING - 1))
+
+
+@st.composite
+def large_renames(draw):
+    """Exponents up to the ceiling under renames into ("s", "t") or ("t",),
+    so two or three variables may land on one, and under nonzero scalars and
+    constant polys.  Two source variables may carry several terms, three
+    carry one: then subs must raise exactly where the result reaches the
+    ceiling, as no product that reaches it can cancel."""
+    names = draw(st.sampled_from((("x", "y"), ("x", "y", "z"))))
+    target = draw(st.sampled_from((("s", "t"), ("t",))))
+    exps = st.tuples(*[big_exponents] * len(names))
+    a = draw(st.dictionaries(exps, nonzero, min_size=1,
+                             max_size=4 if len(names) == 2 else 1))
+    n = len(target)
+    mapping, images = {}, []
+    for i, name in enumerate(names):
+        kind = draw(st.sampled_from(("rename", "rename", "scalar", "constant")
+                                    if i else ("rename", "constant")))
+        value = draw(st.sampled_from((1, -1, 2, F(1, 2), F(-5, 3))))
+        if kind == "rename":
+            j = draw(st.integers(0, n - 1))
+            mapping[name], image = Poly.gen(target[j], target), _unit(j, n)
+        else:
+            image = {(0,) * n: F(value)}
+            mapping[name] = value if kind == "scalar" else Poly(target, image)
+        images.append(image)
+    return names, a, target, mapping, images
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_renames())
+def test_subs_at_large_exponents_raises_where_the_result_reaches_the_ceiling(case):
+    names, a, target, mapping, images = case
+    reference = oracles.dict_subs(a, images, len(target))
+    if any(e >= EXPONENT_CEILING for exps in reference for e in exps):
+        with pytest.raises(ValueError, match="ceiling"):
+            Poly(names, a).subs(mapping)
+    else:
+        check_matches(Poly(names, a).subs(mapping), target, reference)
+
+
+def test_subs_checks_each_rename_offset_it_adds():
+    # each offset is below the ceiling, but the three sum past the guard bit
+    # of their field; a sum left unchecked carries out of it instead
+    x, y, z = Poly.gens("x", "y", "z")
+    with pytest.raises(ValueError, match="ceiling"):
+        ((x * y * z) ** 16000).subs({"x": z, "y": z})
+    # in two variables, terms that reach it only to cancel leave no trace
+    x, y = Poly.gens("x", "y")
+    t = Poly.gen("t", ("t",))
+    a, b = x ** 10000 * y ** 7000, x ** 7000 * y ** 10000
+    assert (a - b).subs({"x": t, "y": t}) == Poly.zero(("t",))
+    with pytest.raises(ValueError, match="ceiling"):
+        (a + b).subs({"x": t, "y": t})
+
+
+def test_subs_reuses_image_powers_across_degrees_and_rings():
+    # one image value at rising and falling degrees, and in two rings: each
+    # ring's table grows from its last power and is read by every later call
+    for names in (("x", "y"), ("x", "y", "z")):
+        x, y = Poly.gens(*names)[:2]
+        image = x + F(1, 2) * y - 3
+        for n in (1, 3, 7, 2, 12, 5):
+            member = (x + y) ** n - F(2, 7) * x * y
+            check_matches(member.subs({"x": image}), names, oracles.dict_subs(
+                member.terms, [image.terms] + [_unit(i, len(names)) for i in
+                                               range(1, len(names))], len(names)))
+
+    # the tables are kept for a bounded number of images only
+    x = Poly.gen("x")
+    for c in range(3 * algebra._POWER_TABLES_KEPT):
+        (x ** 2).subs({"x": x + c})
+    assert len(algebra._power_tables) == algebra._POWER_TABLES_KEPT
+
+
+def test_subs_power_table_grows_safely_from_threads():
+    # six threads meet a new image at interleaved rising degrees, so they
+    # grow its one table together; a lost or doubled append would leave a
+    # wrong power at some index
+    x, y = Poly.gens("x", "y")
+    image = x + y + 11
+    results, switch = {}, sys.getswitchinterval()
+
+    def work(k):
+        results[k] = [(x ** n).subs({"x": image}) for n in range(k % 3, 24, 3)]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads) and len(results) == 6
+    for k, powers in results.items():
+        assert powers == [image ** n for n in range(k % 3, 24, 3)]
+    assert algebra._power_tables[image] == [image ** n for n in range(24)]
 
 
 @settings(max_examples=150, deadline=None)
