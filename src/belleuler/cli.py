@@ -45,14 +45,14 @@ _JSON_COMPACT = {"separators": (",", ":")}
 # at once instead of running for minutes.  Each is the largest measured size
 # whose slowest case stays near 10 s of CPU and 200 MB (Python 3.11, 2 vCPUs;
 # README, "Limits"), far below the exponent ceiling of the packed keys.
-MAX_COMPUTE_N = 256       # bell-euler at order -5/3: 4.0 s, 81 MB (n 384: 24 s)
+MAX_COMPUTE_N = 256       # bell-euler at order -5/3: 0.6 s, 72 MB (n 384: 202 MB)
 MAX_TABLE_N = 96          # bell-euler at order -5/3: 1.2 s, 79 MB (n-max 128: 198 MB)
 MAX_VERIFY_N = 24         # verify --all: 6.3 s, 96 MB
 MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 2.9 s, 52 MB (degree 128: 10 s)
 MAX_VERIFY_ALPHAS = 32    # verify --n-max 10, orders j/97: 10.8 s, 58 MB (48: 20 s)
 # digits of the numerator, and of the denominator, of a compute/table --alpha
 # or an expand --mu; verify --alphas is not bounded by it
-MAX_ORDER_DIGITS = 4      # compute bell-euler n 256, -9973/9967: 12.8 s, 160 MB (5: 15 s)
+MAX_ORDER_DIGITS = 4      # at -9973/9967: table n-max 96 178 MB, expand 8.4 s (5: 206 MB)
 
 
 class UsageError(Exception):

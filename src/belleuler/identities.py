@@ -102,7 +102,9 @@ def _grid_cases(grid: Grid, pair_fn):
 
 def check_T3_3(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial = binomial convolution of Euler polynomials of the
-    same order with Bell polynomials."""
+    same order with Bell polynomials.  The member is built from x = 0 rows
+    of a three-term recurrence, and the right side from the Euler-number and
+    Stirling tables, so a wrong entry in either table fails the check."""
     # members recur across grid points; each table dies with this call, so
     # a later call builds them afresh (T3_4, T4_1 and T4_3 do the same)
     euler, bell = cache(seq.euler_poly_order), cache(seq.bell_poly)
@@ -116,7 +118,8 @@ def check_T3_3(grid: Grid = Grid()) -> IdentityReport:
 
 def check_T3_4(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial = convolution of Euler numbers with bivariate Bell
-    polynomials."""
+    polynomials, the right side again from the tables that the member's
+    x = 0 rows do not read."""
     bivariate = cache(seq.bivariate_bell)
 
     def pair(n, a):
@@ -129,9 +132,10 @@ def check_T3_4(grid: Grid = Grid()) -> IdentityReport:
 
 def check_T3_5(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial = convolution of its own x=0 specialization with
-    powers of x.  The member is built from x = 0 rows of the Euler-number
-    convolution (T3_4 at x = 0); ``special_case`` reads the same rows off its
-    falling-product form, so the check holds two distinct closed forms."""
+    powers of x.  The member is built from x = 0 rows of a three-term
+    recurrence; ``special_case`` reads the same rows off its falling-product
+    form over one Stirling row, so the check holds two distinct closed
+    forms."""
     def pair(n, a):
         rhs = Poly.sum_of_products(seq.NAMES, (
             (comb(n, k), seq.special_case(k, a), seq.X ** (n - k))

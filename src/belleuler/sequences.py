@@ -2,9 +2,9 @@
 Bell-based Euler polynomials, each with a closed-form path and an independent
 recurrence/summation path.
 
-The closed-form path reads every family off two exact tables.  Since
-2/(e^t+1) = 1/(1+u) with u = (e^t-1)/2, the defining generating function
-factors into Stirling numbers and rising factorials:
+The closed-form path reads the Euler, Bell and Stirling families off two
+exact tables.  Since 2/(e^t+1) = 1/(1+u) with u = (e^t-1)/2, the defining
+generating function factors into Stirling numbers and rising factorials:
 
     E_k^(a)       = sum_j (-1)^j a^(j) S2(k, j) / 2^j      (a^(j) rising factorial)
     B_m(x; y)     = sum_i C(m, i) x^(m-i) sum_j S2(i, j) y^j
@@ -14,9 +14,14 @@ Every polynomial family is an Appell sequence in x, P_n(x) = sum_m C(n, m)
 x^(n-m) Z_m with Z_m = P_m(0), and one builder (``_appell``) writes each
 member from its x = 0 rows: the Euler numbers for E_n^(a)(x), the Stirling
 rows for B_n(x; y) and for the Stirling polynomials, and, for the hybrid
-family, the rows Z_m(y) = sum_k C(m, k) E_k^(a) B_{m-k}(y), the Euler-number
-convolution at x = 0.  An order's rows are kept, so a sweep of members 0..n
-costs O(n^3) once.  ``special_case`` reads the same Z_n(y) off a different
+family, the rows Z_m(y) = BE_m^(a)(0; y).  These are not read off the
+Euler-number convolution sum_k C(m, k) E_k^(a) B_{m-k}(y): each follows from
+the row before it by a three-term recurrence of the generating function
+(``_bell_euler_rows``), in O(m), without reading the Euler numbers or the
+Stirling triangle, so the T3_3 and T3_4 checks hold each member against
+tables that did not build it.  An order's rows are kept and cost O(n^2) in
+all; a sweep of members 0..n still costs O(n^3), because ``_appell`` writes
+each member in O(n^2).  ``special_case`` reads the same Z_n(y) off a third
 closed form, a falling product over one Stirling row; the T3_5 check holds
 the two against each other, so the members never read ``special_case``.
 
@@ -112,24 +117,34 @@ def _appell(n: int, row, scale: int = 1) -> Poly:
 
 
 def _bell_euler_rows(n: int, alpha) -> list:
-    """The x = 0 rows Z_m = BE_m^(alpha)(0; y), m <= n, as numerators over
-    scale^m, from Z_m[y^j] = sum_k C(m, k) E_k S2(m - k, j).  An order's
-    table grows like the Stirling triangle, so a sweep to n costs O(n^3)."""
-    rows = _member_rows.setdefault(alpha, [])
-    if n >= len(rows):
+    """The x = 0 rows Z_m = BE_m^(alpha)(0; y), m <= n, as numerators
+    z_m = S^m Z_m with S = scale = 2q for alpha = p/q, each from the row
+    before it in O(m) operations.
+
+    Z_m[y^j] = m! [t^m] F_j with F_j = (2/(e^t+1))^alpha u^j / j! and
+    u = e^t - 1.  Multiplying F_j' by 2 + u and using u F_j = (j+1) F_(j+1)
+    gives, at t^m,
+
+        2 Z_(m+1)[j] + (j+1) Z_(m+1)[j+1]
+            = 2 Z_m[j-1] + (3j+1-alpha) Z_m[j] + (j+1)(j+1-alpha) Z_m[j+1],
+
+    solved for j = m, ..., 0 from Z_(m+1)[m+1] = 1.  Over S^(m+1) the
+    halving of the last term is exact, since every other term is an integer.
+    The rows read no Euler number and no Stirling row, an order's table
+    grows under the lock, and its rows to n cost O(n^2) operations."""
+    rows = _member_rows.get(alpha)
+    if rows is None or n >= len(rows):
+        p, q = Fraction(alpha).numerator, Fraction(alpha).denominator
         scale = _order_scale(alpha)
-        # the rows read the order's Euler numerators and the Stirling rows
-        # 0..n; both are read before the lock, since _stirling_row takes it
-        euler = [_euler_numerator(k, alpha) for k in range(n + 1)]
-        stirling = [_stirling_row(i) for i in range(n + 1)]
         with _rows_lock:
+            rows = _member_rows.setdefault(alpha, [(1,)])
             for m in range(len(rows), n + 1):
-                z = [0] * (m + 1)
-                for k in range(m + 1):
-                    c = comb(m, k) * euler[k] * scale ** (m - k)
-                    if c:
-                        for j, s in enumerate(stirling[m - k]):
-                            z[j] += c * s
+                w = (0,) + rows[-1] + (0,)  # w[j + 1] = z_(m-1)[j]
+                z = [0] * m + [scale ** m]
+                for j in range(m - 1, -1, -1):
+                    z[j] = (scale * w[j] + (q * (3 * j + 1) - p) * w[j + 1]
+                            + (j + 1) * (q * (j + 1) - p) * w[j + 2]
+                            - (j + 1) * z[j + 1] // 2)
                 rows.append(tuple(z))
     return rows
 

@@ -1,14 +1,18 @@
 """Independent oracles used by the tests: recurrences, closed sums, and
-brute-force enumeration only.  Nothing here touches the package's series
-engine; polynomials are plain dicts {(deg_x, deg_y): Fraction} so comparisons
-against ``Poly.terms`` stay honest.  The ``dict_*`` helpers are a reference
-polynomial arithmetic on such dicts, in any number of variables, with one
-Fraction per coefficient and no shared denominator.
+brute-force enumeration only, apart from ``convolution_rows``, which reads
+the package's Euler-number and Stirling tables.  Nothing here touches the
+package's series engine; polynomials are plain dicts
+{(deg_x, deg_y): Fraction} so comparisons against ``Poly.terms`` stay
+honest.  The ``dict_*`` helpers are a reference polynomial arithmetic on
+such dicts, in any number of variables, with one Fraction per coefficient
+and no shared denominator.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
+
+from belleuler.sequences import _euler_numerator, _order_scale, _stirling_row
 
 
 def bell_triangle(n_max):
@@ -284,3 +288,23 @@ def reference_pretty(poly):
     for sign, body in chunks[1:]:
         text += f" {sign} {body}"
     return text
+
+
+def convolution_rows(n, alpha):
+    """The x = 0 rows of the hybrid family, Z_m = BE_m^(alpha)(0; y) for
+    m <= n, as y-coefficient numerators over (2q)^m for alpha = p/q, from
+    the convolution Z_m[y^j] = sum_k C(m, k) E_k^(alpha) S2(m - k, j) of the
+    package's Euler-number and Stirling tables, in O(n^3)."""
+    scale = _order_scale(alpha)
+    euler = [_euler_numerator(k, alpha) for k in range(n + 1)]
+    stirling = [_stirling_row(i) for i in range(n + 1)]
+    rows = []
+    for m in range(n + 1):
+        z = [0] * (m + 1)
+        for k in range(m + 1):
+            c = comb(m, k) * euler[k] * scale ** (m - k)
+            if c:
+                for j, s in enumerate(stirling[m - k]):
+                    z[j] += c * s
+        rows.append(tuple(z))
+    return rows

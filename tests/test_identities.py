@@ -15,6 +15,7 @@ from belleuler.identities import (
     Grid,
     IdentityReport,
     NEGATIVE_CONTROLS,
+    _stirling_weight,
     check_T3_3,
     check_T3_4,
     check_T4_1,
@@ -143,6 +144,43 @@ def test_T3_3_member_table_cannot_hide_a_wrong_member(monkeypatch):
         assert report.counterexample.params == {"n": 2, "alpha": "1"}
     monkeypatch.undo()
     assert check_T3_3(grid).passed
+
+
+def _stirling_fault(monkeypatch):
+    # S2(4, 2) off by one; the rows above it grow from the wrong row
+    rows = [seq._stirling_row(i) for i in range(5)]
+    rows[4] = rows[4][:2] + (rows[4][2] + 1,) + rows[4][3:]
+    monkeypatch.setattr(seq, "_stirling_rows", rows)
+
+
+def _euler_fault(monkeypatch):
+    # E_3^(a) off by one in its numerator, at every order
+    true_numerator = seq._euler_numerator
+    monkeypatch.setattr(seq, "_euler_numerator",
+                        lambda k, a: true_numerator(k, a) + (k == 3))
+
+
+@pytest.mark.parametrize("inject", [_stirling_fault, _euler_fault],
+                         ids=["stirling", "euler"])
+def test_T3_3_and_T3_4_catch_a_wrong_table_entry(monkeypatch, inject):
+    # the members' x = 0 rows read neither table, so a wrong Stirling or
+    # Euler entry reaches the right sides of T3_3 and T3_4 only
+    memos = (seq._euler_numerator, seq._bell_euler_poly, seq._special_case,
+             _stirling_weight)
+    monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
+    monkeypatch.setattr(seq, "_member_rows", {})
+    try:
+        for memo in memos:
+            memo.cache_clear()
+        inject(monkeypatch)
+        for check in (check_T3_3, check_T3_4):
+            assert not check(Grid(n_max=8)).passed
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+        monkeypatch.undo()
+    for check in (check_T3_3, check_T3_4):
+        assert check(Grid(n_max=8)).passed
 
 
 def test_T4_3_classical_reduction_to_n_10():

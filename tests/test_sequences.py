@@ -1,6 +1,8 @@
 """Dual-path tests for every sequence family: the closed-form values
 must match recurrence oracles and brute-force enumeration exactly."""
 
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -190,16 +192,57 @@ class TestBellEuler:
         for (n, a), member in built.items():
             assert seq.bell_euler_poly(n, a) == member
 
-    def test_x0_rows_grow_the_stirling_rows_they_read(self, monkeypatch):
-        # the order's Euler numerators are memoized while the Stirling triangle
-        # is back at row 0: the rows must still read rows 1..n of the triangle
-        alpha = F(7, 11)
+    def test_x0_rows_match_the_euler_number_convolution(self):
+        # the three-term recurrence against the T3_4 convolution at x = 0
+        for alpha in (0, 1, 2, -1, -7, 1200, F(1, 2), F(-5, 3), F(7, 11),
+                      F(-9973, 9967)):
+            assert seq._bell_euler_rows(96, alpha)[:97] == \
+                oracles.convolution_rows(96, alpha)
+
+    def test_x0_rows_read_no_stirling_row_or_euler_number(self, monkeypatch):
+        # T3_3 and T3_4 hold each member against the Euler-number and
+        # Stirling tables, so the members must be built without them
+        orders = (0, 1, 3, -2, F(1, 2), F(-5, 3), F(7, 11))
+        built = {(n, a): seq.bell_euler_poly(n, a) for a in orders for n in range(41)}
+
+        def refuse(*args):
+            raise AssertionError("an x = 0 row read a table")
+
+        monkeypatch.setattr(seq, "_stirling_row", refuse)
+        monkeypatch.setattr(seq, "_euler_numerator", refuse)
         monkeypatch.setattr(seq, "_member_rows", {})
-        expected = list(seq._bell_euler_rows(8, alpha))
-        monkeypatch.setattr(seq, "_member_rows", {})
-        monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
-        assert seq._bell_euler_rows(8, alpha) == expected
-        assert len(seq._stirling_rows) == 9
+        seq._bell_euler_poly.cache_clear()
+        for (n, a), member in built.items():
+            assert seq.bell_euler_poly(n, a) == member
+
+    def test_x0_rows_grow_safely_from_threads(self):
+        # six threads build members of one fresh order at interleaved
+        # degrees, so they grow its one row table together; a lost or
+        # doubled row would leave a wrong member or a wrong row count
+        alpha = F(13, 173)  # an order no other test builds
+        assert alpha not in seq._member_rows
+        results, switch = {}, sys.getswitchinterval()
+
+        def work(k):
+            results[k] = {n: seq.bell_euler_poly(n, alpha) for n in range(k, 41, 6)}
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads) and len(results) == 6
+        rows = seq._member_rows.pop(alpha)
+        assert len(rows) == 41
+        seq._bell_euler_poly.cache_clear()
+        for members in results.values():
+            for n, member in members.items():
+                assert member == seq.bell_euler_poly(n, alpha)
+        assert rows == seq._member_rows[alpha]
 
     def test_a_sweep_builds_each_x0_row_once(self):
         alpha = F(11, 131)  # an order no other test builds
