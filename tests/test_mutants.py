@@ -1,0 +1,138 @@
+"""What each registry check catches: a seeded mutation matrix.
+
+Each fault below is injected into one private builder of the engine, every
+process-lifetime table is cleared around it, and the registry (negative
+control excluded) runs at ``Grid(n_max=8)``.  The test pins the set of
+checks that fail under each fault, so a change that makes a check blind to
+a fault it used to catch, or a refactor of the check layer that changes
+what any check sees, fails here.  A check that is missing from a set holds
+for the faulty engine: ``R4_2``, ``T4_2`` and ``T5_1`` hold for any Appell
+sequence, and ``integral`` for any polynomial.
+"""
+
+import inspect
+
+import pytest
+
+from belleuler import algebra, identities, umbral
+from belleuler import sequences as seq
+from belleuler.algebra import Poly
+from belleuler.cli import REGISTRY
+from belleuler.identities import NEGATIVE_CONTROLS, Grid
+
+CHECK_IDS = [i for i in REGISTRY if i not in NEGATIVE_CONTROLS]
+
+
+def _every_check_but(*ids):
+    return set(CHECK_IDS) - set(ids)
+
+
+def _mutate(monkeypatch, module, name, old, new):
+    # recompile one function of ``module`` with ``old`` replaced by ``new``,
+    # in the module's own globals, so its callers reach the faulty copy
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, f"{old!r} not found once in {name}"
+    scope = {}
+    exec(compile(source.replace(old, new), module.__file__, "exec"),
+         vars(module), scope)
+    monkeypatch.setattr(module, name, scope[name])
+
+
+def _stirling_entry(monkeypatch):
+    # S2(4, 2) + 1; the rows above it grow from the wrong row
+    rows = [seq._stirling_row(i) for i in range(5)]
+    rows[4] = rows[4][:2] + (rows[4][2] + 1,) + rows[4][3:]
+    monkeypatch.setattr(seq, "_stirling_rows", rows)
+
+
+def _euler_numerator(monkeypatch):
+    # E_3^(a) + 1 at every order: its numerator over scale^3 gains scale^3
+    true_numerator = seq._euler_numerator
+    monkeypatch.setattr(seq, "_euler_numerator", lambda k, a: (
+        true_numerator(k, a) + (k == 3) * seq._order_scale(a) ** 3))
+
+
+def _row_recurrence(monkeypatch):
+    # the three-term recurrence of the hybrid x = 0 rows with 3j for 3j+1
+    _mutate(monkeypatch, seq, "_bell_euler_rows", "3 * j + 1", "3 * j")
+
+
+def _appell_binomial(monkeypatch):
+    # C(4, 1) + 1 in the Appell builder of every polynomial family
+    _mutate(monkeypatch, seq, "_appell", "comb(n, m)",
+            "(comb(n, m) + ((n, m) == (4, 1)))")
+
+
+def _special_case_row(monkeypatch):
+    # the x = 0 member of special_case (and of h's coefficients) at n = 3, plus y
+    true_special = seq._special_case
+    monkeypatch.setattr(seq, "_special_case", lambda n, a, y_sign=1: (
+        true_special(n, a, y_sign) + (seq.Y if n == 3 else 0)))
+
+
+def _subs_polynomial_image(monkeypatch):
+    # the polynomial image kind of Poly.subs (x+1, x+z, x1+x2): its square + 1
+    true_powers = algebra._powers
+
+    def powers(image, top):
+        table = list(true_powers(image, top))
+        if len(table) > 2:
+            table[2] = table[2] + 1
+        return table
+    monkeypatch.setattr(algebra, "_powers", powers)
+
+
+def _kernel_drops_an_item(monkeypatch):
+    # sum_of_products forgets the last of three or more items
+    true_sum = Poly.sum_of_products.__func__
+
+    def dropping(cls, names, items):
+        items = list(items)
+        return true_sum(cls, names, items[:-1] if len(items) >= 3 else items)
+    monkeypatch.setattr(Poly, "sum_of_products", classmethod(dropping))
+
+
+MATRIX = {
+    "stirling_entry": (_stirling_entry, {
+        "T3_3", "T3_4", "T3_5", "T4_3", "T4_4_corrected", "orthogonality",
+        "multinomial", "roundtrip"}),
+    "euler_numerator": (_euler_numerator, {
+        "T3_3", "T3_4", "T4_3", "multinomial"}),
+    "row_recurrence": (_row_recurrence, {
+        "T3_3", "T3_4", "T3_5", "T4_1", "T4_4_corrected", "orthogonality",
+        "roundtrip"}),
+    "appell_binomial": (_appell_binomial,
+                        _every_check_but("T5_2", "integral", "multinomial")),
+    "special_case_row": (_special_case_row, {
+        "T3_5", "T4_4_corrected", "orthogonality", "multinomial", "roundtrip"}),
+    "subs_polynomial_image": (_subs_polynomial_image, {
+        "T4_1", "R4_2", "T4_2", "T4_3", "integral"}),
+    "kernel_drops_an_item": (_kernel_drops_an_item,
+                             _every_check_but("T4_3", "T5_1", "T5_2")),
+}
+
+
+def _memos():
+    # every lru_cache of the package's builder and check modules
+    return [f for module in (seq, identities, umbral)
+            for f in vars(module).values()
+            if callable(getattr(f, "cache_clear", None))]
+
+
+@pytest.mark.parametrize("fault", MATRIX)
+def test_each_fault_fails_exactly_its_checks(monkeypatch, fault):
+    inject, expected = MATRIX[fault]
+    memos = _memos()
+    monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
+    monkeypatch.setattr(seq, "_member_rows", {})
+    monkeypatch.setattr(algebra, "_power_tables", {})
+    try:
+        for memo in memos:
+            memo.cache_clear()
+        inject(monkeypatch)
+        failing = {i for i in CHECK_IDS if not REGISTRY[i](Grid(n_max=8)).passed}
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+        monkeypatch.undo()
+    assert failing == expected
