@@ -463,12 +463,10 @@ class Poly:
         return Fraction(self._num.get(_pack(exps, len(self.names)), 0), self._den)
 
     def coefficient_in(self, var, k: int) -> "Poly":
-        """Coefficient of ``var**k`` as a polynomial in the remaining variables."""
-        shift = self._shift(var)
-        drop = k << shift
-        num = {key - drop: c for key, c in self._num.items()
-               if (key >> shift) & _FIELD_MASK == k}
-        return Poly._make(self.names, num, self._den)
+        """Coefficient of ``var**k`` as a polynomial in the remaining
+        variables: the column of :meth:`columns`, or zero."""
+        column = self.columns(var).get(k)
+        return column if column is not None else Poly.zero(self.names)
 
     def columns(self, var) -> "dict[int, Poly]":
         """``{k: coefficient_in(var, k)}`` for every k whose column is

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, partial
+from itertools import product
 from math import comb
 
 from .algebra import Poly
@@ -92,12 +93,32 @@ def run_cases(check_id: str, cases) -> IdentityReport:
     return IdentityReport(check_id, checked, None, time.perf_counter() - start)
 
 
+def json_order(value):
+    """A grid value as the reports print it: an int stays a JSON int, a
+    Fraction becomes its "p/q" string and a string stays as it is."""
+    return value if isinstance(value, int) else str(value)
+
+
+def product_cases(pair, **axes):
+    """(params, thunk) for ``pair(*point)`` over the product of the named
+    axes, the first outermost: the one case generator of every grid check
+    but ``roundtrip``, whose params come from seeded draws.
+
+    A param whose name starts with ``alpha`` prints as ``str(value)``, any
+    other as :func:`json_order`.  The thunks are evaluated in order by
+    :func:`run_cases`, so the first failing point is grid-minimal; a check
+    sees only what its ``pair`` reads, and ``tests/test_mutants.py`` pins
+    which seeded engine faults each check fails.
+    """
+    for point in product(*axes.values()):
+        params = {name: str(value) if name.startswith("alpha") else json_order(value)
+                  for name, value in zip(axes, point)}
+        yield params, partial(pair, *point)
+
+
 def _grid_cases(grid: Grid, pair_fn):
     n_max, alphas = grid.resolve()
-    for n in range(n_max + 1):
-        for alpha in alphas:
-            yield ({"n": n, "alpha": str(alpha)},
-                   lambda n=n, a=alpha: pair_fn(n, a))
+    return product_cases(pair_fn, n=range(n_max + 1), alpha=alphas)
 
 
 def check_T3_3(grid: Grid = Grid()) -> IdentityReport:
@@ -169,14 +190,8 @@ def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
             for k in range(n + 1)))
         return lhs, rhs
 
-    def cases():
-        for n in range(n_max + 1):
-            for a1 in alphas:
-                for a2 in alphas:
-                    params = {"n": n, "alpha1": str(a1), "alpha2": str(a2)}
-                    yield params, (lambda n=n, a1=a1, a2=a2: ring_pair(n, a1, a2))
-
-    return run_cases("T4_1", cases())
+    return run_cases("T4_1", product_cases(
+        ring_pair, n=range(n_max + 1), alpha1=alphas, alpha2=alphas))
 
 
 def check_R4_2(grid: Grid = Grid()) -> IdentityReport:
@@ -207,25 +222,16 @@ def check_T4_3(grid: Grid = Grid()) -> IdentityReport:
     shadow).  At a = 1 this is the bivariate Bell polynomial and the
     classical 'average equals x^n' relation."""
     n_max, alphas = grid.resolve(alphas_default=(1,))
-    euler = cache(seq.euler_poly_order)
+    members = {"bivariate": seq.bell_euler_poly,
+               "classical": cache(seq.euler_poly_order)}
 
-    def average(member):
-        return (member.subs({"x": seq.X + 1}) + member) / 2
-
-    def cases():
-        for n in range(n_max + 1):
-            for a in alphas:
-                params = {"n": n, "alpha": str(a)}
-                yield ({**params, "part": "bivariate"},
-                       lambda n=n, a=a: (seq.bell_euler_poly(n, a - 1),
-                                         average(seq.bell_euler_poly(n, a))))
-                yield ({**params, "part": "classical"},
-                       lambda n=n, a=a: (euler(n, a - 1), average(euler(n, a))))
-
-    return run_cases("T4_3", cases())
+    def pair(n, a, part):
+        lower, member = members[part](n, a - 1), members[part](n, a)
+        return lower, (member.subs({"x": seq.X + 1}) + member) / 2
+    return run_cases("T4_3", product_cases(
+        pair, n=range(n_max + 1), alpha=alphas, part=members))
 
 
-@lru_cache(maxsize=None)
 def _stirling_weight(j: int) -> Poly:
     # sum_k (x)_k S2(j, k): the change of basis from falling factorials
     return Poly.sum_of_products(seq.NAMES, (
@@ -235,10 +241,15 @@ def _stirling_weight(j: int) -> Poly:
 
 def check_T4_4_corrected(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial rebuilt from its x=0 family through the
-    falling-factorial/Stirling change of basis (the index-corrected form)."""
+    falling-factorial/Stirling change of basis (the index-corrected form).
+    It reads no Euler number and no ``subs``, so a wrong Euler number or a
+    wrong substitution passes it."""
+    # the weights recur across grid points; the table dies with this call
+    weight = cache(_stirling_weight)
+
     def pair(n, a):
         rhs = Poly.sum_of_products(seq.NAMES, (
-            (comb(n, j), _stirling_weight(j), seq.special_case(n - j, a))
+            (comb(n, j), weight(j), seq.special_case(n - j, a))
             for j in range(n + 1)))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T4_4_corrected", _grid_cases(grid, pair))
@@ -248,11 +259,14 @@ def check_T4_4_literal(grid: Grid = Grid()) -> IdentityReport:
     """Negative control: the uncorrected form whose summand keeps the degree-n
     member independent of the summation index.  Not an identity; the k-sum is
     finite because the Stirling factors vanish for k > j.  Expected to fail
-    with a counterexample at n = 1."""
+    with a counterexample at n = 1; the mutation matrix, which pins the
+    checks meant to pass, leaves it out."""
+    weight = cache(_stirling_weight)
+
     def pair(n, a):
         base = seq.special_case(n, a)
         rhs = Poly.sum_of_products(seq.NAMES, (
-            (comb(n, j), _stirling_weight(j), base) for j in range(n + 1)))
+            (comb(n, j), weight(j), base) for j in range(n + 1)))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T4_4_literal", _grid_cases(grid, pair))
 

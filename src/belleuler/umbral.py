@@ -23,11 +23,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, factorial
 
 from .algebra import Poly
-from .identities import Grid, IdentityReport, run_cases
+from .identities import Grid, IdentityReport, json_order, product_cases, run_cases
 from . import sequences as seq
 
 
@@ -128,11 +128,6 @@ class AppellContext:
                      for k in range(self.order + 1))
 
 
-def _json_order(mu):
-    # an integer order stays a JSON int; a rational one is its "p/q" string
-    return mu if isinstance(mu, int) else str(mu)
-
-
 def appell_inverse_apply(mu, n: int) -> Poly:
     """(1/h(t)) x^n: the umbral route to the degree-n member of order mu."""
     return apply_operator(AppellContext.create(mu, n).h_inverse, Poly.gen("x") ** n)
@@ -147,7 +142,7 @@ class AppellExpansion:
 
     def to_json_dict(self):
         return {
-            "mu": _json_order(self.mu),
+            "mu": json_order(self.mu),
             "coeffs": [c.pretty() for c in self.coeffs],
         }
 
@@ -167,18 +162,6 @@ def reconstruct(expansion: AppellExpansion) -> Poly:
     return Poly.sum_of_products(seq.NAMES, (
         _item(1, b, seq.bell_euler_poly(k, expansion.mu))
         for k, b in enumerate(expansion.coeffs)))
-
-
-def _orthogonality_cases(ctx: AppellContext, n_max: int):
-    """<h(t) t^k | S_n> = n! delta_{n,k} over the full (n, k) square."""
-    for n in range(n_max + 1):
-        # BE_n is split into its x-columns once, for every k
-        columns = seq.bell_euler_poly(n, ctx.mu).columns("x")
-        for k in range(n_max + 1):
-            def pair_nk(n=n, k=k, columns=columns):
-                lhs = _pair_columns(ctx.functionals[k], columns, seq.NAMES)
-                return lhs, Poly.constant(factorial(n) if n == k else 0)
-            yield {"mu": _json_order(ctx.mu), "n": n, "k": k}, pair_nk
 
 
 def integral_via_operator(n: int, z, alpha=1):
@@ -241,13 +224,21 @@ def validate_orders(check_ids, alphas) -> None:
 
 
 def check_orthogonality(grid: Grid = Grid()) -> IdentityReport:
+    """<h(t) t^k | BE_n^(mu)> = n! delta_{n,k} over the full (n, k) square,
+    for each order mu.  It reads no Euler number and no ``subs``, so a wrong
+    Euler number or a wrong substitution passes it."""
     n_max, mus = grid.resolve(6, (1, 2, 3))
+    mus = [seq.validate_order(mu) for mu in mus]
+    # each order's h is truncated once, and each member split into its
+    # x-columns once for every k; both tables die with this call
+    context = cache(lambda mu: AppellContext.create(mu, n_max))
+    columns = cache(lambda n, mu: seq.bell_euler_poly(n, mu).columns("x"))
 
-    def cases():
-        for mu in mus:
-            yield from _orthogonality_cases(AppellContext.create(mu, n_max), n_max)
-
-    return run_cases("orthogonality", cases())
+    def pair(mu, n, k):
+        lhs = _pair_columns(context(mu).functionals[k], columns(n, mu), seq.NAMES)
+        return lhs, Poly.constant(factorial(n) if n == k else 0)
+    degrees = range(n_max + 1)
+    return run_cases("orthogonality", product_cases(pair, mu=mus, n=degrees, k=degrees))
 
 
 INTEGRAL_Z_VALUES = (Fraction(1), Fraction(1, 2), Fraction(-2, 3))
@@ -256,30 +247,19 @@ INTEGRAL_Z_VALUES = (Fraction(1), Fraction(1, 2), Fraction(-2, 3))
 def check_integral(grid: Grid = Grid()) -> IdentityReport:
     n_max, alphas = grid.resolve(8, (1,))
 
-    def cases():
-        for n in range(n_max + 1):
-            for a in alphas:
-                for z in INTEGRAL_Z_VALUES:
-                    params = {"n": n, "alpha": str(a), "z": str(z)}
-                    yield ({**params, "form": "operator"},
-                           lambda n=n, z=z, a=a: integral_via_operator(n, z, a))
-                    yield ({**params, "form": "pairing"},
-                           lambda n=n, z=z, a=a: integral_pairing_form(n, z, a))
+    forms = {"operator": integral_via_operator, "pairing": integral_pairing_form}
 
-    return run_cases("integral", cases())
+    def pair(n, a, z, form):
+        return forms[form](n, z, a)
+    return run_cases("integral", product_cases(
+        pair, n=range(n_max + 1), alpha=alphas, z=INTEGRAL_Z_VALUES, form=forms))
 
 
 def check_multinomial(grid: Grid = Grid()) -> IdentityReport:
     n_max, alphas = grid.resolve(8, (2, 3))
     mus = tuple(_part_count(mu) for mu in alphas)
-
-    def cases():
-        for n in range(n_max + 1):
-            for mu in mus:
-                yield ({"n": n, "mu": mu},
-                       lambda n=n, mu=mu: multinomial_decomposition(n, mu))
-
-    return run_cases("multinomial", cases())
+    return run_cases("multinomial", product_cases(
+        multinomial_decomposition, n=range(n_max + 1), mu=mus))
 
 
 ROUNDTRIP_COUNT = 100
@@ -311,7 +291,7 @@ def check_roundtrip(grid: Grid = Grid()) -> IdentityReport:
 
             def roundtrip(q=q, mu=mu):
                 return q, reconstruct(expand_in_appell(q, mu))
-            yield ({"instance": index, "mu": _json_order(mu), "degree": degree},
+            yield ({"instance": index, "mu": json_order(mu), "degree": degree},
                    roundtrip)
 
     return run_cases("roundtrip", cases())

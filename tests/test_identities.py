@@ -15,7 +15,6 @@ from belleuler.identities import (
     Grid,
     IdentityReport,
     NEGATIVE_CONTROLS,
-    _stirling_weight,
     check_T3_3,
     check_T3_4,
     check_T4_1,
@@ -165,8 +164,7 @@ def _euler_fault(monkeypatch):
 def test_T3_3_and_T3_4_catch_a_wrong_table_entry(monkeypatch, inject):
     # the members' x = 0 rows read neither table, so a wrong Stirling or
     # Euler entry reaches the right sides of T3_3 and T3_4 only
-    memos = (seq._euler_numerator, seq._bell_euler_poly, seq._special_case,
-             _stirling_weight)
+    memos = (seq._euler_numerator, seq._bell_euler_poly, seq._special_case)
     monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
     monkeypatch.setattr(seq, "_member_rows", {})
     try:

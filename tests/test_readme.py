@@ -2,10 +2,12 @@
 each quoted ``expand`` output is what the CLI prints, so a changed signature
 or output fails here instead of leaving the docs stale."""
 
+import inspect
 import re
 import shlex
 from pathlib import Path
 
+from belleuler import cli
 from belleuler.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -22,3 +24,49 @@ def test_quoted_expand_outputs(capsys):
     for command, output in examples:
         assert main(shlex.split(command)) == 0
         assert capsys.readouterr().out == output + "\n"
+
+
+# each MAX_* constant of cli.py, the first cell of its README "Limits" row,
+# and the next size measured over it
+LIMIT_ROWS = {
+    "MAX_COMPUTE_N": ("`compute --n`", "n 384"),
+    "MAX_TABLE_N": ("`table --n-max`", "n-max 128"),
+    "MAX_VERIFY_N": ("`verify --n-max`", None),
+    "MAX_EXPAND_DEGREE": ("degree of an `expand` literal", "degree 128"),
+    "MAX_ORDER_DIGITS": ("digits of the numerator", "5 digits"),
+    "MAX_VERIFY_ALPHAS": ("length of the `verify --alphas` list", "48 orders"),
+}
+FIGURE = re.compile(r"\b\d+(?:\.\d+)? (?:s|MB)\b")
+
+
+def _limit_rows():
+    section, = re.findall(r"^### Limits\n(.*?)^###? ", README, re.M | re.S)
+    rows = [line.strip("|").split(" | ")
+            for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0][0].strip() == "input"
+    return [[cell.strip() for cell in row] for row in rows[1:]]
+
+
+def _limit_comments():
+    source = Path(inspect.getsourcefile(cli)).read_text()
+    return {name: (int(value), comment) for name, value, comment in
+            re.findall(r"^(MAX_\w+) = (\d+) +# (.*)$", source, re.M)}
+
+
+def test_limits_table_and_cli_comments_name_each_constant():
+    rows, comments = _limit_rows(), _limit_comments()
+    assert sorted(comments) == sorted(LIMIT_ROWS)
+    assert len(rows) == len(LIMIT_ROWS)
+    for name, (label, next_size) in LIMIT_ROWS.items():
+        row, = [r for r in rows if r[0].startswith(label)]
+        value, comment = comments[name]
+        assert value == getattr(cli, name)
+        assert row[1] == str(value), name
+        # the comment's figures are the README row's, and so is the next size
+        assert set(FIGURE.findall(comment)) <= set(FIGURE.findall(" ".join(row[2:]))), name
+        measured_next = re.search(r"\(([^():]+):[^()]*\)$", comment)
+        if next_size is None:
+            assert measured_next is None and row[3] == "", name
+        else:
+            assert measured_next.group(1) == next_size, name
+            assert re.match(rf"{re.escape(next_size)}\b", row[3]), name
