@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
-import io
 import json
 import re
 import sys
@@ -42,17 +41,17 @@ FAMILIES = {
 _JSON_COMPACT = {"separators": (",", ":")}
 
 # The largest size each command accepts, so that a mistyped size is refused
-# at once instead of running for minutes.  Each is the largest measured size
-# whose slowest case stays near 10 s of CPU and 200 MB (Python 3.11, 2 vCPUs;
-# README, "Limits"), far below the exponent ceiling of the packed keys.
+# at once instead of running for minutes.  Each but MAX_TABLE_N, which waits
+# for a bounded member memo, is the largest measured size whose slowest case
+# stays near 10 s of CPU and 200 MB (Python 3.11, 2 vCPUs; README, "Limits").
 MAX_COMPUTE_N = 256       # bell-euler at order -5/3: 0.6 s, 72 MB (n 384: 202 MB)
-MAX_TABLE_N = 96          # bell-euler at order -5/3: 1.2 s, 79 MB (n-max 128: 198 MB)
+MAX_TABLE_N = 96          # bell-euler at order -5/3: csv 1.4 s, pretty 55 MB (n-max 128: 4.0 s, 119 MB)
 MAX_VERIFY_N = 24         # verify --all: 6.3 s, 96 MB
 MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 2.9 s, 52 MB (degree 128: 10 s)
 MAX_VERIFY_ALPHAS = 32    # verify --n-max 10, orders j/97: 10.8 s, 58 MB (48 orders: 20 s)
 # digits of the numerator, and of the denominator, of a compute/table --alpha
 # or an expand --mu; verify --alphas is not bounded by it
-MAX_ORDER_DIGITS = 4      # at -9973/9967: table n-max 96 178 MB, expand 8.4 s (5 digits: 206 MB)
+MAX_ORDER_DIGITS = 4      # at -9973/9967: compute 156 MB, expand 8.4 s (5 digits: expand 11 s)
 
 
 class UsageError(Exception):
@@ -95,20 +94,11 @@ def _text(value) -> str:
     return value.pretty() if isinstance(value, Poly) else format_fraction(value)
 
 
-def _serialize_value(value, fmt: str) -> str:
-    if fmt == "json":
-        map_or_text = value.to_json_map() if isinstance(value, Poly) \
-            else format_fraction(value)
-        return json.dumps(map_or_text, **_JSON_COMPACT)
-    return _text(value)
-
-
-def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _csv_text(header, rows) -> None:
+    """Write the header, then each row as the iterable yields it, to stdout."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
 
 
 def _flag(args, name: str, needed: bool):
@@ -142,9 +132,12 @@ def cmd_compute(args) -> int:
     k = _flag(args, "k", flag == "k")
     value = generate(args.n, *params) if k is None else generate(args.n, k)
     if args.format == "csv":
-        print(_csv_text(["n", "value"], [[args.n, _text(value)]]))
+        _csv_text(["n", "value"], [[args.n, _text(value)]])
+    elif args.format == "json":
+        print(json.dumps(value.to_json_map() if isinstance(value, Poly)
+                         else format_fraction(value), **_JSON_COMPACT))
     else:
-        print(_serialize_value(value, args.format))
+        print(_text(value))
     return 0
 
 
@@ -155,23 +148,29 @@ def cmd_table(args) -> int:
     _within(n_max, MAX_TABLE_N, "--n-max")
     generate, flag, params = _family(args)
 
+    # each row is built as it is written, after every refusal
     if flag == "k":
         header = ["n"] + [f"k={k}" for k in range(n_max + 1)]
-        rows = [[n] + [_text(generate(n, k)) for k in range(n_max + 1)]
-                for n in range(n_max + 1)]
+        rows = ([n] + [_text(generate(n, k)) for k in range(n_max + 1)]
+                for n in range(n_max + 1))
     else:
         header = ["n", "value"]
-        rows = [[n, _text(generate(n, *params))] for n in range(n_max + 1)]
+        rows = ([n, _text(generate(n, *params))] for n in range(n_max + 1))
 
     if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        print(json.dumps(payload, **_JSON_COMPACT))
+        # the bytes of one compact json.dumps of the list of row objects
+        sys.stdout.write("[")
+        for i, row in enumerate(rows):
+            sys.stdout.write(("," if i else "") + json.dumps(
+                dict(zip(header, row)), **_JSON_COMPACT))
+        print("]")
     elif args.format == "pretty":
+        rows = list(rows)  # every cell is padded to the widest of them all
         width = max(len(str(cell)) for row in rows for cell in row)
         for row in rows:
             print("  ".join(str(cell).rjust(width) for cell in row))
     else:
-        print(_csv_text(header, rows))
+        _csv_text(header, rows)
     return 0
 
 

@@ -36,7 +36,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
+from math import comb, prod
 
 from .algebra import EXPONENT_CEILING, FIELD_BITS, Poly
 
@@ -55,10 +55,15 @@ def validate_order(alpha):
     return alpha
 
 
+def _count(value, name: str) -> int:
+    """A degree or block count: a non-negative int, not a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+    return value
+
+
 def _degree(n: int) -> int:
-    if n < 0:
-        raise ValueError("degree n must be non-negative")
-    if n >= EXPONENT_CEILING:
+    if _count(n, "degree n") >= EXPONENT_CEILING:
         # the builders below write packed keys, which hold smaller exponents
         raise ValueError(f"degree n must be below {EXPONENT_CEILING}")
     return n
@@ -188,15 +193,13 @@ def euler_number_order(n: int, alpha) -> Fraction:
 
 def stirling2_poly(n: int, k: int) -> Poly:
     """n-th polynomial of (e^t - 1)^k / k! * e^{xt}."""
-    if k < 0:
-        raise ValueError("block count k must be non-negative")
+    _count(k, "block count k")
     return _appell(_degree(n), lambda m: (_stirling_row(m)[k] if k <= m else 0,))
 
 
 def stirling2_number(n: int, k: int) -> Fraction:
     """Partitions of an n-set into k nonempty blocks."""
-    if k < 0:
-        raise ValueError("block count k must be non-negative")
+    _count(k, "block count k")
     row = _stirling_row(n)
     return Fraction(row[k] if k <= n else 0)
 
@@ -212,12 +215,8 @@ def bell_euler_number(n: int, alpha) -> Fraction:
 
 def falling_factorial(k: int) -> Poly:
     """x(x-1)...(x-k+1); the empty product is 1."""
-    if k < 0:
-        raise ValueError("falling factorial length k must be non-negative")
-    result = Poly.constant(1)
-    for i in range(k):
-        result = result * (X - i)
-    return result
+    return prod((X - i for i in range(_count(k, "falling factorial length k"))),
+                start=Poly.constant(1))
 
 
 @lru_cache(maxsize=None)

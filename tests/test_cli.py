@@ -88,6 +88,34 @@ class TestTableGoldens:
             {"n": 0, "value": "1"}, {"n": 1, "value": "1"},
             {"n": 2, "value": "2"}, {"n": 3, "value": "5"}]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_are_written_as_they_are_built(self, run_cli, capsys,
+                                                monkeypatch, fmt):
+        # when row n is built, rows 0..n-1 are already on stdout: for json,
+        # "[" and the first n rows' compact dumps, joined by ","
+        argv = ("table", "--family", "bell-number", "--n-max", "5",
+                "--format", fmt)
+        code, full, _ = run_cli(*argv)
+        assert code == 0
+        if fmt == "csv":
+            lines = full.splitlines(keepends=True)
+            prefixes = ["".join(lines[:n + 1]) for n in range(6)]
+        else:
+            dumps = [json.dumps(row, separators=(",", ":"))
+                     for row in json.loads(full)]
+            prefixes = ["[" + ",".join(dumps[:n]) for n in range(6)]
+        written = []
+
+        def spy(n):
+            written.append(capsys.readouterr().out)
+            return seq.bell_number(n)
+
+        monkeypatch.setitem(cli.FAMILIES, "bell-number", spy)
+        code, rest, _ = run_cli(*argv)
+        assert code == 0
+        assert ["".join(written[:n + 1]) for n in range(6)] == prefixes
+        assert "".join(written) + rest == full
+
 
 class TestExpandGoldens:
     def test_expand_x(self, run_cli):

@@ -1,6 +1,8 @@
 """The README's examples run as written: its Library block executes, and
 each quoted ``expand`` output is what the CLI prints, so a changed signature
-or output fails here instead of leaving the docs stale."""
+or output fails here instead of leaving the docs stale.  Its "Limits" table
+is held to the ``MAX_*`` constants of cli.py, and the registry's last column
+to the mutation matrix of test_mutants.py."""
 
 import inspect
 import re
@@ -9,6 +11,7 @@ from pathlib import Path
 
 from belleuler import cli
 from belleuler.cli import main
+from test_mutants import CHECK_IDS, MATRIX
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -70,3 +73,45 @@ def test_limits_table_and_cli_comments_name_each_constant():
         else:
             assert measured_next.group(1) == next_size, name
             assert re.match(rf"{re.escape(next_size)}\b", row[3]), name
+
+
+# the README's label for each fault of tests/test_mutants.py's matrix
+FAULT_LABELS = {
+    "Stirling entry": "stirling_entry",
+    "Euler number": "euler_numerator",
+    "row recurrence": "row_recurrence",
+    "`_appell` binomial": "appell_binomial",
+    "`special_case` row": "special_case_row",
+    "`subs` image": "subs_polynomial_image",
+    "kernel item": "kernel_drops_an_item",
+}
+
+
+def _registry_cells():
+    # {check id: its "seeded faults it passes under" cell}; the statement
+    # cells may hold " | " themselves, so the id and the cell are the ends
+    section, = re.findall(r"^### Identity registry\n(.*?)^The last column",
+                          README, re.M | re.S)
+    cells = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            check_id = re.match(r"\| `(\w+)` \|", line).group(1)
+            cells[check_id] = line.rstrip(" |").rsplit(" | ", 1)[1]
+    return cells
+
+
+def test_registry_column_names_the_faults_each_check_passes_under():
+    cells = _registry_cells()
+    assert sorted(cells) == sorted(cli.REGISTRY)
+    for check_id, cell in cells.items():
+        labels = cell.partition(": ")[0].split("; ")
+        if labels == ["none"]:
+            labels = []
+        assert set(labels) <= set(FAULT_LABELS) and \
+            len(set(labels)) == len(labels), (check_id, cell)
+        if check_id in CHECK_IDS:
+            passes_under = {fault for fault, (_, failing) in MATRIX.items()
+                            if check_id not in failing}
+        else:
+            passes_under = set()   # a negative control is not in the matrix
+        assert {FAULT_LABELS[label] for label in labels} == passes_under, check_id

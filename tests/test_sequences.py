@@ -333,3 +333,23 @@ def test_negative_degree_rejected():
                      lambda n: seq.bell_euler_poly(n, 2)):
         with pytest.raises(ValueError):
             generate(-1)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("bell_euler_poly", (2.0, 1)), ("bell_euler_poly", (True, F(1, 2))),
+    ("special_case", (F(2), 1)), ("euler_poly_order", ("3", 1)),
+    ("euler_number_order", (3.0, 1)), ("bell_number", (4.0,)),
+    ("bell_poly", (4.0,)), ("bivariate_bell", (False,)),
+    ("stirling2_number", (3.0, 1)), ("stirling2_number", (3, 1.0)),
+    ("stirling2_number", (3, "1")), ("stirling2_poly", (3.0, 1)),
+    ("stirling2_poly", (3, True)), ("falling_factorial", (2.0,)),
+    ("falling_factorial", (True,))])
+def test_non_int_degree_or_count_rejected_before_any_table_grows(monkeypatch, name,
+                                                                 args):
+    # as for orders: a float, a str or a bool is not an int, and the shared
+    # tables are left as they were
+    monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
+    monkeypatch.setattr(seq, "_member_rows", {})
+    with pytest.raises(ValueError, match="must be a non-negative int"):
+        getattr(seq, name)(*args)
+    assert seq._stirling_rows == [(1,)] and seq._member_rows == {}
