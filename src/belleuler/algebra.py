@@ -86,11 +86,19 @@ def _format_ratio(num: int, den: int) -> str:
 
 
 def _as_fraction(value) -> Fraction:
+    """The one exact-scalar rule: an int or a Fraction, never a bool."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise ValueError(f"exact scalar required, got {type(value).__name__}")
+
+
+def _count(value, name: str) -> int:
+    """The one count rule: a non-negative int, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+    return value
 
 
 def _pack(exps, nvars: int) -> int:
@@ -100,9 +108,7 @@ def _pack(exps, nvars: int) -> int:
         raise ValueError("exponent tuple does not match variables")
     key = 0
     for i, e in enumerate(exps):
-        if isinstance(e, bool) or not isinstance(e, int):
-            raise ValueError(f"exponent must be an int, got {e!r}")
-        if not 0 <= e < EXPONENT_CEILING:
+        if _count(e, "exponent") >= EXPONENT_CEILING:
             raise ValueError(f"exponent {e} outside 0..{EXPONENT_CEILING - 1}")
         key |= e << (FIELD_BITS * i)
     return key
@@ -268,7 +274,7 @@ class Poly:
         names = tuple(names)
         work, den, products = [], 1, False
         for c, a, b in items:
-            if not isinstance(c, (int, Fraction)):
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                 raise ValueError(f"exact scalar required, got {type(c).__name__}")
             if a.names != names or (b is not None and b.names != names):
                 raise ValueError(f"variable mismatch: expected {names}")
@@ -412,8 +418,7 @@ class Poly:
         return self._scaled(-q, -p) if p < 0 else self._scaled(q, p)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
+        exponent = _count(exponent, "exponent")
         result = Poly.constant(1, self.names)
         base = self
         while exponent:
@@ -731,8 +736,6 @@ class CoefficientRing:
         return Fraction(1) if self.names is None else Poly.constant(1, self.names)
 
     def coerce(self, value):
-        if isinstance(value, float):
-            raise ValueError("floats are not exact; use Fraction")
         if self.names is None:
             if isinstance(value, Poly):
                 raise ValueError("polynomial coefficient in a rational series")

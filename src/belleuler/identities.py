@@ -15,7 +15,7 @@ from functools import cache, partial
 from itertools import product
 from math import comb
 
-from .algebra import Poly
+from .algebra import Poly, _count
 from . import sequences as seq
 
 DEFAULT_N_MAX = 8
@@ -23,10 +23,10 @@ DEFAULT_ALPHAS = (0, 1, 2, 3)
 
 
 def validate_n_max(n_max: int) -> int:
-    """The grid-size rule every identity check applies: n_max >= 1."""
-    if n_max < 1:
+    """The grid-size rule every identity check applies: a count of at least 1."""
+    if isinstance(n_max, int) and n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return n_max
+    return _count(n_max, "n_max")
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,13 @@ class Grid:
     alphas: "tuple | None" = None
 
     def resolve(self, n_default=DEFAULT_N_MAX, alphas_default=DEFAULT_ALPHAS):
-        n_max = self.n_max if self.n_max is not None else n_default
+        """(n_max, orders) from the grid or the check's defaults, validated
+        once, so that every check refuses a bad grid before its first case."""
+        n_max = validate_n_max(self.n_max if self.n_max is not None else n_default)
         alphas = self.alphas if self.alphas is not None else alphas_default
-        validate_n_max(n_max)
         if not alphas:
             raise ValueError("alpha list must be non-empty")
-        return n_max, tuple(alphas)
+        return n_max, tuple(map(seq.validate_order, alphas))
 
 
 @dataclass(frozen=True)
@@ -282,11 +283,18 @@ def check_T5_1(grid: Grid = Grid()) -> IdentityReport:
 
 
 def check_T5_2(grid: Grid = Grid()) -> IdentityReport:
-    """d/dy acts as -2 times the difference between consecutive orders."""
+    """d/dy acts as -2 times the difference between consecutive orders.
+    The order-(a-1) member is built as T3_5's right side, from
+    ``special_case`` and powers of x, so it shares no builder with the member."""
+    # the powers of x recur across grid points; the table dies with this call
+    power = cache(seq.X.__pow__)
+
     def pair(n, a):
-        lhs = seq.bell_euler_poly(n, a).derivative("y")
-        rhs = -2 * (seq.bell_euler_poly(n, a) - seq.bell_euler_poly(n, a - 1))
-        return lhs, rhs
+        member = seq.bell_euler_poly(n, a)
+        lower = Poly.sum_of_products(seq.NAMES, (
+            (comb(n, k), seq.special_case(k, a - 1), power(n - k))
+            for k in range(n + 1)))
+        return member.derivative("y"), -2 * (member - lower)
     return run_cases("T5_2", _grid_cases(grid, pair))
 
 

@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, prod
 
-from .algebra import EXPONENT_CEILING, FIELD_BITS, Poly
+from .algebra import EXPONENT_CEILING, FIELD_BITS, Poly, _as_fraction, _count
 
 NAMES = ("x", "y")
 X = Poly.gen("x", NAMES)
@@ -46,20 +46,10 @@ Y = Poly.gen("y", NAMES)
 
 
 def validate_order(alpha):
-    """Normalize the family order: exact int or Fraction only."""
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction)):
-        raise ValueError(
-            f"order must be an exact int or Fraction, got {type(alpha).__name__}")
-    if isinstance(alpha, Fraction) and alpha.denominator == 1:
-        return int(alpha)
-    return alpha
-
-
-def _count(value, name: str) -> int:
-    """A degree or block count: a non-negative int, not a bool or a float."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
-    return value
+    """Normalize the family order, an exact scalar of
+    :func:`.algebra._as_fraction`: an integral order becomes an int."""
+    alpha = _as_fraction(alpha)
+    return alpha.numerator if alpha.denominator == 1 else alpha
 
 
 def _degree(n: int) -> int:
@@ -210,7 +200,9 @@ def bell_euler_poly(n: int, alpha) -> Poly:
 
 
 def bell_euler_number(n: int, alpha) -> Fraction:
-    return special_case(n, alpha).evaluate({"x": 0, "y": 1})
+    """BE_n^(alpha)(0; 1): the sum of the x = 0 row of ``bell_euler_poly``."""
+    n, alpha = _degree(n), validate_order(alpha)
+    return Fraction(sum(_bell_euler_rows(n, alpha)[n]), _order_scale(alpha) ** n)
 
 
 def falling_factorial(k: int) -> Poly:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, factorial
 
-from .algebra import Poly
+from .algebra import Poly, _as_fraction, _count
 from .identities import Grid, IdentityReport, json_order, product_cases, run_cases
 from . import sequences as seq
 
@@ -78,17 +78,11 @@ def apply_operator(coeffs, q: Poly) -> Poly:
     return Poly.sum_of_products(q.names, items)
 
 
-def _exact_z(z) -> Fraction:
-    # a float or a string would be converted silently, so neither is taken
-    if isinstance(z, bool) or not isinstance(z, (int, Fraction)):
-        raise ValueError(f"z must be an exact int or Fraction, got {type(z).__name__}")
-    return Fraction(z)
-
-
 def difference_quotient_operator(z, order: int) -> tuple:
     """The series (e^{zt} - 1)/t to t^order: coefficient z^(k+1)/(k+1)!."""
-    z = _exact_z(z)
-    return tuple(z ** (k + 1) / factorial(k + 1) for k in range(order + 1))
+    z = _as_fraction(z)
+    return tuple(z ** (k + 1) / factorial(k + 1)
+                 for k in range(_count(order, "truncation order") + 1))
 
 
 @dataclass(frozen=True)
@@ -102,11 +96,7 @@ class AppellContext:
 
     @classmethod
     def create(cls, mu, order: int) -> "AppellContext":
-        mu = seq.validate_order(mu)
-        if isinstance(order, bool) or not isinstance(order, int) or order < 0:
-            raise ValueError(
-                f"truncation order must be a non-negative int, got {order!r}")
-        return cls(mu, order)
+        return cls(seq.validate_order(mu), _count(order, "truncation order"))
 
     @cached_property
     def h(self) -> tuple:
@@ -167,7 +157,7 @@ def reconstruct(expansion: AppellExpansion) -> Poly:
 def integral_via_operator(n: int, z, alpha=1):
     """Both routes to the running integral of the order-alpha family member:
     exact antiderivative from x to x+z, and the (e^{zt}-1)/t operator."""
-    z = _exact_z(z)
+    z = _as_fraction(z)
     member = seq.bell_euler_poly(n, alpha)
     anti = member.antiderivative("x")
     lhs = anti.subs({"x": seq.X + z}) - anti
@@ -178,7 +168,7 @@ def integral_via_operator(n: int, z, alpha=1):
 def integral_pairing_form(n: int, z, alpha=1):
     """Corollary form: the integral from 0 to z equals the pairing of
     (e^{zt}-1)/t against the member, read as a polynomial in x."""
-    z = _exact_z(z)
+    z = _as_fraction(z)
     member = seq.bell_euler_poly(n, alpha)
     anti = member.antiderivative("x")
     lhs = anti.subs({"x": z}) - anti.subs({"x": 0})
@@ -201,9 +191,11 @@ def multinomial_decomposition(n: int, mu: int):
     weighted by order-1 Euler numbers, grouped by the last part i:
     rhs = sum_i C(n,i) (n-i)! g_(n-i) BE_i^(1)(0; y), where g_m is the t^m
     coefficient of f^(mu-1), f_k = E_k^(1)/k!, from J. C. P. Miller's power
-    recurrence g_m = (1/m) sum_(k=1..m) (mu k - m) f_k g_(m-k), O(n^2)."""
+    recurrence g_m = (1/m) sum_(k=1..m) (mu k - m) f_k g_(m-k), O(n^2).
+    The left side is the x = 0 column of the member ``bell_euler_poly``;
+    the right side reads ``special_case`` at order 1 and Euler numbers."""
     mu = _part_count(mu)
-    lhs = seq.special_case(n, mu)
+    lhs = seq.bell_euler_poly(n, mu).coefficient_in("x", 0)
     f = [seq.euler_number_order(k, 1) / factorial(k) for k in range(n + 1)]
     g = [Fraction(1)]
     for m in range(1, n + 1):
@@ -228,7 +220,6 @@ def check_orthogonality(grid: Grid = Grid()) -> IdentityReport:
     for each order mu.  It reads no Euler number and no ``subs``, so a wrong
     Euler number or a wrong substitution passes it."""
     n_max, mus = grid.resolve(6, (1, 2, 3))
-    mus = [seq.validate_order(mu) for mu in mus]
     # each order's h is truncated once, and each member split into its
     # x-columns once for every k; both tables die with this call
     context = cache(lambda mu: AppellContext.create(mu, n_max))
@@ -279,9 +270,8 @@ def random_rational_poly(rng: random.Random, degree: int) -> Poly:
 def check_roundtrip(grid: Grid = Grid()) -> IdentityReport:
     """Expansion followed by reconstruction returns the input exactly, for
     seeded random rational polynomials cycling through the grid's orders."""
-    max_degree, alphas = grid.resolve(8, (1, 2, 3))
+    max_degree, mus = grid.resolve(8, (1, 2, 3))
     rng = random.Random(ROUNDTRIP_SEED)
-    mus = [seq.validate_order(mu) for mu in alphas]
 
     def cases():
         for index in range(ROUNDTRIP_COUNT):

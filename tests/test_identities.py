@@ -3,12 +3,15 @@ overridable, and the negative control fails exactly as documented."""
 
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 from math import factorial
 
 import pytest
 
+from belleuler import identities, umbral
 from belleuler import sequences as seq
 from belleuler.algebra import Poly
+from belleuler.cli import REGISTRY
 from belleuler.identities import (
     CHECKS,
     Counterexample,
@@ -22,7 +25,9 @@ from belleuler.identities import (
     check_T4_4_corrected,
     check_T4_4_literal,
     check_T5_1,
+    validate_n_max,
 )
+from belleuler.umbral import AppellContext, difference_quotient_operator
 
 POSITIVE_IDS = [i for i in CHECKS if i not in NEGATIVE_CONTROLS]
 
@@ -56,6 +61,46 @@ def test_grid_validation():
         CHECKS["T3_3"](Grid(n_max=0))
     with pytest.raises(ValueError):
         CHECKS["T3_3"](Grid(alphas=()))
+
+
+_X = Poly.gen("x")
+# (call, a fragment of its message): a bool is no exact scalar and no count,
+# a float no count, and a grid with an inexact order is refused whole
+_BAD_INPUTS = {
+    "Poly.constant(True)": (lambda: Poly.constant(True), "exact scalar"),
+    "x * True": (lambda: _X * True, "exact scalar"),
+    "x ** True": (lambda: _X ** True, "non-negative int"),
+    "subs x=True": (lambda: _X.subs({"x": True}), "exact scalar"),
+    "evaluate x=True": (lambda: _X.evaluate({"x": True, "y": 1}), "exact scalar"),
+    "validate_n_max(True)": (lambda: validate_n_max(True), "non-negative int"),
+    **{f"{check_id} n_max=2.5": (partial(check, Grid(n_max=2.5)), "non-negative int")
+       for check_id, check in REGISTRY.items()},
+    **{f"{check_id} alphas=(3/2, 1.5)": (
+        partial(check, Grid(alphas=(F(3, 2), 1.5))), "exact")
+       for check_id, check in REGISTRY.items()},
+    "difference_quotient_operator(1, -1)": (
+        lambda: difference_quotient_operator(1, -1), "non-negative int"),
+    "difference_quotient_operator(1, 2.5)": (
+        lambda: difference_quotient_operator(1, 2.5), "non-negative int"),
+    "AppellContext.create(1, True)": (
+        lambda: AppellContext.create(1, True), "non-negative int"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_INPUTS)
+def test_bad_input_is_refused_before_any_work(monkeypatch, case):
+    # each input rule lives once in algebra, and every layer refuses before
+    # a shared table grows or a check evaluates its first case
+    call, message = _BAD_INPUTS[case]
+    monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
+    monkeypatch.setattr(seq, "_member_rows", {})
+    cases_run = []
+    for module in (identities, umbral):
+        monkeypatch.setattr(module, "run_cases", lambda *args: cases_run.append(args))
+    with pytest.raises(ValueError, match=message):
+        call()
+    assert seq._stirling_rows == [(1,)] and seq._member_rows == {}
+    assert cases_run == []
 
 
 class TestNegativeControl:

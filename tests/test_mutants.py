@@ -94,21 +94,22 @@ def _kernel_drops_an_item(monkeypatch):
 
 MATRIX = {
     "stirling_entry": (_stirling_entry, {
-        "T3_3", "T3_4", "T3_5", "T4_3", "T4_4_corrected", "orthogonality",
-        "multinomial", "roundtrip"}),
+        "T3_3", "T3_4", "T3_5", "T4_3", "T4_4_corrected", "T5_2",
+        "orthogonality", "multinomial", "roundtrip"}),
     "euler_numerator": (_euler_numerator, {
         "T3_3", "T3_4", "T4_3", "multinomial"}),
     "row_recurrence": (_row_recurrence, {
-        "T3_3", "T3_4", "T3_5", "T4_1", "T4_4_corrected", "orthogonality",
-        "roundtrip"}),
+        "T3_3", "T3_4", "T3_5", "T4_1", "T4_4_corrected", "T5_2",
+        "orthogonality", "multinomial", "roundtrip"}),
     "appell_binomial": (_appell_binomial,
-                        _every_check_but("T5_2", "integral", "multinomial")),
+                        _every_check_but("integral", "multinomial")),
     "special_case_row": (_special_case_row, {
-        "T3_5", "T4_4_corrected", "orthogonality", "multinomial", "roundtrip"}),
+        "T3_5", "T4_4_corrected", "T5_2", "orthogonality", "multinomial",
+        "roundtrip"}),
     "subs_polynomial_image": (_subs_polynomial_image, {
         "T4_1", "R4_2", "T4_2", "T4_3", "integral"}),
     "kernel_drops_an_item": (_kernel_drops_an_item,
-                             _every_check_but("T4_3", "T5_1", "T5_2")),
+                             _every_check_but("T4_3", "T5_1")),
 }
 
 

@@ -307,8 +307,8 @@ class TestSpecialCases:
 
     def test_x_zero(self):
         assert seq.special_case(2, 0) == Y**2 + Y
-        # special_case and bell_euler_number have their own closed form; both
-        # match the x^0 column of the full member
+        # special_case has its own closed form, and bell_euler_number sums
+        # the member's x = 0 row; both match the x^0 column of the member
         for alpha in (0, 1, 2, 3, -1, F(1, 2), F(-5, 3)):
             for n in range(17):
                 member = seq.bell_euler_poly(n, alpha)
