@@ -21,7 +21,6 @@ from .umbral import (
     CHECKS as UMBRAL_CHECKS,
     AppellContext,
     AppellExpansion,
-    appell_inverse_apply,
     apply_operator,
     expand_in_appell,
     pair,
@@ -34,7 +33,7 @@ __all__ = [
     "AppellContext", "AppellExpansion", "CoefficientRing", "Counterexample",
     "Grid", "IdentityReport", "IDENTITY_CHECKS",
     "Poly", "QQ", "Series", "UMBRAL_CHECKS", "XY",
-    "appell_inverse_apply", "apply_operator", "bell_euler_number",
+    "apply_operator", "bell_euler_number",
     "bell_euler_poly", "bell_number", "bell_poly", "bivariate_bell",
     "euler_number_order", "euler_poly_order", "expand_in_appell",
     "falling_factorial", "format_fraction", "pair", "parse_fraction",

@@ -158,9 +158,12 @@ def check_T3_5(grid: Grid = Grid()) -> IdentityReport:
     recurrence; ``special_case`` reads the same rows off its falling-product
     form over one Stirling row, so the check holds two distinct closed
     forms."""
+    # the x = 0 members recur across grid points; the table dies with this call
+    special = cache(seq.special_case)
+
     def pair(n, a):
         rhs = Poly.sum_of_products(seq.NAMES, (
-            (comb(n, k), seq.special_case(k, a), seq.X ** (n - k))
+            (comb(n, k), special(k, a), seq.X ** (n - k))
             for k in range(n + 1)))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T3_5", _grid_cases(grid, pair))
@@ -245,12 +248,12 @@ def check_T4_4_corrected(grid: Grid = Grid()) -> IdentityReport:
     falling-factorial/Stirling change of basis (the index-corrected form).
     It reads no Euler number and no ``subs``, so a wrong Euler number or a
     wrong substitution passes it."""
-    # the weights recur across grid points; the table dies with this call
-    weight = cache(_stirling_weight)
+    # the weights and x = 0 members recur across grid points, in per-call tables
+    weight, special = cache(_stirling_weight), cache(seq.special_case)
 
     def pair(n, a):
         rhs = Poly.sum_of_products(seq.NAMES, (
-            (comb(n, j), weight(j), seq.special_case(n - j, a))
+            (comb(n, j), weight(j), special(n - j, a))
             for j in range(n + 1)))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T4_4_corrected", _grid_cases(grid, pair))
@@ -286,13 +289,13 @@ def check_T5_2(grid: Grid = Grid()) -> IdentityReport:
     """d/dy acts as -2 times the difference between consecutive orders.
     The order-(a-1) member is built as T3_5's right side, from
     ``special_case`` and powers of x, so it shares no builder with the member."""
-    # the powers of x recur across grid points; the table dies with this call
-    power = cache(seq.X.__pow__)
+    # the powers of x and x = 0 members recur across grid points, in per-call tables
+    power, special = cache(seq.X.__pow__), cache(seq.special_case)
 
     def pair(n, a):
         member = seq.bell_euler_poly(n, a)
         lower = Poly.sum_of_products(seq.NAMES, (
-            (comb(n, k), seq.special_case(k, a - 1), power(n - k))
+            (comb(n, k), special(k, a - 1), power(n - k))
             for k in range(n + 1)))
         return member.derivative("y"), -2 * (member - lower)
     return run_cases("T5_2", _grid_cases(grid, pair))

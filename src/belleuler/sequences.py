@@ -21,9 +21,10 @@ the row before it by a three-term recurrence of the generating function
 Stirling triangle, so the T3_3 and T3_4 checks hold each member against
 tables that did not build it.  An order's rows are kept and cost O(n^2) in
 all; a sweep of members 0..n still costs O(n^3), because ``_appell`` writes
-each member in O(n^2).  ``special_case`` reads the same Z_n(y) off a third
-closed form, a falling product over one Stirling row; the T3_5 check holds
-the two against each other, so the members never read ``special_case``.
+each member in O(n^2).  The umbral layer reads the same rows, at y -> -y,
+for its base series h.  ``special_case`` reads Z_n(y) off a third closed
+form, a falling product over one Stirling row: it is the checks' oracle
+(T3_5 holds the two against each other), and no production path reads it.
 
 The recurrence path uses only binomials and triangle recurrences.  Tests hold
 the two against each other, against brute-force enumeration, and against the
@@ -211,28 +212,32 @@ def falling_factorial(k: int) -> Poly:
                 start=Poly.constant(1))
 
 
-@lru_cache(maxsize=None)
-def _special_case(n: int, alpha, y_sign: int = 1) -> Poly:
-    """BE_n^(alpha)(0; y_sign y) from one Stirling row, in O(n^2).  Its series
-    is (1+u)^mu e^{2yu} = sum_i C(mu, i) u^i e^{2yu} with u = (e^t-1)/2 and
+def _negated_y_rows(n: int, alpha) -> list:
+    """[BE_m^(alpha)(0; -y) for m <= n]: the x = 0 rows of
+    ``_bell_euler_rows`` with a sign (-1)^j on each y^j."""
+    scale, rows = _order_scale(alpha), _bell_euler_rows(n, alpha)[:n + 1]
+    return [_poly({j << FIELD_BITS: (-1) ** j * c for j, c in enumerate(row)}, scale ** m)
+            for m, row in enumerate(rows)]
+
+
+def special_case(n: int, alpha) -> Poly:
+    """BE_n^(alpha)(0; y), the x = 0 member, from one Stirling row in O(n^2):
+    the checks' oracle for the rows of ``bell_euler_poly``.  Its series is
+    (1+u)^mu e^{2yu} = sum_i C(mu, i) u^i e^{2yu} with u = (e^t-1)/2 and
     mu = -alpha = p/q, so the y^m coefficient is
-    y_sign^m sum_j S2(n, j) C(j, m) f_(j-m) (2q)^(n-j+m) / (2q)^n,
+    sum_j S2(n, j) C(j, m) f_(j-m) (2q)^(n-j+m) / (2q)^n,
     f_i = p (p-q) ... (p-(i-1)q) = q^i i! C(mu, i)."""
+    n, alpha = _degree(n), validate_order(alpha)
     p, q = -Fraction(alpha).numerator, Fraction(alpha).denominator
     scale = _order_scale(alpha)
     falling = [1]
     for i in range(n):
         falling.append(falling[-1] * (p - i * q))
     row = _stirling_row(n)
-    return _poly({m << FIELD_BITS: y_sign ** m * sum(
+    return _poly({m << FIELD_BITS: sum(
                       row[j] * comb(j, m) * falling[j - m] * scale ** (n - j + m)
                       for j in range(m, n + 1))
                   for m in range(n + 1)}, scale ** n)
-
-
-def special_case(n: int, alpha) -> Poly:
-    """The x = 0 specialization of the hybrid family, a polynomial in y."""
-    return _special_case(_degree(n), validate_order(alpha))
 
 
 # -- recurrence / summation path ------------------------------------------

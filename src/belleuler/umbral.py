@@ -12,10 +12,10 @@ x^n reproduces the family, and <h t^k | .> extracts expansion coefficients.
 The parameter y is carried formally, as a polynomial generator, and mu may
 be any exact order.
 
-1/h generates the x = 0 members BE_k^(mu)(0; y), and h generates
-BE_k^(-mu)(0; -y): both are read off :func:`.sequences.special_case`, so
-the expansion takes mu alone and only the orthogonality pairing truncates h.
-The tests hold h and 1/h against the ``Series`` engine of :mod:`.algebra`.
+h generates BE_k^(-mu)(0; -y): the x = 0 rows that build the members, at
+the opposite order and y sign, so the expansion takes mu alone and only
+the orthogonality pairing truncates h.  The tests hold h against the
+``Series`` engine of :mod:`.algebra`.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def difference_quotient_operator(z, order: int) -> tuple:
 @dataclass(frozen=True)
 class AppellContext:
     """Invertible base series h for the order-mu Bell-based Euler family,
-    truncated at t^order; h, 1/h and the functionals are coefficient tuples
+    truncated at t^order; h and the functionals are coefficient tuples
     built on first read."""
 
     mu: "int | Fraction"
@@ -101,14 +101,8 @@ class AppellContext:
     @cached_property
     def h(self) -> tuple:
         """h(t) = ((e^t+1)/2)^mu e^{-y(e^t-1)} generates BE^(-mu)(0; -y)."""
-        return tuple(seq._special_case(k, -self.mu, -1) / factorial(k)
-                     for k in range(self.order + 1))
-
-    @cached_property
-    def h_inverse(self) -> tuple:
-        """1/h(t) generates the x = 0 members BE^(mu)(0; y)."""
-        return tuple(seq.special_case(k, self.mu) / factorial(k)
-                     for k in range(self.order + 1))
+        return tuple(row / factorial(k) for k, row in
+                     enumerate(seq._negated_y_rows(self.order, -self.mu)))
 
     @cached_property
     def functionals(self) -> tuple:
@@ -116,11 +110,6 @@ class AppellContext:
         the k-th Appell coefficient."""
         return tuple((0,) * k + self.h[:len(self.h) - k]
                      for k in range(self.order + 1))
-
-
-def appell_inverse_apply(mu, n: int) -> Poly:
-    """(1/h(t)) x^n: the umbral route to the degree-n member of order mu."""
-    return apply_operator(AppellContext.create(mu, n).h_inverse, Poly.gen("x") ** n)
 
 
 @dataclass(frozen=True)
@@ -142,10 +131,11 @@ def expand_in_appell(q: Poly, mu) -> AppellExpansion:
     q_n: the closed form of (1/k!) <h(t) t^k | q>, the pairing the tests use."""
     mu = seq.validate_order(mu)
     columns = q.columns("x")
+    top = max(columns, default=0)
+    rows = seq._negated_y_rows(top, -mu)
     return AppellExpansion(mu, tuple(Poly.sum_of_products(q.names, (
-        (comb(n, k), seq._special_case(n - k, -mu, -1), q_n)
-        for n, q_n in columns.items() if n >= k))
-        for k in range(max(columns, default=0) + 1)))
+        (comb(n, k), rows[n - k], q_n) for n, q_n in columns.items() if n >= k))
+        for k in range(top + 1)))
 
 
 def reconstruct(expansion: AppellExpansion) -> Poly:

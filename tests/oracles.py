@@ -1,18 +1,21 @@
 """Independent oracles used by the tests: recurrences, closed sums, and
 brute-force enumeration only, apart from ``convolution_rows``, which reads
-the package's Euler-number and Stirling tables.  Nothing here touches the
-package's series engine; polynomials are plain dicts
-{(deg_x, deg_y): Fraction} so comparisons against ``Poly.terms`` stay
-honest.  The ``dict_*`` helpers are a reference polynomial arithmetic on
-such dicts, in any number of variables, with one Fraction per coefficient
-and no shared denominator.
+the package's Euler-number and Stirling tables, and the umbral route to the
+members, ``h_inverse`` and ``appell_inverse_apply``, which reads
+``special_case``.  Nothing here touches the package's series engine;
+polynomials are plain dicts {(deg_x, deg_y): Fraction} so comparisons
+against ``Poly.terms`` stay honest.  The ``dict_*`` helpers are a reference
+polynomial arithmetic on such dicts, in any number of variables, with one
+Fraction per coefficient and no shared denominator.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 
-from belleuler.sequences import _euler_numerator, _order_scale, _stirling_row
+from belleuler.algebra import Poly
+from belleuler.sequences import _euler_numerator, _order_scale, _stirling_row, special_case
+from belleuler.umbral import AppellContext, apply_operator
 
 
 def bell_triangle(n_max):
@@ -308,3 +311,16 @@ def convolution_rows(n, alpha):
                     z[j] += c * s
         rows.append(tuple(z))
     return rows
+
+
+def h_inverse(context):
+    """1/h(t) of an ``AppellContext``: it generates the x = 0 members
+    BE^(mu)(0; y), read off ``special_case`` and not off the rows that
+    build the members and h."""
+    return tuple(special_case(k, context.mu) / factorial(k)
+                 for k in range(context.order + 1))
+
+
+def appell_inverse_apply(mu, n):
+    """(1/h(t)) x^n: the umbral route to the degree-n member of order mu."""
+    return apply_operator(h_inverse(AppellContext.create(mu, n)), Poly.gen("x") ** n)

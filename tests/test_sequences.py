@@ -10,6 +10,9 @@ import pytest
 import oracles
 from belleuler import sequences as seq
 from belleuler.algebra import Poly
+from belleuler.identities import Grid
+from belleuler.umbral import (AppellContext, check_orthogonality, check_roundtrip,
+                              expand_in_appell)
 
 X, Y = Poly.gens("x", "y")
 
@@ -186,11 +189,38 @@ class TestBellEuler:
             raise AssertionError("a member read special_case")
 
         monkeypatch.setattr(seq, "special_case", refuse)
-        monkeypatch.setattr(seq, "_special_case", refuse)
         seq._bell_euler_poly.cache_clear()
         seq._member_rows.clear()
         for (n, a), member in built.items():
             assert seq.bell_euler_poly(n, a) == member
+
+    def test_production_paths_never_read_special_case(self, monkeypatch):
+        # special_case is the checks' oracle for the x = 0 rows, so expand,
+        # the base series h and the umbral checks read the members' rows
+        # instead.  Its falling product reads a Stirling row, which these
+        # paths never need, so that refuses too, and every memo is cleared
+        # so that no value built before the patch hides a read
+        orders = (1, F(1, 2), F(-5, 3))
+        q = X**7 - F(2, 3) * X**4 * Y + F(5, 11) * X - 3
+        expanded = {mu: expand_in_appell(q, mu) for mu in orders}
+        h = {mu: AppellContext.create(mu, 9).h for mu in orders}
+
+        def refuse(*args):
+            raise AssertionError("a production path read special_case")
+
+        monkeypatch.setattr(seq, "special_case", refuse)
+        monkeypatch.setattr(seq, "_stirling_row", refuse)
+        monkeypatch.setattr(seq, "_member_rows", {})
+        for memo in vars(seq).values():
+            if callable(getattr(memo, "cache_clear", None)):
+                memo.cache_clear()
+        for mu in orders:
+            assert expand_in_appell(q, mu) == expanded[mu]
+            assert AppellContext.create(mu, 9).h == h[mu]
+        grid = Grid(n_max=6, alphas=orders)
+        orthogonality = check_orthogonality(grid)
+        assert orthogonality.passed and orthogonality.checked == 3 * 49
+        assert check_roundtrip(grid).passed
 
     def test_x0_rows_match_the_euler_number_convolution(self):
         # the three-term recurrence against the T3_4 convolution at x = 0
@@ -316,12 +346,18 @@ class TestSpecialCases:
                 assert seq.bell_euler_number(n, alpha) == \
                     member.evaluate({"x": 0, "y": 1})
 
-    def test_memo_keys_on_normalized_arguments(self):
-        # equal orders share an entry, distinct orders do not
+    def test_memo_keys_on_normalized_arguments(self, monkeypatch):
+        # equal orders share an entry of the x = 0 row table, distinct
+        # orders do not, and expand reads the rows at the opposite order
+        monkeypatch.setattr(seq, "_member_rows", {})
+        seq._bell_euler_poly.cache_clear()
         for n in range(6):
-            for alpha in (1, F(2, 2), 2, F(1, 2)):
+            for alpha in (1, F(2, 2)):
                 assert seq.special_case(n, alpha) == \
                     seq.bell_euler_poly(n, alpha).subs({"x": 0})
+        assert [(k, type(k)) for k in seq._member_rows] == [(1, int)]
+        expand_in_appell(X**3, F(4, 2))
+        assert [(k, type(k)) for k in seq._member_rows] == [(1, int), (-2, int)]
 
 
 def test_negative_degree_rejected():
