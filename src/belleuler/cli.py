@@ -1,5 +1,7 @@
 """Command-line front end: sequence values and tables, identity verification,
-and Appell-basis expansion, with machine-readable output.
+and Appell-basis expansion, with machine-readable output.  One table,
+COMMANDS, gives each command's handler and flags; ``parse`` reads argv off it
+and ``-h`` renders it, so a run imports no argparse.
 
 Exit codes: 0 = success / all checks pass, 1 = an identity check failed,
 2 = usage or parameter error.
@@ -7,13 +9,14 @@ Exit codes: 0 = success / all checks pass, 1 = an identity check failed,
 
 from __future__ import annotations
 
-import argparse
 import csv
 import inspect
 import json
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .algebra import Poly, format_fraction, parse_fraction
 from .identities import (CHECKS as IDENTITY_CHECKS, Grid, NEGATIVE_CONTROLS,
@@ -244,75 +247,112 @@ def cmd_expand(args) -> int:
     return 0
 
 
-# argparse reads "-5/3" as an option, so a negative rational needs the = form
+# a command's flag; kind is "value", "switch", "append" (a repeatable value)
+# or "positional", and a flag not given reads its default (False for a switch)
+Flag = namedtuple("Flag", "dest type required default choices kind help",
+                  defaults=(str, False, None, None, "value", ""))
+_FAMILY = Flag("family", required=True, choices=tuple(sorted(FAMILIES)), help="family name")
+_FORMATS = ("json", "csv", "pretty")
 _ORDER_HELP = "order, an integer or p/q; write a negative p/q as --{}=-5/3"
+_ALPHA = Flag("alpha", help=_ORDER_HELP.format("alpha"))
+
+# the parse table: command -> (handler, help, {option or positional: Flag})
+COMMANDS = {
+    "compute": (cmd_compute, "one family value", {
+        "--family": _FAMILY, "--n": Flag("n", int, required=True, help="index"),
+        "--alpha": _ALPHA, "--k": Flag("k", int, help="block count for stirling2 families"),
+        "--format": Flag("format", default="pretty", choices=_FORMATS)}),
+    "table": (cmd_table, "values for n = 0..n_max", {
+        "--family": _FAMILY, "--n-max": Flag("n_max", int, required=True, help="largest n"),
+        "--alpha": _ALPHA, "--format": Flag("format", default="csv", choices=_FORMATS)}),
+    "verify": (cmd_verify, "run identity checks; JSON reports on stdout", {
+        "--id": Flag("id", kind="append", help="registry id (repeatable); the "
+                     "negative control T4_4_literal only runs when named here"),
+        "--all": Flag("all", kind="switch", help="every check but negative controls"),
+        "--n-max": Flag("n_max", int, help="largest n of every check's grid"),
+        "--alphas": Flag("alphas", help="comma-separated integers or p/q; write "
+                         "a list that starts with a minus sign as --alphas=-1,2"),
+        "--parallel": Flag("parallel", kind="switch",
+                           help="accepted; checks run sequentially (same output)")}),
+    "expand": (cmd_expand, "expand a polynomial in the order-mu Appell basis", {
+        "--mu": Flag("mu", required=True, help=_ORDER_HELP.format("mu")),
+        "polynomial": Flag("polynomial", required=True, kind="positional",
+                           help='literal such as "x^3 - 2/3"')}),
+}
+_COMMAND = Flag("command", choices=tuple(COMMANDS))
+# argparse's rule: a token that starts with "-" is an option, unless it is
+# "-" alone, a negative number, or holds a space before any "="
+_OPTION = re.compile(r"-(?!\d+$|\d*\.\d+$)[^ =]+(=|$)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="belleuler",
-        description="Exact Bell/Euler polynomial families and identity checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_compute = sub.add_parser("compute", help="one family value")
-    p_compute.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p_compute.add_argument("--n", required=True, type=int)
-    p_compute.add_argument("--alpha", help=_ORDER_HELP.format("alpha"))
-    p_compute.add_argument("--k", type=int, help="block count for stirling2 families")
-    p_compute.add_argument("--format", default="pretty",
-                           choices=("json", "csv", "pretty"))
-    p_compute.set_defaults(func=cmd_compute)
-
-    p_table = sub.add_parser("table", help="values for n = 0..n_max")
-    p_table.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p_table.add_argument("--n-max", required=True, type=int, dest="n_max")
-    p_table.add_argument("--alpha", help=_ORDER_HELP.format("alpha"))
-    p_table.add_argument("--format", default="csv",
-                         choices=("json", "csv", "pretty"))
-    p_table.set_defaults(func=cmd_table)
-
-    p_verify = sub.add_parser(
-        "verify", help="run identity checks; JSON reports on stdout")
-    p_verify.add_argument("--id", action="append",
-                          help="registry id (repeatable); the negative control "
-                               "T4_4_literal only runs when named here")
-    p_verify.add_argument("--all", action="store_true",
-                          help="run every check except negative controls")
-    p_verify.add_argument("--n-max", type=int, dest="n_max")
-    p_verify.add_argument("--alphas",
-                          help="comma-separated integers or p/q; write a list "
-                               "that starts with a minus sign as --alphas=-1,2")
-    p_verify.add_argument("--parallel", action="store_true",
-                          help="accepted for compatibility; checks run "
-                               "sequentially (same output)")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_expand = sub.add_parser(
-        "expand", help="expand a polynomial in the order-mu Appell basis")
-    p_expand.add_argument("--mu", required=True, help=_ORDER_HELP.format("mu"))
-    p_expand.add_argument("polynomial", help='literal such as "x^3 - 2/3"')
-    p_expand.set_defaults(func=cmd_expand)
-
-    return parser
+def _value(name: str, flag: Flag, text: str):
+    try:
+        value = flag.type(text)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {flag.type.__name__} "
+                         f"value: {text!r}") from None
+    if flag.choices and value not in flag.choices:
+        raise UsageError(f"argument {name}: invalid choice: {value!r} (choose "
+                         f"from {', '.join(map(repr, flag.choices))})")
+    return value
 
 
-_session_parser = None
+def parse(argv):
+    """The handler and a fresh namespace for ``argv``, read off COMMANDS.
+    -h or --help gives the help handler; a usage error raises UsageError."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return _help, None
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    handler, _, flags = COMMANDS[_value("command", _COMMAND, argv[0])]
+    args = {f.dest: f.kind != "switch" and f.default for f in flags.values()}
+    positionals = [name for name, f in flags.items() if f.kind == "positional"]
+    tokens, options = iter(argv[1:]), True
+    for token in tokens:
+        if options and token == "--":  # every later token is a positional
+            options = False
+            continue
+        if options and token in ("-h", "--help"):
+            return _help, argv[0]
+        name, equals, text = (token.partition("=") if options and _OPTION.match(token)
+                              else (positionals.pop(0) if positionals else None, "=", token))
+        flag = flags.get(name)
+        if flag is None or (equals and flag.kind == "switch"):
+            raise UsageError(f"unrecognized arguments: {token}")
+        if not equals and flag.kind != "switch":
+            text = next(tokens, None)
+            if text is None or _OPTION.match(text):
+                raise UsageError(f"argument {name}: expected one argument")
+        value = True if flag.kind == "switch" else _value(name, flag, text)
+        args[flag.dest] = [*(args[flag.dest] or ()), value] if flag.kind == "append" else value
+    missing = [name for name, f in flags.items() if f.required and args[f.dest] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(**args)
 
 
-def _parser() -> argparse.ArgumentParser:
-    """build_parser()'s parser, built on the first main call and kept for
-    the process: every call parses into a fresh Namespace, and the tree of
-    subparsers, arguments and help texts never changes."""
-    global _session_parser
-    if _session_parser is None:
-        _session_parser = build_parser()
-    return _session_parser
+def _help(command) -> int:
+    """Print the --help text of one command, or of belleuler itself."""
+    if command is None:
+        print(f"usage: belleuler {{{','.join(COMMANDS)}}} ...\n\n" + "\n".join(
+            f"  {name:<9}{spec[1]}" for name, spec in COMMANDS.items()))
+        return 0
+    _, summary, flags = COMMANDS[command]
+    forms, lines = [], ["  -h, --help  show this help"]
+    for name, f in flags.items():
+        metavar = "{" + ",".join(f.choices) + "}" if f.choices else f.dest.upper()
+        form = name if f.kind in ("switch", "positional") else f"{name} {metavar}"
+        forms.append(form if f.required else f"[{form}]")
+        lines.append(f"  {form}  {f.help}" + (f" (default {f.default})" if f.default else ""))
+    print(f"usage: belleuler {command} [-h] {' '.join(forms)}", "", summary, "",
+          *lines, sep="\n")
+    return 0
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        handler, args = parse(sys.argv[1:] if argv is None else list(argv))
+        return handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import comb, factorial
 
 from .algebra import Poly, _as_fraction, _count
@@ -184,13 +184,18 @@ def multinomial_decomposition(n: int, mu: int):
     recurrence g_m = (1/m) sum_(k=1..m) (mu k - m) f_k g_(m-k), O(n^2).
     The left side is the x = 0 column of the member ``bell_euler_poly``;
     the right side reads ``special_case`` at order 1 and Euler numbers."""
+    return _multinomial_sides(n, mu, seq.special_case)
+
+
+def _multinomial_sides(n: int, mu: int, special):
+    # special(i, 1) is the order-1 x = 0 member, through the caller's table
     mu = _part_count(mu)
     lhs = seq.bell_euler_poly(n, mu).coefficient_in("x", 0)
     f = [seq.euler_number_order(k, 1) / factorial(k) for k in range(n + 1)]
     g = [Fraction(1)]
     for m in range(1, n + 1):
         g.append(sum((mu * k - m) * f[k] * g[m - k] for k in range(1, m + 1)) / m)
-    items = [(comb(n, i) * factorial(n - i) * g[n - i], seq.special_case(i, 1), None)
+    items = [(comb(n, i) * factorial(n - i) * g[n - i], special(i, 1), None)
              for i in range(n + 1)]
     return lhs, Poly.sum_of_products(seq.NAMES, items)
 
@@ -239,8 +244,10 @@ def check_integral(grid: Grid = Grid()) -> IdentityReport:
 def check_multinomial(grid: Grid = Grid()) -> IdentityReport:
     n_max, alphas = grid.resolve(8, (2, 3))
     mus = tuple(_part_count(mu) for mu in alphas)
-    return run_cases("multinomial", product_cases(
-        multinomial_decomposition, n=range(n_max + 1), mu=mus))
+    # the order-1 x = 0 members recur across grid points and orders; the
+    # table dies with this call
+    pair = partial(_multinomial_sides, special=cache(seq.special_case))
+    return run_cases("multinomial", product_cases(pair, n=range(n_max + 1), mu=mus))
 
 
 ROUNDTRIP_COUNT = 100

@@ -6,14 +6,19 @@ members, ``h_inverse`` and ``appell_inverse_apply``, which reads
 polynomials are plain dicts {(deg_x, deg_y): Fraction} so comparisons
 against ``Poly.terms`` stay honest.  The ``dict_*`` helpers are a reference
 polynomial arithmetic on such dicts, in any number of variables, with one
-Fraction per coefficient and no shared denominator.
+Fraction per coefficient and no shared denominator.  ``build_parser`` is the
+command line's argparse parser as it stood before ``cli.parse`` replaced it,
+the oracle of that table-driven parse.
 """
 
+import argparse
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 
 from belleuler.algebra import Poly
+from belleuler.cli import (FAMILIES, _ORDER_HELP, cmd_compute, cmd_expand, cmd_table,
+                           cmd_verify)
 from belleuler.sequences import _euler_numerator, _order_scale, _stirling_row, special_case
 from belleuler.umbral import AppellContext, apply_operator
 
@@ -324,3 +329,51 @@ def h_inverse(context):
 def appell_inverse_apply(mu, n):
     """(1/h(t)) x^n: the umbral route to the degree-n member of order mu."""
     return apply_operator(h_inverse(AppellContext.create(mu, n)), Poly.gen("x") ** n)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="belleuler",
+        description="Exact Bell/Euler polynomial families and identity checks.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_compute = sub.add_parser("compute", help="one family value")
+    p_compute.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    p_compute.add_argument("--n", required=True, type=int)
+    p_compute.add_argument("--alpha", help=_ORDER_HELP.format("alpha"))
+    p_compute.add_argument("--k", type=int, help="block count for stirling2 families")
+    p_compute.add_argument("--format", default="pretty",
+                           choices=("json", "csv", "pretty"))
+    p_compute.set_defaults(func=cmd_compute)
+
+    p_table = sub.add_parser("table", help="values for n = 0..n_max")
+    p_table.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    p_table.add_argument("--n-max", required=True, type=int, dest="n_max")
+    p_table.add_argument("--alpha", help=_ORDER_HELP.format("alpha"))
+    p_table.add_argument("--format", default="csv",
+                         choices=("json", "csv", "pretty"))
+    p_table.set_defaults(func=cmd_table)
+
+    p_verify = sub.add_parser(
+        "verify", help="run identity checks; JSON reports on stdout")
+    p_verify.add_argument("--id", action="append",
+                          help="registry id (repeatable); the negative control "
+                               "T4_4_literal only runs when named here")
+    p_verify.add_argument("--all", action="store_true",
+                          help="run every check except negative controls")
+    p_verify.add_argument("--n-max", type=int, dest="n_max")
+    p_verify.add_argument("--alphas",
+                          help="comma-separated integers or p/q; write a list "
+                               "that starts with a minus sign as --alphas=-1,2")
+    p_verify.add_argument("--parallel", action="store_true",
+                          help="accepted for compatibility; checks run "
+                               "sequentially (same output)")
+    p_verify.set_defaults(func=cmd_verify)
+
+    p_expand = sub.add_parser(
+        "expand", help="expand a polynomial in the order-mu Appell basis")
+    p_expand.add_argument("--mu", required=True, help=_ORDER_HELP.format("mu"))
+    p_expand.add_argument("polynomial", help='literal such as "x^3 - 2/3"')
+    p_expand.set_defaults(func=cmd_expand)
+
+    return parser

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from belleuler import cli
 from belleuler import sequences as seq
-from belleuler.cli import main, parse_x_polynomial
+from belleuler.cli import parse_x_polynomial
 from belleuler.algebra import Poly
 from belleuler.identities import Grid
 from fractions import Fraction as F
@@ -252,7 +253,8 @@ class TestVerify:
 
 
 class TestNegativeOrders:
-    # argparse takes "-5/3" and "-1,2" for options, so these need the = form
+    # a separate value may start with "-" only as a negative number, so "-5/3"
+    # and "-1,2" need the = form
     def test_alpha_equals_form(self, run_cli):
         code, out, _ = run_cli("compute", "--family", "euler", "--alpha=-5/3",
                                "--n", "2")
@@ -267,10 +269,14 @@ class TestNegativeOrders:
         report, = json.loads(out)
         assert code == 0 and report["pass"] is True and report["checked"] == 6
 
-    def test_separate_negative_rational_is_read_as_an_option(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["compute", "--family", "euler", "--alpha", "-5/3", "--n", "2"])
-        assert excinfo.value.code == 2
+    def test_separate_negative_rational_is_read_as_an_option(self, run_cli):
+        code, out, err = run_cli("compute", "--family", "euler", "--alpha", "-5/3",
+                                 "--n", "2")
+        assert code == 2 and out == ""
+        assert err == "error: argument --alpha: expected one argument\n"
+        # "--" ends the options, but not for a flag's value
+        code, out, err = run_cli("expand", "--mu", "--", "-5/3", "x")
+        assert code == 2 and out == "" and "expected one argument" in err
 
 
 class TestUsageErrors:
@@ -474,65 +480,60 @@ class TestUsageErrors:
             ran.append(check_id)
         assert ran == []
 
-    def test_unknown_family_is_argparse_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["compute", "--family", "fibonacci", "--n", "2"])
-        assert excinfo.value.code == 2
+    def test_unknown_family_is_argparse_error(self, run_cli):
+        # refused as argparse refused it, but main returns 2: no SystemExit
+        code, out, err = run_cli("compute", "--family", "fibonacci", "--n", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: argument --family: invalid choice: 'fibonacci'")
 
 
 class TestParserReuse:
-    """main builds its parser once per process; every call still behaves as
-    with a parser of its own."""
+    """main reads one parse table, built at import; every call parses into a
+    fresh namespace and behaves as the first call of a process would."""
 
-    @staticmethod
-    def _fresh_outcome(capsys, argv):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.build_parser().parse_args(argv)
-        return excinfo.value.code, capsys.readouterr()
-
-    @staticmethod
-    def _main_outcome(capsys, argv):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        return excinfo.value.code, capsys.readouterr()
-
-    def test_main_builds_the_parser_once(self, run_cli, monkeypatch):
-        built = []
-        build = cli.build_parser
-
-        def counting():
-            built.append(1)
-            return build()
-
-        monkeypatch.setattr(cli, "build_parser", counting)
-        monkeypatch.setattr(cli, "_session_parser", None)
+    def test_main_builds_the_parser_once(self, run_cli):
+        table = cli.COMMANDS
+        before = repr(table)
         assert run_cli("compute", "--family", "bell-number", "--n", "5")[:2] == (0, "52\n")
         assert run_cli("table", "--family", "stirling2", "--n-max", "4")[:2] \
             == (0, STIRLING_TABLE)
-        assert run_cli("verify", "--id", "T3_3", "--n-max", "2")[0] == 0
+        assert run_cli("verify", "--id", "T3_3", "--id", "T3_4", "--n-max", "2")[0] == 0
         assert run_cli("expand", "--mu", "1", "x")[0] == 0
-        assert len(built) == 1
-        # build_parser itself still returns a new parser on every call
-        assert build() is not build()
+        assert cli.COMMANDS is table and repr(table) == before
+        # each parse returns a new namespace, and a new list for --id
+        argv = ["verify", "--id", "T3_3"]
+        (_, first), (_, second) = cli.parse(argv), cli.parse(argv)
+        assert first is not second and first.id is not second.id
+        assert first.id == second.id == ["T3_3"]
 
-    def test_usage_error_after_a_successful_command(self, run_cli, capsys):
-        argv = ["compute", "--family", "fibonacci", "--n", "2"]
-        fresh = self._fresh_outcome(capsys, argv)
+    def test_usage_error_after_a_successful_command(self, run_cli):
+        argv = ("compute", "--family", "fibonacci", "--n", "2")
+        fresh = run_cli(*argv)
         assert run_cli("compute", "--family", "bell-number", "--n", "5")[0] == 0
-        reused = self._main_outcome(capsys, argv)
-        assert reused == fresh and reused[0] == 2
-        assert reused[1].out == "" and "invalid choice: 'fibonacci'" in reused[1].err
-        # a later call parses into a fresh Namespace: nothing leaks across
+        reused = run_cli(*argv)
+        assert reused == fresh
+        assert reused[:2] == (2, "") and "invalid choice: 'fibonacci'" in reused[2]
+        # a later call parses into a fresh namespace: nothing leaks across
         assert run_cli("compute", "--family", "bell-number", "--n", "5")[:2] == (0, "52\n")
 
     @pytest.mark.parametrize("command", [[], ["compute"], ["table"], ["verify"],
                                          ["expand"]])
-    def test_help_text_matches_a_fresh_parser(self, run_cli, capsys, command):
+    def test_help_text_matches_a_fresh_parser(self, run_cli, command):
+        fresh = run_cli(*command, "--help")
         run_cli("compute", "--family", "bell-number", "--n", "5")
-        argv = command + ["--help"]
-        fresh = self._fresh_outcome(capsys, argv)
-        assert fresh[0] == 0 and fresh[1].out.startswith("usage: belleuler")
-        assert self._main_outcome(capsys, argv) == fresh
+        assert run_cli(*command, "--help") == run_cli(*command, "-h") == fresh
+        code, out, err = fresh
+        assert code == 0 and err == "" and out.startswith("usage: belleuler")
+        # it names every command, or every flag of its command, that the
+        # argparse parser this table replaced knew
+        subparsers = next(action.choices for action in oracles.build_parser()._actions
+                          if action.dest == "command")
+        if command:
+            names = [option for action in subparsers[command[0]]._actions
+                     for option in action.option_strings or [action.dest]]
+        else:
+            names = list(subparsers)
+        assert names and all(name in out for name in names), names
 
 
 class TestDeterminism:

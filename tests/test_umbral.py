@@ -210,6 +210,27 @@ class TestOrthogonality:
         assert report.passed and report.checked == 36
 
 
+def test_multinomial_reads_each_order_one_member_once_per_call(monkeypatch):
+    # Grid(n_max=10) at orders 2 and 3 sums over i <= n at 132 grid points,
+    # but reads special_case(i, 1) for only 11 distinct i
+    calls = []
+    special = seq.special_case
+
+    def counted(n, a):
+        calls.append((n, a))
+        return special(n, a)
+
+    monkeypatch.setattr(seq, "special_case", counted)
+    for _ in range(2):
+        calls.clear()
+        assert check_multinomial(Grid(n_max=10)).passed
+        assert sorted(calls) == [(i, 1) for i in range(11)]
+    # the public pair still reads special_case on every call
+    calls.clear()
+    multinomial_decomposition(3, 2)
+    assert calls == [(i, 1) for i in range(4)]
+
+
 def test_only_multinomial_needs_positive_orders():
     for orders in ((0,), (-1, 2)):
         with pytest.raises(ValueError, match="mu must be at least 1"):
