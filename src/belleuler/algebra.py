@@ -20,14 +20,14 @@ floating point anywhere.  Two value types do all the work:
   ``sum_k c_k * a_k * b_k`` that the identity checks and the umbral layer
   build.  :meth:`Poly.subs` keeps its own accumulate loop instead: each
   term's image goes straight into one int map, with no product ``Poly`` per
-  term, and builds no power table per call.  A scalar or constant image
-  ``p/q`` folds into the coefficient as ``p^e q^(top-e)`` over one
-  ``q^top``; a lone variable, or an unmapped one, moves the key by ``e``
-  times its own; any other image reads its powers from a table kept per
-  image value for the process (the 64 most recently used, grown under a
-  lock by one product at a time).  It raises where multiplying the images
-  out would: at an image power, at a product of the images of every
-  variable but the last, or in the result.  :meth:`Poly.columns` splits a
+  term, and nothing is kept between calls.  Each image is a list of terms
+  over one denominator ``q``.  A one-term image ``p/q * m`` folds into the
+  coefficient as ``p^e q^(top-e)`` over one ``q^top`` and moves the key by
+  ``e`` times ``m``'s; an image of two or more terms reads its powers from
+  rows the call builds, each from the one before.  It raises where
+  multiplying the images out would: at an image power, at an offset or
+  head product of a term in three or more variables, or in the result,
+  after cancellation.  :meth:`Poly.columns` splits a
   polynomial into its columns in one variable in one scan, which the dual
   pairing reads.  :attr:`Poly.terms` shows the coefficients as Fractions
   under exponent tuples.  The two formatters read the packed keys
@@ -53,7 +53,6 @@ returning zero.
 from __future__ import annotations
 
 import re
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -127,17 +126,6 @@ def _guard(nvars: int) -> int:
     return sum(EXPONENT_CEILING << (FIELD_BITS * i) for i in range(nvars))
 
 
-def _variable_key(poly) -> int:
-    """The key of ``poly`` if it is a lone variable (coefficient 1,
-    exponent 1), else 0."""
-    if poly._den != 1 or len(poly._num) != 1:
-        return 0
-    (key, c), = poly._num.items()
-    if c != 1 or key & (key - 1) or (key.bit_length() - 1) % FIELD_BITS:
-        return 0
-    return key
-
-
 def _check_ceiling(num: dict, nvars: int) -> None:
     # two exponents below the ceiling sum below 2 * ceiling, so a key that
     # outgrew its field shows its guard bit and never a carry
@@ -146,57 +134,24 @@ def _check_ceiling(num: dict, nvars: int) -> None:
         raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
 
 
-def _degree_key(image) -> "int | None":
-    """The packed degrees of a substitution image in each of its ring's
-    variables: 0 for a nonzero scalar, None for zero."""
-    if not image:
-        return None
-    if not isinstance(image, Poly):
-        return 0
-    return sum(image.degree(v) << (FIELD_BITS * i) for i, v in enumerate(image.names))
+def _times(left: list, right: list) -> list:
+    """The product of two term lists ``[(key, int)]``, zeros dropped."""
+    acc = {}
+    get = acc.get
+    for k1, v1 in left:
+        for k2, v2 in right:
+            k = k1 + k2
+            acc[k] = get(k, 0) + v1 * v2
+    return [(k, v) for k, v in acc.items() if v]
 
 
-def _check_lead_products(num: dict, images: list, nvars: int) -> None:
-    """Raise where a term's images of every variable but the last, multiplied
-    out in order, reach the ceiling, as __mul__ would.  The image of the last
-    variable is left to the check of the result, after cancellation.  Each
-    addend stays below the ceiling, so a field that outgrows it shows its
-    guard bit before a carry can hide it."""
-    degrees = [_degree_key(image) for image in images[:-1]]
-    guard = _guard(nvars)
-    for key in num:
-        reached = 0
-        for degree, e in zip(degrees, _unpack(key, len(images))):
-            if e:
-                if degree is None:
-                    break       # a zero image: the product stays zero
-                reached += e * degree
-                if reached & guard:
-                    raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
-
-
-# [image^0, image^1, ...] per polynomial image that subs has met, least
-# recently used first; a table grows by one product at a time, never rebuilt
-_power_tables = {}
-_POWER_TABLES_KEPT = 64
-_power_tables_lock = threading.Lock()
-
-
-def _powers(image, top: int) -> list:
-    """The power table of ``image``, grown to at least ``image^top``.  A
-    power that would reach the ceiling raises before any is built."""
-    if top * max(map(image.degree, image.names)) >= EXPONENT_CEILING:
-        raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
-    with _power_tables_lock:
-        table = _power_tables.pop(image, None)
-        if table is None:
-            table = [Poly.constant(1, image.names)]
-            if len(_power_tables) >= _POWER_TABLES_KEPT:
-                del _power_tables[next(iter(_power_tables))]
-        _power_tables[image] = table
-        while len(table) <= top:
-            table.append(table[-1] * image)
-        return table
+def _power_rows(terms: list, top: int) -> list:
+    """The numerators of [image^0, ..., image^top] over [1, q, ..., q^top],
+    for an image of ``terms`` over q: each row grows from the one before."""
+    rows = [[(0, 1)]]
+    for _ in range(top):
+        rows.append(_times(rows[-1], terms))
+    return rows
 
 
 class Poly:
@@ -530,109 +485,93 @@ class Poly:
         ``mapping`` sends variable names to replacement values; replacements
         that are Polys fix the target ring (they must all share one variable
         tuple).  Unmapped variables must exist in the target ring and are
-        carried through unchanged.
+        carried through unchanged.  Any image is accepted; the powers of one
+        with two or more terms are built for this call only.
+
+        >>> x, y = Poly.gens("x", "y")
+        >>> (x**2 * y).subs({"x": x + 1, "y": Fraction(1, 2)})
+        Poly('1/2*x^2 + x + 1/2')
         """
-        target = None
-        for value in mapping.values():
-            if isinstance(value, Poly):
-                if target is not None and value.names != target:
-                    raise ValueError("substitution images live in different rings")
-                target = value.names
-        if target is None:
-            target = self.names
+        rings = {value.names for value in mapping.values() if isinstance(value, Poly)}
+        if len(rings) > 1:
+            raise ValueError("substitution images live in different rings")
+        target = rings.pop() if rings else self.names
 
-        images = []
-        for name in self.names:
-            if name in mapping:
-                value = mapping[name]
-                images.append(value if isinstance(value, Poly) else _as_fraction(value))
-            else:
-                images.append(Poly.gen(name, target))
-
-        # an image acts on a term's exponent e in one of three ways: a scalar
-        # p/q multiplies the coefficient by p^e q^(top-e) over one q^top, a
-        # lone variable adds e times its key to the term's key, and any other
-        # polynomial contributes its e-th power from the process-wide tables
+        # each image is a term list [(key, int)] over a denominator q: a term's
+        # exponent e takes a one-term image p/q * m to p^e q^(top-e), over one
+        # q^top, and a key offset e * m, and any other to q^(top-e) times its
+        # e-th power row
         num, nvars = self._num, len(self.names)
-        scalars, renames, polys, scalar_den = [], [], [], 1
-        for i, image in enumerate(images):
-            shift = FIELD_BITS * i
-            if isinstance(image, Poly):
-                if not image.is_constant():
-                    unit = _variable_key(image)
-                    if unit:
-                        renames.append((i, unit))
-                    else:
-                        top = max([(k >> shift) & _FIELD_MASK for k in num], default=0)
-                        polys.append((i, _powers(image, top)))
-                    continue
-                image = Fraction(image._num.get(0, 0), image._den)
-            p, q = image.numerator, image.denominator
-            if p != q:      # an image of 1 leaves the coefficients alone
+        scaled, moved, polys, den = [], [], [], self._den
+        for i, name in enumerate(self.names):
+            image = mapping[name] if name in mapping else Poly.gen(name, target)
+            if not isinstance(image, Poly):
+                image = Poly.constant(image, target)
+            terms, q = list(image._num.items()), image._den
+            unit, p = (None, 1) if len(terms) > 1 else (terms or [(0, 0)])[0]
+            degree = max([max(_unpack(k, len(target))) for k, _ in terms], default=0)
+            if unit is None or p != q or degree > 1:
+                shift = FIELD_BITS * i
                 exps = {(k >> shift) & _FIELD_MASK for k in num}
                 top = max(exps, default=0)
-                scalars.append((i, {e: p ** e * q ** (top - e) for e in exps}))
-                scalar_den *= q ** top
-        if nvars > 2:
-            _check_lead_products(num, images, len(target))
+                if top * degree >= EXPONENT_CEILING:
+                    raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
+                if p != q:
+                    scaled.append((i, {e: p ** e * q ** (top - e) for e in exps}))
+                    den *= q ** top
+            if unit is None:
+                polys.append((i, _power_rows(terms, top)))
+            elif unit:
+                moved.append((i, unit))
 
-        # a term becomes c * head * tail, tail the power of its last
-        # polynomial image and head the product of the others, moved by the
-        # sum of its renames' keys
-        work, dens = [], set()
+        # a term becomes c * head * tail at its offset.  With at most two
+        # source variables no sum of two addends below the ceiling can carry,
+        # so the result's check sees it; with more, each offset and head
+        # product is checked.  Off sum_of_products, the oracle paths that
+        # substitute share no code with the kernel
+        guard = _guard(len(target)) if nvars > 2 else 0
+        acc = {}
+        get = acc.get
         for key, c in num.items():
             exps = _unpack(key, nvars)
-            for i, factors in scalars:
+            for i, factors in scaled:
                 c *= factors[exps[i]]
             if not c:
                 continue
             offset = 0
-            for i, unit in renames:
+            for i, unit in moved:
                 offset += exps[i] * unit
-            powers = [table[exps[i]] for i, table in polys if exps[i]]
+                if offset & guard:
+                    raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
+            powers = [rows[exps[i]] for i, rows in polys if exps[i]]
             if not powers:
-                work.append((c, 1, offset, None, None))
+                acc[offset] = get(offset, 0) + c
                 continue
             tail = powers.pop()
             if not powers:
-                dens.add(tail._den)
-                work.append((c, tail._den, offset, tail._num, None))
-                continue
-            head = powers[0]
-            for power in powers[1:]:
-                head = head * power
-            d = head._den * tail._den
-            dens.add(d)
-            left, right = head._num, tail._num
-            if len(left) > len(right):
-                left, right = right, left
-            work.append((c, d, offset, left, right))
-
-        # every product goes straight into one map over the lcm of their
-        # denominators; subs keeps this loop of its own, off sum_of_products,
-        # so the oracle paths that substitute share no code with the kernel
-        den = lcm(*dens)
-        acc = {}
-        get = acc.get
-        for c, d, offset, left, right in work:
-            scale = c * (den // d)
-            if left is None:
-                acc[offset] = get(offset, 0) + scale
-            elif right is None:
-                for k, v in left.items():
+                for k, v in tail:
                     k += offset
-                    acc[k] = get(k, 0) + scale * v
+                    acc[k] = get(k, 0) + c * v
+                continue
+            if guard:
+                head, offset, c = [(offset, c)], 0, 1
+                for row in powers:
+                    head = _times(head, row)
+                    if any(guard & k for k, _ in head):
+                        raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
             else:
-                for k1, v1 in left.items():
-                    s = scale * v1
-                    k1 += offset
-                    for k2, v2 in right.items():
-                        k = k1 + k2
-                        acc[k] = get(k, 0) + s * v2
+                head, = powers
+            if len(head) > len(tail):
+                head, tail = tail, head
+            for k1, v1 in head:
+                s = c * v1
+                k1 += offset
+                for k2, v2 in tail:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + s * v2
         num = {k: v for k, v in acc.items() if v}
-        # head * tail skipped __mul__, so its ceiling check is done here
         _check_ceiling(num, len(target))
-        return Poly._make(target, num, self._den * scalar_den * den)
+        return Poly._make(target, num, den)
 
     def evaluate(self, assignments) -> Fraction:
         """Evaluate at an exact rational point; every variable must be assigned."""

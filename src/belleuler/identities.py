@@ -158,12 +158,13 @@ def check_T3_5(grid: Grid = Grid()) -> IdentityReport:
     recurrence; ``special_case`` reads the same rows off its falling-product
     form over one Stirling row, so the check holds two distinct closed
     forms."""
-    # the x = 0 members recur across grid points; the table dies with this call
-    special = cache(seq.special_case)
+    # the x = 0 members and the powers of x recur across grid points; the
+    # tables die with this call
+    power, special = cache(seq.X.__pow__), cache(seq.special_case)
 
     def pair(n, a):
         rhs = Poly.sum_of_products(seq.NAMES, (
-            (comb(n, k), special(k, a), seq.X ** (n - k))
+            (comb(n, k), special(k, a), power(n - k))
             for k in range(n + 1)))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T3_5", _grid_cases(grid, pair))

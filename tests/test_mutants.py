@@ -71,15 +71,10 @@ def _special_case_row(monkeypatch):
 
 
 def _subs_polynomial_image(monkeypatch):
-    # the polynomial image kind of Poly.subs (x+1, x+z, x1+x2): its square + 1
-    true_powers = algebra._powers
-
-    def powers(image, top):
-        table = list(true_powers(image, top))
-        if len(table) > 2:
-            table[2] = table[2] + 1
-        return table
-    monkeypatch.setattr(algebra, "_powers", powers)
+    # the power rows of a multi-term image in Poly.subs (x+1, x+z, x1+x2):
+    # its square gains +1 over the square of its denominator
+    _mutate(monkeypatch, algebra, "_power_rows", "return rows",
+            "return [row + [(0, 1)] * (e == 2) for e, row in enumerate(rows)]")
 
 
 def _kernel_drops_an_item(monkeypatch):
@@ -125,7 +120,6 @@ def test_each_fault_fails_exactly_its_checks(monkeypatch, fault):
     memos = _memos()
     monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
     monkeypatch.setattr(seq, "_member_rows", {})
-    monkeypatch.setattr(algebra, "_power_tables", {})
     try:
         for memo in memos:
             memo.cache_clear()

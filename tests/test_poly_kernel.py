@@ -3,6 +3,8 @@ and the fused ``sum_of_products`` against the plain ``{exps: Fraction}``
 reference in ``oracles``, plus the canonical-form invariants, the exponent
 ceiling of the packed keys and the eq/hash contract."""
 
+import hashlib
+import json
 import sys
 import threading
 from fractions import Fraction as F
@@ -13,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from belleuler import algebra
 from belleuler import sequences as seq
 from belleuler.algebra import EXPONENT_CEILING, FIELD_BITS, Poly
 from belleuler.cli import parse_x_polynomial
@@ -257,9 +258,9 @@ def test_subs_checks_each_rename_offset_it_adds():
         (a + b).subs({"x": t, "y": t})
 
 
-def test_subs_reuses_image_powers_across_degrees_and_rings():
-    # one image value at rising and falling degrees, and in two rings: each
-    # ring's table grows from its last power and is read by every later call
+def test_subs_of_an_affine_image_at_rising_and_falling_degrees():
+    # one three-term image at rising and falling degrees, and in two rings:
+    # each call builds the powers it reads and keeps none for the next
     for names in (("x", "y"), ("x", "y", "z")):
         x, y = Poly.gens(*names)[:2]
         image = x + F(1, 2) * y - 3
@@ -269,17 +270,10 @@ def test_subs_reuses_image_powers_across_degrees_and_rings():
                 member.terms, [image.terms] + [_unit(i, len(names)) for i in
                                                range(1, len(names))], len(names)))
 
-    # the tables are kept for a bounded number of images only
-    x = Poly.gen("x")
-    for c in range(3 * algebra._POWER_TABLES_KEPT):
-        (x ** 2).subs({"x": x + c})
-    assert len(algebra._power_tables) == algebra._POWER_TABLES_KEPT
 
-
-def test_subs_power_table_grows_safely_from_threads():
-    # six threads meet a new image at interleaved rising degrees, so they
-    # grow its one table together; a lost or doubled append would leave a
-    # wrong power at some index
+def test_subs_from_threads_matches_powers():
+    # six threads substitute one image at interleaved rising degrees; subs
+    # shares no state between calls, so each result is its own power
     x, y = Poly.gens("x", "y")
     image = x + y + 11
     results, switch = {}, sys.getswitchinterval()
@@ -299,7 +293,6 @@ def test_subs_power_table_grows_safely_from_threads():
     assert not any(thread.is_alive() for thread in threads) and len(results) == 6
     for k, powers in results.items():
         assert powers == [image ** n for n in range(k % 3, 24, 3)]
-    assert algebra._power_tables[image] == [image ** n for n in range(24)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -400,12 +393,56 @@ def test_exponent_ceiling_raises_and_never_wraps(names):
 
 
 def test_subs_checks_the_ceiling_of_the_products_it_writes():
-    # every power-table entry stays below the ceiling, but the image of the
-    # term x*y, head * tail = x^8192 * x^8192, reaches it
+    # each image's power stays below the ceiling, but the image of the term
+    # x*y, x^8192 * x^8192, reaches it
     x, y = Poly.gens("x", "y")
     half = x ** (EXPONENT_CEILING // 2)
     with pytest.raises(ValueError, match="ceiling"):
         (x * y).subs({"x": half, "y": half})
+
+
+def test_subs_checks_each_image_power():
+    # (t^5)^7000 = t^35000 would carry past the guard bit of t, so the power
+    # raises before any term is written
+    x, t = Poly.gen("x", ("x",)), Poly.gen("t", ("t",))
+    with pytest.raises(ValueError, match="ceiling"):
+        (x ** 7000).subs({"x": t ** 5})
+
+
+def test_subs_checks_each_head_product_it_builds():
+    # each cube of the image stays below the ceiling and the head product of
+    # the images of x and y reaches it; with the tail, every term of the
+    # result would carry past the guard bit of t, where no check sees it
+    x, y, z = Poly.gens("x", "y", "z")
+    t = Poly.gen("t", ("t",))
+    image = t ** 5000 + t ** 4999
+    with pytest.raises(ValueError, match="ceiling"):
+        ((x * y * z) ** 3).subs({"x": image, "y": image, "z": image})
+
+
+# hypothesis draws small polynomials only; these pin subs at the sizes the
+# checks reach, by the sha256 of each result's canonical JSON as the earlier
+# subs, which read its powers from process-wide tables, computed it
+LARGE_SUBS = {
+    "sum images, 20475 terms": (
+        24, lambda x1, x2, y1, y2: {"x": x1 + x2, "y": y1 + y2},
+        "4599e625f73aaab57e015483a27b68dc42ac52e0f183d74f43a678a8e79025d0"),
+    "rational shift": (
+        48, lambda *_: {"x": seq.X - F(2, 3)},
+        "ceef42d1d3295e4756bda153f64696fa650839112981ef3dd5e04ea5166c69dd"),
+    "rational point": (
+        48, lambda *_: {"x": F(7, 5), "y": F(-3, 2)},
+        "0f2319dc6c1e35d58cab57aff7bb766efc1feb26c9132ae929aa813a71ff511f"),
+}
+
+
+@pytest.mark.parametrize("case", LARGE_SUBS)
+def test_large_subs_match_pinned_digests(case):
+    n, mapping, expected = LARGE_SUBS[case]
+    image = seq.bell_euler_poly(n, F(-5, 3)).subs(
+        mapping(*Poly.gens("x1", "x2", "y1", "y2")))
+    text = json.dumps(image.to_json_map(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 def test_family_builders_refuse_degrees_the_keys_cannot_hold():
