@@ -25,11 +25,11 @@ floating point anywhere.  Two value types do all the work:
   coefficient as ``p^e q^(top-e)`` over one ``q^top`` and moves the key by
   ``e`` times ``m``'s; an image of two or more terms reads its powers from
   rows the call builds, each from the one before.  It raises where
-  multiplying the images out would: at an image power, at an offset or
-  head product of a term in three or more variables, or in the result,
-  after cancellation.  :meth:`Poly.columns` splits a
-  polynomial into its columns in one variable in one scan, which the dual
-  pairing reads.  :attr:`Poly.terms` shows the coefficients as Fractions
+  multiplying the images out would: at an image power, at each addend
+  before a term's last factor in three or more variables, or in the
+  result, after cancellation.  :meth:`Poly.columns` splits a polynomial
+  into its columns in one variable in one scan, which the dual pairing
+  reads.  :attr:`Poly.terms` shows the coefficients as Fractions
   under exponent tuples.  The two formatters read the packed keys
   directly: :meth:`Poly.pretty` orders the terms by the first exponent
   descending, then the others ascending, and :meth:`Poly.to_json_map` by
@@ -524,11 +524,11 @@ class Poly:
             elif unit:
                 moved.append((i, unit))
 
-        # a term becomes c * head * tail at its offset.  With at most two
-        # source variables no sum of two addends below the ceiling can carry,
-        # so the result's check sees it; with more, each offset and head
-        # product is checked.  Off sum_of_products, the oracle paths that
-        # substitute share no code with the kernel
+        # a term becomes c * head * tail at its offset.  No sum of two addends
+        # below the ceiling carries, so the result's check after cancellation
+        # sees a term's last factor; in three or more source variables each
+        # addend before it is checked.  Off sum_of_products, the oracle paths
+        # that substitute share no code with the kernel
         guard = _guard(len(target)) if nvars > 2 else 0
         acc = {}
         get = acc.get
@@ -540,27 +540,24 @@ class Poly:
                 continue
             offset = 0
             for i, unit in moved:
-                offset += exps[i] * unit
                 if offset & guard:
                     raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
+                offset += exps[i] * unit
             powers = [rows[exps[i]] for i, rows in polys if exps[i]]
+            if guard:
+                head = [(offset, c)]
+                for row in powers:
+                    if any(guard & k for k, _ in head):
+                        raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
+                    head = _times(head, row)
+                for k, v in head:
+                    acc[k] = get(k, 0) + v
+                continue
             if not powers:
                 acc[offset] = get(offset, 0) + c
                 continue
             tail = powers.pop()
-            if not powers:
-                for k, v in tail:
-                    k += offset
-                    acc[k] = get(k, 0) + c * v
-                continue
-            if guard:
-                head, offset, c = [(offset, c)], 0, 1
-                for row in powers:
-                    head = _times(head, row)
-                    if any(guard & k for k, _ in head):
-                        raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
-            else:
-                head, = powers
+            head = powers[0] if powers else [(0, 1)]
             if len(head) > len(tail):
                 head, tail = tail, head
             for k1, v1 in head:

@@ -1,16 +1,12 @@
-import os
-
 import pytest
 from hypothesis import settings
 
 from belleuler.cli import main as cli_main
 
-# CI sets HYPOTHESIS_PROFILE=ci: a failing example then prints the blob that
-# replays it.  The profile is the one already loaded plus print_blob, so no
-# example count or deadline changes, whichever hypothesis detects a CI run
-settings.register_profile("ci", parent=settings.default, print_blob=True)
-if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
-    settings.load_profile("ci")
+# a failing example prints the blob that replays it; the profile is the one
+# already loaded plus print_blob, so no example count or deadline changes
+settings.register_profile("replay", parent=settings.default, print_blob=True)
+settings.load_profile("replay")
 
 
 @pytest.fixture

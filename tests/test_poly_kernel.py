@@ -258,6 +258,21 @@ def test_subs_checks_each_rename_offset_it_adds():
         (a + b).subs({"x": t, "y": t})
 
 
+def test_subs_leaves_a_terms_last_rename_offset_to_the_result():
+    # in three variables each term's full offset passes the guard bit only
+    # at its last rename, and the two cancel: the result's check sees none
+    x, y, z = Poly.gens("x", "y", "z")
+    t = Poly.gen("t", ("t",))
+    a, b = x ** 10000 * z ** 7000, y ** 10000 * z ** 7000
+    assert (a - b).subs({"x": t, "y": t, "z": t}) == Poly.zero(("t",))
+    with pytest.raises(ValueError, match="ceiling"):
+        (a + b).subs({"x": t, "y": t, "z": t})
+    # where a power row follows, the full offset is checked before it
+    with pytest.raises(ValueError, match="ceiling"):
+        (x * y ** 10000 * z ** 7000 - x * y ** 7000 * z ** 10000).subs(
+            {"x": t + 1, "y": t, "z": t})
+
+
 def test_subs_of_an_affine_image_at_rising_and_falling_degrees():
     # one three-term image at rising and falling degrees, and in two rings:
     # each call builds the powers it reads and keeps none for the next
