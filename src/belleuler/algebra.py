@@ -17,8 +17,10 @@ floating point anywhere.  Two value types do all the work:
   carrying into the next variable.  That form is canonical, so equality is
   a comparison of ints and is the library's notion of "identity holds".
   :meth:`Poly.sum_of_products` is the one kernel for the sums
-  ``sum_k c_k * a_k * b_k`` that the identity checks and the umbral layer
-  build.  :meth:`Poly.subs` keeps its own accumulate loop instead: each
+  ``sum_k c_k * a_k * b_k`` that the identity checks, the dual pairing,
+  the operator action and the Appell reconstruction build; the Appell
+  expansion writes its int numerators from the x = 0 rows in one pass of
+  its own.  :meth:`Poly.subs` keeps its own accumulate loop instead: each
   term's image goes straight into one int map, with no product ``Poly`` per
   term, and nothing is kept between calls.  Each image is a list of terms
   over one denominator ``q``.  A one-term image ``p/q * m`` folds into the
@@ -216,7 +218,8 @@ class Poly:
         """sum c * a * b over ``items`` of ``(c, a, b)``: c an int or
         Fraction, a and b Polys in ``names``, and b None for c * a alone.
 
-        The kernel under every identity and umbral sum: the products go
+        The kernel under every identity sum and every umbral sum but the
+        Appell expansion, which writes its own from int rows: the products go
         straight into one map of int numerators over the lcm of the items'
         denominators, and the gcd is taken once, at the end.
 

@@ -48,7 +48,10 @@ Y = Poly.gen("y", NAMES)
 
 def validate_order(alpha):
     """Normalize the family order, an exact scalar of
-    :func:`.algebra._as_fraction`: an integral order becomes an int."""
+    :func:`.algebra._as_fraction`: an integral order becomes an int.  An
+    int is returned as it is; a bool goes on to the rule, which refuses it."""
+    if type(alpha) is int:
+        return alpha
     alpha = _as_fraction(alpha)
     return alpha.numerator if alpha.denominator == 1 else alpha
 

@@ -14,8 +14,12 @@ be any exact order.
 
 h generates BE_k^(-mu)(0; -y): the x = 0 rows that build the members, at
 the opposite order and y sign, so the expansion takes mu alone and only
-the orthogonality pairing truncates h.  The tests hold h against the
-``Series`` engine of :mod:`.algebra`.
+the orthogonality pairing truncates h.  The expansion reads those rows as
+int numerators and writes every coefficient in one triangular pass, with
+no ``Poly.sum_of_products`` and no row ``Poly``; the reconstruction sums
+the members through that kernel, so the ``roundtrip`` check holds the two
+routes against each other.  The tests hold h against the ``Series``
+engine of :mod:`.algebra`, and the expansion against its kernel form.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import comb, factorial
 
-from .algebra import Poly, _as_fraction, _count
+from .algebra import FIELD_BITS, _FIELD_MASK, Poly, _as_fraction, _check_ceiling, _count
 from .identities import Grid, IdentityReport, json_order, product_cases, run_cases
 from . import sequences as seq
 
@@ -128,14 +132,44 @@ class AppellExpansion:
 
 def expand_in_appell(q: Poly, mu) -> AppellExpansion:
     """b_k = sum_(n >= k) C(n, k) BE_(n-k)^(-mu)(0; -y) q_n over q's x-columns
-    q_n: the closed form of (1/k!) <h(t) t^k | q>, the pairing the tests use."""
+    q_n: the closed form of (1/k!) <h(t) t^k | q>, the pairing the tests use.
+
+    One pass over the terms c x^n y^i of q, each k <= n and each entry z_j
+    of the numerator row z_(n-k) = S^(n-k) BE_(n-k)^(-mu)(0; y) of
+    ``_bell_euler_rows`` adds C(n, k) S^(top-(n-k)) (-1)^j z_j c to the
+    y^(i+j) numerator of b_k, as ``sequences._appell`` writes the members.
+    Every b_k is over den(q) S^top, with S = 2 * denominator(mu) and top
+    the x-degree of q.  A nonzero q must be in the (x, y) ring, and each b_k
+    is refused at the exponent ceiling of y, as a kernel product would be;
+    a zero q in any ring gives one zero coefficient in that ring."""
     mu = seq.validate_order(mu)
-    columns = q.columns("x")
-    top = max(columns, default=0)
-    rows = seq._negated_y_rows(top, -mu)
-    return AppellExpansion(mu, tuple(Poly.sum_of_products(q.names, (
-        (comb(n, k), rows[n - k], q_n) for n, q_n in columns.items() if n >= k))
-        for k in range(top + 1)))
+    if not q._num:
+        return AppellExpansion(mu, (Poly.zero(q.names),))
+    if q.names != seq.NAMES:
+        raise ValueError(f"variable mismatch: expected {q.names}")
+    top = q.degree("x")
+    scale = seq._order_scale(-mu)
+    rows = seq._bell_euler_rows(top, -mu)
+    powers = [scale ** e for e in range(top + 1)]
+    sums = [{} for _ in range(top + 1)]
+    for key, c in q._num.items():
+        n = key & _FIELD_MASK
+        y_part = key - n
+        for k in range(n + 1):
+            acc = sums[k]
+            get = acc.get
+            weight = comb(n, k) * c * powers[top - n + k]
+            signed = (weight, -weight)  # (-1)^j on y^j
+            for j, z in enumerate(rows[n - k]):
+                at = y_part + (j << FIELD_BITS)
+                acc[at] = get(at, 0) + signed[j & 1] * z
+    den = q._den * powers[top]
+    coeffs = []
+    for acc in sums:
+        num = {key: v for key, v in acc.items() if v}
+        _check_ceiling(num, len(seq.NAMES))
+        coeffs.append(Poly._make(seq.NAMES, num, den))
+    return AppellExpansion(mu, tuple(coeffs))
 
 
 def reconstruct(expansion: AppellExpansion) -> Poly:

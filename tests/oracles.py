@@ -2,9 +2,11 @@
 brute-force enumeration only, apart from ``convolution_rows``, which reads
 the package's Euler-number and Stirling tables, and the umbral route to the
 members, ``h_inverse`` and ``appell_inverse_apply``, which reads
-``special_case``.  Nothing here touches the package's series engine;
-polynomials are plain dicts {(deg_x, deg_y): Fraction} so comparisons
-against ``Poly.terms`` stay honest.  The ``dict_*`` helpers are a reference
+``special_case``, and ``reference_expansion``, the Appell expansion as the
+kernel built it from the package's rows.  Nothing here touches the
+package's series engine; polynomials are plain dicts
+{(deg_x, deg_y): Fraction} so comparisons against ``Poly.terms`` stay
+honest.  The ``dict_*`` helpers are a reference
 polynomial arithmetic on such dicts, in any number of variables, with one
 Fraction per coefficient and no shared denominator.  ``build_parser`` is the
 command line's argparse parser as it stood before ``cli.parse`` replaced it,
@@ -19,7 +21,8 @@ from math import comb, factorial, gcd
 from belleuler.algebra import Poly
 from belleuler.cli import (FAMILIES, _ORDER_HELP, cmd_compute, cmd_expand, cmd_table,
                            cmd_verify)
-from belleuler.sequences import _euler_numerator, _order_scale, _stirling_row, special_case
+from belleuler.sequences import (_euler_numerator, _negated_y_rows, _order_scale, _stirling_row,
+                                 special_case, validate_order)
 from belleuler.umbral import AppellContext, apply_operator
 
 
@@ -329,6 +332,20 @@ def h_inverse(context):
 def appell_inverse_apply(mu, n):
     """(1/h(t)) x^n: the umbral route to the degree-n member of order mu."""
     return apply_operator(h_inverse(AppellContext.create(mu, n)), Poly.gen("x") ** n)
+
+
+def reference_expansion(q, mu):
+    """The coefficients of ``expand_in_appell(q, mu)`` as the kernel built
+    them: b_k = sum_(n >= k) C(n, k) BE_(n-k)^(-mu)(0; -y) q_n, with q's
+    x-columns q_n from ``Poly.columns``, the rows as ``_negated_y_rows``
+    Polys, and one ``Poly.sum_of_products`` for each k."""
+    mu = validate_order(mu)
+    columns = q.columns("x")
+    top = max(columns, default=0)
+    rows = _negated_y_rows(top, -mu)
+    return tuple(Poly.sum_of_products(q.names, (
+        (comb(n, k), rows[n - k], q_n) for n, q_n in columns.items() if n >= k))
+        for k in range(top + 1))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,6 +1,6 @@
 """Differential tests for the one-pass x-column split: ``Poly.columns``
-against the dict oracle's coefficient degree by degree, and ``pair`` and
-``expand_in_appell``, which read the columns, against the per-degree
+against the dict oracle's coefficient degree by degree, and ``pair``, which
+reads the columns, and ``expand_in_appell`` against the per-degree
 definition of the pairing.  Rings where "x" is not the first variable check
 that the split uses x's own field of the packed key."""
 

@@ -201,6 +201,34 @@ def test_T4_3_order_shift_at_any_exact_order():
     assert report.passed and report.checked == 9 * 5 * 2
 
 
+ONE_ORDER_IDS = ("T3_3", "T3_4", "T3_5", "R4_2", "T4_2", "T4_3", "T4_4_corrected",
+                 "T5_1", "T5_2")
+
+
+@pytest.mark.parametrize("check_id", ONE_ORDER_IDS)
+def test_one_order_checks_hold_for_every_order_to_n_16(check_id):
+    """At fixed n, each side of a one-order check is a polynomial in the
+    order a of degree at most n + 1: a member BE_n^(a) has coefficients of
+    degree at most n in a, T4_3 and T5_2 also read the order a - 1, and
+    T4_2 reads the member at n + 1.  Two sides of degree at most n + 1 that
+    agree at the n + 2 orders 0..n+1 agree at every order, rational or not,
+    so a pass at the 18 orders 0..17 proves each identity for every order
+    at each n <= 16."""
+    report = CHECKS[check_id](Grid(n_max=16, alphas=tuple(range(18))))
+    assert report.passed, report.counterexample
+    assert report.checked == 17 * 18 * (2 if check_id == "T4_3" else 1)
+
+
+def test_T4_1_holds_for_every_pair_of_orders_to_n_10():
+    """At fixed n, each side of T4_1 is a polynomial of degree at most n in
+    each of a1 and a2, so agreement on the tensor grid of the 12 orders
+    0..11 in each (n + 1 = 11 would do) proves the addition theorem for
+    every pair of orders at each n <= 10: 144 pairs."""
+    report = check_T4_1(Grid(n_max=10, alphas=tuple(range(12))))
+    assert report.passed, report.counterexample
+    assert report.checked == 11 * 144
+
+
 def test_iterated_derivative_collapses_to_factorial():
     for n in range(11):
         for mu in (0, 1, 2, 3):

@@ -2,6 +2,7 @@
 constructions, and the section's identity checks."""
 
 import random
+import re
 from fractions import Fraction as F
 from math import factorial
 
@@ -295,6 +296,76 @@ class TestExpansion:
     def test_roundtrip_at_any_exact_order(self):
         report = check_roundtrip(Grid(n_max=6, alphas=RATIONAL_AND_NONPOSITIVE_ORDERS))
         assert report.passed and report.checked == 100
+
+
+class TestExpansionPass:
+    """The one-pass expansion against ``oracles.reference_expansion``, the
+    kernel form it replaced, at sizes and rings hypothesis does not draw."""
+
+    ORDERS = (0, 1, 3, -1, F(-5, 3), F(7, 2))
+
+    @staticmethod
+    def random_xy_poly(rng, x_degree):
+        # up to 31 terms c x^n y^i with n <= x_degree and i <= 6
+        terms = {(x_degree, rng.randint(0, 6)): F(rng.randint(1, 99), rng.randint(1, 40))}
+        for _ in range(rng.randint(0, 30)):
+            terms[rng.randint(0, x_degree), rng.randint(0, 6)] = F(
+                rng.randint(-99, 99), rng.randint(1, 40))
+        return Poly(("x", "y"), terms)
+
+    @pytest.mark.parametrize("mu", ORDERS, ids=str)
+    def test_matches_the_kernel_form_up_to_x_degree_40(self, mu):
+        rng = random.Random(24)
+        for x_degree in (0, 1, 2, 7, 19, 40):
+            q = self.random_xy_poly(rng, x_degree)
+            assert expand_in_appell(q, mu).coeffs == oracles.reference_expansion(q, mu)
+
+    @pytest.mark.parametrize("names", [("x",), ("x", "y", "z"), ("y", "x")], ids=str)
+    def test_a_poly_outside_the_xy_ring_is_refused(self, names):
+        q = Poly.gen("x", names) ** 2 + 1
+        for expand in (expand_in_appell, oracles.reference_expansion):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"variable mismatch: expected {names}")):
+                expand(q, 1)
+
+    def test_each_coefficient_is_checked_at_the_ceiling_of_y(self):
+        # the row BE_4^(5/3)(0; -y) reaches y^4, so x^4 y^16380 writes
+        # y^16384 into b_0, one past the last exponent a key holds
+        mu = F(-5, 3)
+        for expand in (expand_in_appell, oracles.reference_expansion):
+            with pytest.raises(ValueError, match="exponent reaches the ceiling 16384"):
+                expand(X**4 * Y**16380, mu)
+        q = X**4 * Y**16379
+        coeffs = expand_in_appell(q, mu).coeffs
+        assert coeffs == oracles.reference_expansion(q, mu)
+        assert coeffs[0].degree("y") == 16383
+
+    @pytest.mark.parametrize("names", [("x",), ("x", "y", "z")], ids=str)
+    def test_zero_expands_to_one_zero_coefficient_in_its_ring(self, names):
+        zero = Poly.zero(names)
+        for mu in (1, F(-5, 3)):
+            coeffs = expand_in_appell(zero, mu).coeffs
+            assert coeffs == oracles.reference_expansion(zero, mu) == (zero,)
+            assert coeffs[0].names == names
+
+    def test_reads_no_kernel_sum_while_reconstruct_does(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the expansion called the kernel or built row Polys")
+
+        q = X**6 * Y - F(2, 3) * X**2 + 5
+        kernel = Poly.sum_of_products
+        with monkeypatch.context() as patch:
+            patch.setattr(seq, "_negated_y_rows", refuse)
+            patch.setattr(Poly, "sum_of_products", classmethod(refuse))
+            expansion = expand_in_appell(q, F(-5, 3))
+        sums = []
+
+        def counted(cls, names, items):
+            sums.append(names)
+            return kernel(names, items)
+
+        monkeypatch.setattr(Poly, "sum_of_products", classmethod(counted))
+        assert reconstruct(expansion) == q and sums == [seq.NAMES]
 
 
 class TestIntegral:
