@@ -15,7 +15,9 @@ floating point anywhere.  Two value types do all the work:
   ``EXPONENT_CEILING = 2**(FIELD_BITS - 1)``, and a product or
   antiderivative that reaches the ceiling raises ``ValueError`` instead of
   carrying into the next variable.  That form is canonical, so equality is
-  a comparison of ints and is the library's notion of "identity holds".
+  a comparison of ints and is the library's notion of "identity holds";
+  every writer hands its raw int sums to :meth:`Poly._make`, the one step
+  that drops the zero numerators and divides out the gcd.
   :meth:`Poly.sum_of_products` is the one kernel for the sums
   ``sum_k c_k * a_k * b_k`` that the identity checks, the dual pairing,
   the operator action and the Appell reconstruction build; the Appell
@@ -56,7 +58,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -122,29 +123,29 @@ def _unpack(key: int, nvars: int) -> tuple:
                   for shift in range(0, FIELD_BITS * nvars, FIELD_BITS)])
 
 
-@lru_cache(maxsize=None)
 def _guard(nvars: int) -> int:
-    """The guard bits of ``nvars`` fields."""
-    return sum(EXPONENT_CEILING << (FIELD_BITS * i) for i in range(nvars))
+    """The guard bits of ``nvars`` fields: the ceiling times the int that
+    holds a 1 at the foot of each field."""
+    return EXPONENT_CEILING * (((1 << (FIELD_BITS * nvars)) - 1) // _FIELD_MASK)
 
 
-def _check_ceiling(num: dict, nvars: int) -> None:
+def _check_ceiling(poly: "Poly") -> "Poly":
     # two exponents below the ceiling sum below 2 * ceiling, so a key that
     # outgrew its field shows its guard bit and never a carry
-    guard = _guard(nvars)
-    if any(map(guard.__and__, num)):
+    if any(map(_guard(len(poly.names)).__and__, poly._num)):
         raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
+    return poly
 
 
-def _times(left: list, right: list) -> list:
-    """The product of two term lists ``[(key, int)]``, zeros dropped."""
+def _times(left, right) -> dict:
+    """The product of two term lists ``[(key, int)]``, as raw sums."""
     acc = {}
     get = acc.get
     for k1, v1 in left:
         for k2, v2 in right:
             k = k1 + k2
             acc[k] = get(k, 0) + v1 * v2
-    return [(k, v) for k, v in acc.items() if v]
+    return acc
 
 
 def _power_rows(terms: list, top: int) -> list:
@@ -152,7 +153,7 @@ def _power_rows(terms: list, top: int) -> list:
     for an image of ``terms`` over q: each row grows from the one before."""
     rows = [[(0, 1)]]
     for _ in range(top):
-        rows.append(_times(rows[-1], terms))
+        rows.append(list(_times(rows[-1], terms).items()))
     return rows
 
 
@@ -165,8 +166,9 @@ class Poly:
     ``(names, _num, _den)``.  ``Poly(names, terms)`` is the public
     constructor; it validates a map ``{exps: Fraction | int}`` whose
     exponents are ints in ``0..EXPONENT_CEILING - 1``.  Internal results
-    come from the trusted :meth:`_make`, which only divides out the common
-    gcd.
+    come from the trusted :meth:`_make`, the one canonical-form step: each
+    writer hands it raw int sums, zeros included, and it drops the zeros
+    and divides out the common gcd.
 
     Instances are immutable values: every operation returns a new Poly.
 
@@ -198,10 +200,13 @@ class Poly:
 
     @classmethod
     def _make(cls, names: tuple, num: dict, den: int) -> "Poly":
-        """Trusted constructor: ``num`` holds nonzero ints under packed keys
-        of ``len(names)`` fields with no guard bit set, and ``den > 0``.
-        The new Poly keeps ``num``, so the caller must not change it
-        afterwards."""
+        """Trusted constructor, the one canonical-form step: ``num`` holds
+        ints, zeros too, under packed keys of ``len(names)`` fields, and
+        ``den > 0``.  It drops the zeros, copying ``num`` only if it has one,
+        and divides out the gcd; the Poly may keep ``num``, so the caller
+        must not change it afterwards."""
+        if not all(num.values()):
+            num = {k: c for k, c in num.items() if c}
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
@@ -261,18 +266,15 @@ class Poly:
                 for k2, v2 in right:
                     k = k1 + k2
                     acc[k] = get(k, 0) + s * v2
-        num = {k: v for k, v in acc.items() if v}
-        if products:
-            _check_ceiling(num, len(names))
-        return cls._make(names, num, den)
+        poly = cls._make(names, acc, den)
+        return _check_ceiling(poly) if products else poly
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def constant(cls, value, names=("x", "y")) -> "Poly":
         value = _as_fraction(value)
-        num = {0: value.numerator} if value else {}
-        return cls._make(tuple(names), num, value.denominator)
+        return cls._make(tuple(names), {0: value.numerator}, value.denominator)
 
     @classmethod
     def zero(cls, names=("x", "y")) -> "Poly":
@@ -312,12 +314,9 @@ class Poly:
         m1, m2 = d2 // g, sign * (d1 // g)
         num = {k: c * m1 for k, c in self._num.items()} if m1 != 1 \
             else dict(self._num)
+        get = num.get
         for k, c in other._num.items():
-            value = num.get(k, 0) + c * m2
-            if value:
-                num[k] = value
-            else:
-                del num[k]
+            num[k] = get(k, 0) + c * m2
         return Poly._make(self.names, num, d1 * m1)
 
     def __add__(self, other):
@@ -342,8 +341,6 @@ class Poly:
 
     def _scaled(self, numerator: int, denominator: int) -> "Poly":
         """self * numerator / denominator, with denominator > 0."""
-        if not numerator:
-            return Poly._make(self.names, {}, 1)
         return Poly._make(self.names,
                           {k: c * numerator for k, c in self._num.items()},
                           self._den * denominator)
@@ -355,16 +352,9 @@ class Poly:
             other = _as_fraction(other)
             return self._scaled(other.numerator, other.denominator)
         other = self._coerce(other)
-        num = {}
-        get = num.get
-        right = list(other._num.items())
-        for k1, c1 in self._num.items():
-            for k2, c2 in right:
-                key = k1 + k2
-                num[key] = get(key, 0) + c1 * c2
-        num = {k: c for k, c in num.items() if c}
-        _check_ceiling(num, len(self.names))
-        return Poly._make(self.names, num, self._den * other._den)
+        return _check_ceiling(Poly._make(
+            self.names, _times(self._num.items(), other._num.items()),
+            self._den * other._den))
 
     __rmul__ = __mul__
 
@@ -477,8 +467,7 @@ class Poly:
         steps = {k: ((k >> shift) & _FIELD_MASK) + 1 for k in self._num}
         scale = lcm(*steps.values())
         num = {k + unit: c * (scale // steps[k]) for k, c in self._num.items()}
-        _check_ceiling(num, len(self.names))
-        return Poly._make(self.names, num, self._den * scale)
+        return _check_ceiling(Poly._make(self.names, num, self._den * scale))
 
     # -- substitution -----------------------------------------------------
 
@@ -550,9 +539,9 @@ class Poly:
             if guard:
                 head = [(offset, c)]
                 for row in powers:
-                    if any(guard & k for k, _ in head):
+                    if any(guard & k for k, v in head if v):
                         raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
-                    head = _times(head, row)
+                    head = _times(head, row).items()
                 for k, v in head:
                     acc[k] = get(k, 0) + v
                 continue
@@ -569,9 +558,7 @@ class Poly:
                 for k2, v2 in tail:
                     k = k1 + k2
                     acc[k] = get(k, 0) + s * v2
-        num = {k: v for k, v in acc.items() if v}
-        _check_ceiling(num, len(target))
-        return Poly._make(target, num, den)
+        return _check_ceiling(Poly._make(target, acc, den))
 
     def evaluate(self, assignments) -> Fraction:
         """Evaluate at an exact rational point; every variable must be assigned."""

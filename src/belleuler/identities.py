@@ -5,6 +5,10 @@ Check ids are opaque registry labels (``T3_3`` ... ``T5_2``); the docstring of
 each check states the identity it verifies.  ``T4_4_literal`` is a negative
 control: an uncorrected double-sum form that is *not* an identity, kept to
 prove the harness detects false statements.
+
+The docstrings of ``T4_1`` and of the checks with one order give the degree
+in the order of both sides at fixed n: two sides of degree at most d that
+agree at d + 1 orders agree at every order.
 """
 
 from __future__ import annotations
@@ -126,7 +130,8 @@ def check_T3_3(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial = binomial convolution of Euler polynomials of the
     same order with Bell polynomials.  The member is built from x = 0 rows
     of a three-term recurrence, and the right side from the Euler-number and
-    Stirling tables, so a wrong entry in either table fails the check."""
+    Stirling tables, so a wrong entry in either table fails the check.  At
+    fixed n both sides have coefficients of degree at most n in a."""
     # members recur across grid points; each table dies with this call, so
     # a later call builds them afresh (T3_4, T4_1 and T4_3 do the same)
     euler, bell = cache(seq.euler_poly_order), cache(seq.bell_poly)
@@ -141,7 +146,8 @@ def check_T3_3(grid: Grid = Grid()) -> IdentityReport:
 def check_T3_4(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial = convolution of Euler numbers with bivariate Bell
     polynomials, the right side again from the tables that the member's
-    x = 0 rows do not read."""
+    x = 0 rows do not read.  At fixed n both sides have coefficients of
+    degree at most n in a."""
     bivariate = cache(seq.bivariate_bell)
 
     def pair(n, a):
@@ -157,7 +163,8 @@ def check_T3_5(grid: Grid = Grid()) -> IdentityReport:
     powers of x.  The member is built from x = 0 rows of a three-term
     recurrence; ``special_case`` reads the same rows off its falling-product
     form over one Stirling row, so the check holds two distinct closed
-    forms."""
+    forms.  At fixed n both sides have coefficients of degree at most n in
+    a."""
     # the x = 0 members and the powers of x recur across grid points; the
     # tables die with this call
     power, special = cache(seq.X.__pow__), cache(seq.special_case)
@@ -177,7 +184,9 @@ def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
     """Addition theorem in four formal variables: the order-(a1+a2) polynomial
     at (x1+x2, y1+y2) equals the binomial convolution of the order-a1 and
     order-a2 polynomials at the split arguments, expanded exactly in the
-    4-variable polynomial ring, for every pair of the grid's orders."""
+    4-variable polynomial ring, for every pair of the grid's orders.  At
+    fixed n both sides have coefficients of degree at most n in each of a1
+    and a2."""
     n_max, alphas = grid.resolve(6, (0, 1, 2))
 
     x1, x2, y1, y2 = Poly.gens(*_FOUR_VARS)
@@ -200,7 +209,8 @@ def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
 
 
 def check_R4_2(grid: Grid = Grid()) -> IdentityReport:
-    """Unit shift in x equals the full binomial sum of lower members."""
+    """Unit shift in x equals the full binomial sum of lower members.  At
+    fixed n both sides have coefficients of degree at most n in a."""
     def pair(n, a):
         lhs = seq.bell_euler_poly(n, a).subs({"x": seq.X + 1})
         rhs = Poly.sum_of_products(seq.NAMES, (
@@ -211,7 +221,8 @@ def check_R4_2(grid: Grid = Grid()) -> IdentityReport:
 
 def check_T4_2(grid: Grid = Grid()) -> IdentityReport:
     """Forward difference of the degree-(n+1) member equals the truncated
-    binomial sum with C(n+1, k), k <= n."""
+    binomial sum with C(n+1, k), k <= n.  At fixed n the left side has
+    coefficients of degree at most n + 1 in a, the right side at most n."""
     def pair(n, a):
         top = seq.bell_euler_poly(n + 1, a)
         lhs = top.subs({"x": seq.X + 1}) - top
@@ -225,7 +236,8 @@ def check_T4_3(grid: Grid = Grid()) -> IdentityReport:
     """Order shift: the order-(a-1) hybrid is the average of the order-a
     hybrid at x and x+1, and likewise for the Euler polynomials (its y=0
     shadow).  At a = 1 this is the bivariate Bell polynomial and the
-    classical 'average equals x^n' relation."""
+    classical 'average equals x^n' relation.  At fixed n both sides have
+    coefficients of degree at most n in a, the order-(a-1) member too."""
     n_max, alphas = grid.resolve(alphas_default=(1,))
     members = {"bivariate": seq.bell_euler_poly,
                "classical": cache(seq.euler_poly_order)}
@@ -248,7 +260,8 @@ def check_T4_4_corrected(grid: Grid = Grid()) -> IdentityReport:
     """Hybrid polynomial rebuilt from its x=0 family through the
     falling-factorial/Stirling change of basis (the index-corrected form).
     It reads no Euler number and no ``subs``, so a wrong Euler number or a
-    wrong substitution passes it."""
+    wrong substitution passes it.  At fixed n both sides have coefficients
+    of degree at most n in a."""
     # the weights and x = 0 members recur across grid points, in per-call tables
     weight, special = cache(_stirling_weight), cache(seq.special_case)
 
@@ -278,7 +291,9 @@ def check_T4_4_literal(grid: Grid = Grid()) -> IdentityReport:
 
 def check_T5_1(grid: Grid = Grid()) -> IdentityReport:
     """d/dx lowers the degree: derivative of the n-th member is n times the
-    (n-1)-th.  n = 0 checks that the derivative vanishes."""
+    (n-1)-th.  n = 0 checks that the derivative vanishes.  At fixed n the
+    left side has coefficients of degree at most n in a, the right side at
+    most n - 1."""
     def pair(n, a):
         lhs = seq.bell_euler_poly(n, a).derivative("x")
         rhs = n * seq.bell_euler_poly(n - 1, a) if n else Poly.zero()
@@ -289,7 +304,9 @@ def check_T5_1(grid: Grid = Grid()) -> IdentityReport:
 def check_T5_2(grid: Grid = Grid()) -> IdentityReport:
     """d/dy acts as -2 times the difference between consecutive orders.
     The order-(a-1) member is built as T3_5's right side, from
-    ``special_case`` and powers of x, so it shares no builder with the member."""
+    ``special_case`` and powers of x, so it shares no builder with the member.
+    At fixed n both sides have coefficients of degree at most n in a, the
+    order-(a-1) member too."""
     # the powers of x and x = 0 members recur across grid points, in per-call tables
     power, special = cache(seq.X.__pow__), cache(seq.special_case)
 

@@ -100,19 +100,12 @@ def _euler_numerator(k: int, alpha) -> int:
     return total
 
 
-def _poly(numerators, denominator: int = 1) -> Poly:
-    # the tables already give integer numerators over one denominator, under
-    # packed keys x^e y^j -> e | j << FIELD_BITS with e, j <= n
-    return Poly._make(NAMES, {k: c for k, c in numerators.items() if c},
-                      denominator)
-
-
 def _appell(n: int, row, scale: int = 1) -> Poly:
     """sum_m C(n, m) x^(n-m) Z_m(y) over scale^n, with row(m)[j] the y^j
     coefficient of the x = 0 row Z_m times scale^m: each (m, j) owns one key."""
-    return _poly({n - m | j << FIELD_BITS: weight * c for m in range(n + 1)
-                  for weight in (comb(n, m) * scale ** (n - m),)
-                  for j, c in enumerate(row(m))}, scale ** n)
+    return Poly._make(NAMES, {n - m | j << FIELD_BITS: weight * c for m in range(n + 1)
+                              for weight in (comb(n, m) * scale ** (n - m),)
+                              for j, c in enumerate(row(m))}, scale ** n)
 
 
 def _bell_euler_rows(n: int, alpha) -> list:
@@ -160,7 +153,8 @@ def bivariate_bell(n: int) -> Poly:
 
 def bell_poly(n: int) -> Poly:
     """Classical Bell polynomial sum_k S2(n, k) y^k: bivariate value at x = 0."""
-    return _poly({k << FIELD_BITS: s for k, s in enumerate(_stirling_row(n))})
+    row = _stirling_row(n)
+    return Poly._make(NAMES, {k << FIELD_BITS: s for k, s in enumerate(row)}, 1)
 
 
 def bell_number(n: int) -> Fraction:
@@ -219,7 +213,8 @@ def _negated_y_rows(n: int, alpha) -> list:
     """[BE_m^(alpha)(0; -y) for m <= n]: the x = 0 rows of
     ``_bell_euler_rows`` with a sign (-1)^j on each y^j."""
     scale, rows = _order_scale(alpha), _bell_euler_rows(n, alpha)[:n + 1]
-    return [_poly({j << FIELD_BITS: (-1) ** j * c for j, c in enumerate(row)}, scale ** m)
+    return [Poly._make(NAMES, {j << FIELD_BITS: (-1) ** j * c
+                               for j, c in enumerate(row)}, scale ** m)
             for m, row in enumerate(rows)]
 
 
@@ -237,10 +232,10 @@ def special_case(n: int, alpha) -> Poly:
     for i in range(n):
         falling.append(falling[-1] * (p - i * q))
     row = _stirling_row(n)
-    return _poly({m << FIELD_BITS: sum(
-                      row[j] * comb(j, m) * falling[j - m] * scale ** (n - j + m)
-                      for j in range(m, n + 1))
-                  for m in range(n + 1)}, scale ** n)
+    return Poly._make(NAMES, {m << FIELD_BITS: sum(
+                          row[j] * comb(j, m) * falling[j - m] * scale ** (n - j + m)
+                          for j in range(m, n + 1))
+                      for m in range(n + 1)}, scale ** n)
 
 
 # -- recurrence / summation path ------------------------------------------

@@ -164,12 +164,8 @@ def expand_in_appell(q: Poly, mu) -> AppellExpansion:
                 at = y_part + (j << FIELD_BITS)
                 acc[at] = get(at, 0) + signed[j & 1] * z
     den = q._den * powers[top]
-    coeffs = []
-    for acc in sums:
-        num = {key: v for key, v in acc.items() if v}
-        _check_ceiling(num, len(seq.NAMES))
-        coeffs.append(Poly._make(seq.NAMES, num, den))
-    return AppellExpansion(mu, tuple(coeffs))
+    return AppellExpansion(mu, tuple(_check_ceiling(Poly._make(seq.NAMES, acc, den))
+                                     for acc in sums))
 
 
 def reconstruct(expansion: AppellExpansion) -> Poly:

@@ -8,9 +8,15 @@ a fault it used to catch, or a refactor of the check layer that changes
 what any check sees, fails here.  A check that is missing from a set holds
 for the faulty engine: ``R4_2``, ``T4_2`` and ``T5_1`` hold for any Appell
 sequence, and ``integral`` for any polynomial.
+
+The last test pins a fault that no default grid can see, since its error
+vanishes at every order those grids read: only the every-order grids of
+``tests/test_identities.py`` fail under it.
 """
 
 import inspect
+from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -18,7 +24,8 @@ from belleuler import algebra, identities, umbral
 from belleuler import sequences as seq
 from belleuler.algebra import Poly
 from belleuler.cli import REGISTRY
-from belleuler.identities import NEGATIVE_CONTROLS, Grid
+from belleuler.identities import CHECKS, NEGATIVE_CONTROLS, Grid
+from test_identities import ONE_ORDER_IDS
 
 CHECK_IDS = [i for i in REGISTRY if i not in NEGATIVE_CONTROLS]
 
@@ -139,3 +146,47 @@ def test_every_fault_fails_four_checks_and_every_check_fails_under_one():
     for fault, (_, failing) in MATRIX.items():
         assert len(failing) >= 4 and failing <= set(CHECK_IDS), fault
     assert set().union(*(failing for _, failing in MATRIX.values())) == set(CHECK_IDS)
+
+
+def _row_8_off_the_read_orders(monkeypatch):
+    # the y^0 entry of the hybrid x = 0 row 8 gains prod(p - o*q) * 2^8 for
+    # o = -3..4, over (2q)^8 the error prod(a - o) at a = p/q: zero at every
+    # order the default registry reads rows at (0..3, T4_1's sums up to 4,
+    # and the -mu of orthogonality and roundtrip, -1..-3)
+    true_rows = seq._bell_euler_rows
+
+    def faulty(n, alpha):
+        rows = true_rows(n, alpha)
+        if n < 8:
+            return rows
+        p, q = Fraction(alpha).numerator, Fraction(alpha).denominator
+        z = rows[8]
+        error = prod(p - o * q for o in range(-3, 5)) * 2 ** 8
+        return [*rows[:8], (z[0] + error, *z[1:]), *rows[9:]]
+    monkeypatch.setattr(seq, "_bell_euler_rows", faulty)
+
+
+def test_a_fault_off_the_default_orders_fails_only_the_every_order_grids(monkeypatch):
+    # not a MATRIX row: no check fails under it at the default grids.  The
+    # grids of tests/test_identities.py that prove the checks for every
+    # order catch it, but for R4_2, T4_2 and T5_1, which hold for any
+    # Appell sequence
+    memos = _memos()
+    monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
+    monkeypatch.setattr(seq, "_member_rows", {})
+    try:
+        for memo in memos:
+            memo.cache_clear()
+        _row_8_off_the_read_orders(monkeypatch)
+        default_failing = {(n_max, i) for n_max in (8, 10) for i in CHECK_IDS
+                           if not REGISTRY[i](Grid(n_max=n_max)).passed}
+        every_order = Grid(n_max=16, alphas=tuple(range(18)))
+        failing = {i for i in ONE_ORDER_IDS if not CHECKS[i](every_order).passed}
+        if not CHECKS["T4_1"](Grid(n_max=10, alphas=tuple(range(12)))).passed:
+            failing.add("T4_1")
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+        monkeypatch.undo()
+    assert default_failing == set()
+    assert failing == {"T3_3", "T3_4", "T3_5", "T4_3", "T4_4_corrected", "T5_2", "T4_1"}

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from belleuler import algebra
 from belleuler import sequences as seq
 from belleuler.algebra import EXPONENT_CEILING, FIELD_BITS, Poly
 from belleuler.cli import parse_x_polynomial
@@ -391,6 +392,27 @@ def test_sum_of_products_edge_cases():
         Poly.sum_of_products(("x", "y"), [(1, Poly.gen("x", ("x",)), None)])
     with pytest.raises(ValueError, match="exact scalar"):
         Poly.sum_of_products(("x", "y"), [(0.5, x, y)])
+
+
+def test_make_drops_zero_numerators_then_reduces():
+    # the one canonical-form step: every writer hands it raw int sums
+    p = Poly._make(("x", "y"), {0: 0, 1: 2}, 4)
+    assert p._num == {1: 1} and p._den == 2
+    check_canonical(p)
+
+
+def test_algebra_keeps_no_table_between_calls():
+    assert not [name for name, value in vars(algebra).items()
+                if callable(value) and hasattr(value, "cache_info")]
+
+
+def test_kernel_checks_the_ceiling_after_cancellation():
+    # each product reaches x^16384, and the two cancel to zero
+    x = Poly.gen("x", ("x",))
+    items = [(1, x ** 10000, x ** 6384), (-1, x ** 10000, x ** 6384)]
+    assert Poly.sum_of_products(("x",), items) == 0
+    with pytest.raises(ValueError, match="ceiling"):
+        Poly.sum_of_products(("x",), items[:1])
 
 
 @pytest.mark.parametrize("names", RINGS)
