@@ -49,7 +49,7 @@ _JSON_COMPACT = {"separators": (",", ":")}
 # stays near 10 s of CPU and 200 MB (Python 3.11, 2 vCPUs; README, "Limits").
 MAX_COMPUTE_N = 256       # bell-euler at order -5/3: 0.6 s, 72 MB (n 384: 202 MB)
 MAX_TABLE_N = 96          # bell-euler at order -5/3: csv 1.4 s, pretty 55 MB (n-max 128: 4.0 s, 119 MB)
-MAX_VERIFY_N = 24         # verify --all: 6.3 s, 96 MB
+MAX_VERIFY_N = 40         # verify --all: 5.3 s, 35 MB (n-max 48: 10.0 s)
 MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 2.9 s, 52 MB (degree 128: 10 s)
 MAX_VERIFY_ALPHAS = 32    # verify --n-max 10, orders j/97: 10.8 s, 58 MB (48 orders: 20 s)
 # digits of the numerator, and of the denominator, of a compute/table --alpha

@@ -177,35 +177,64 @@ def check_T3_5(grid: Grid = Grid()) -> IdentityReport:
     return run_cases("T3_5", _grid_cases(grid, pair))
 
 
-_FOUR_VARS = ("x1", "x2", "y1", "y2")
+_SPLIT_Y = ("y1", "y2")
 
 
 def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
-    """Addition theorem in four formal variables: the order-(a1+a2) polynomial
-    at (x1+x2, y1+y2) equals the binomial convolution of the order-a1 and
-    order-a2 polynomials at the split arguments, expanded exactly in the
-    4-variable polynomial ring, for every pair of the grid's orders.  At
-    fixed n both sides have coefficients of degree at most n in each of a1
-    and a2."""
+    """Addition theorem, for every pair of the grid's orders:
+    BE_n^(a1+a2)(x1+x2; y1+y2) = sum_k C(n, k) BE_k^(a1)(x1; y1)
+    BE_(n-k)^(a2)(x2; y2), checked through the x = 0 rows.
+
+    A member is Appell in x when [x^s] BE_n^(a)(x; y) = C(n, s)
+    Z_(n-s)^(a)(y), with Z_r the x = 0 row, and for Appell members the
+    theorem at every n' <= n is Z_r^(a1+a2)(y1 + y2) = W_r := sum_m C(r, m)
+    Z_m^(a1)(y1) Z_(r-m)^(a2)(y2) at every r <= n.  So the point n compares
+    each x-column of the members of orders a1, a2 and a1 + a2 at n with
+    C(n, s) times the x = 0 row it should be, in the (x, y) ring, and then
+    Z_n^(a1+a2)(y1 + y2) with W_n, in the (y1, y2) ring; the points below
+    n, which run first, hold the rest.  A counterexample is the first
+    column that fails, or else the two rows.  Each member's columns and
+    each row at y1, y2 or y1 + y2 are built once per call, and W_n costs
+    O(n^3) term products.  At fixed n both sides have coefficients of
+    degree at most n in each of a1 and a2."""
     n_max, alphas = grid.resolve(6, (0, 1, 2))
 
-    x1, x2, y1, y2 = Poly.gens(*_FOUR_VARS)
-    points = {"sum": {"x": x1 + x2, "y": y1 + y2},
-              "left": {"x": x1, "y": y1}, "right": {"x": x2, "y": y2}}
+    y1, y2 = Poly.gens(*_SPLIT_Y)
+    images = {"sum": y1 + y2, "left": y1, "right": y2}
+    zero = Poly.zero(seq.NAMES)
+
+    # the tables die with this call
+    @cache
+    def columns(n, a):
+        return seq.bell_euler_poly(n, a).columns("x")
 
     @cache
-    def image(k, a, point):
-        return seq.bell_euler_poly(k, a).subs(points[point])
+    def column_gap(n, a):
+        # the first x-column that is not C(n, s) Z_(n-s), with what it
+        # should be, or None; column 0 is Z_n itself
+        found = columns(n, a)
+        for s in range(1, max([n, *found]) + 1):
+            want = comb(n, s) * columns(n - s, a).get(0, zero) if s <= n else zero
+            if found.get(s, zero) != want:
+                return found.get(s, zero), want
+        return None
 
-    def ring_pair(n, a1, a2):
-        lhs = image(n, a1 + a2, "sum")
-        rhs = Poly.sum_of_products(_FOUR_VARS, (
-            (comb(n, k), image(k, a1, "left"), image(n - k, a2, "right"))
-            for k in range(n + 1)))
-        return lhs, rhs
+    @cache
+    def row(r, a, point):
+        return columns(r, a).get(0, zero).subs({"x": 0, "y": images[point]})
+
+    def pair(n, a1, a2):
+        for a in (a1, a2, a1 + a2):
+            gap = column_gap(n, a)
+            if gap is not None:
+                return gap
+        # W_n is read at this point only
+        return row(n, a1 + a2, "sum"), Poly.sum_of_products(_SPLIT_Y, (
+            (comb(n, m), row(m, a1, "left"), row(n - m, a2, "right"))
+            for m in range(n + 1)))
 
     return run_cases("T4_1", product_cases(
-        ring_pair, n=range(n_max + 1), alpha1=alphas, alpha2=alphas))
+        pair, n=range(n_max + 1), alpha1=alphas, alpha2=alphas))
 
 
 def check_R4_2(grid: Grid = Grid()) -> IdentityReport:

@@ -15,12 +15,14 @@ the oracle of that table-driven parse.
 
 import argparse
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb, factorial, gcd
 
+from belleuler import sequences
 from belleuler.algebra import Poly
 from belleuler.cli import (FAMILIES, _ORDER_HELP, cmd_compute, cmd_expand, cmd_table,
                            cmd_verify)
+from belleuler.identities import Grid, product_cases, run_cases
 from belleuler.sequences import (_euler_numerator, _negated_y_rows, _order_scale, _stirling_row,
                                  special_case, validate_order)
 from belleuler.umbral import AppellContext, apply_operator
@@ -346,6 +348,37 @@ def reference_expansion(q, mu):
     return tuple(Poly.sum_of_products(q.names, (
         (comb(n, k), rows[n - k], q_n) for n, q_n in columns.items() if n >= k))
         for k in range(top + 1))
+
+
+_FOUR_VARS = ("x1", "x2", "y1", "y2")
+
+
+def check_T4_1_four_vars(grid=Grid()):
+    """``identities.check_T4_1`` in four formal variables: the order-(a1+a2)
+    member at (x1+x2, y1+y2) against the binomial convolution of the
+    order-a1 and order-a2 members at the split arguments, both expanded
+    whole, O(n^5) term products per point.  It reads the members,
+    ``Poly.subs`` and the kernel, and it reports under the same id, on the
+    same grid, in the same case order."""
+    n_max, alphas = grid.resolve(6, (0, 1, 2))
+
+    x1, x2, y1, y2 = Poly.gens(*_FOUR_VARS)
+    points = {"sum": {"x": x1 + x2, "y": y1 + y2},
+              "left": {"x": x1, "y": y1}, "right": {"x": x2, "y": y2}}
+
+    @cache
+    def image(k, a, point):
+        return sequences.bell_euler_poly(k, a).subs(points[point])
+
+    def ring_pair(n, a1, a2):
+        lhs = image(n, a1 + a2, "sum")
+        rhs = Poly.sum_of_products(_FOUR_VARS, (
+            (comb(n, k), image(k, a1, "left"), image(n - k, a2, "right"))
+            for k in range(n + 1)))
+        return lhs, rhs
+
+    return run_cases("T4_1", product_cases(
+        ring_pair, n=range(n_max + 1), alpha1=alphas, alpha2=alphas))
 
 
 def build_parser() -> argparse.ArgumentParser:

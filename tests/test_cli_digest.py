@@ -6,7 +6,9 @@ counts k <= 6, so any change in a coefficient or in its formatting shows up
 here.  A second covers `verify` and `expand`, the paths that go through
 `Poly.subs` and the dual pairing.  A third covers `verify --id multinomial`
 at orders past its default grid.  A fourth covers both sides of every case
-of every registry check, which `verify` stdout reduces to a count.
+of every registry check, which `verify` stdout reduces to a count, with
+`T4_1`'s cases from its four-variable form in tests/oracles.py, and a fifth
+the two sides of `T4_1`'s own cases, x-columns and x = 0 rows.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import json
 import re
 from fractions import Fraction
 
+import oracles
 from belleuler import cli, identities, umbral
 from belleuler.identities import Grid
 
@@ -121,13 +124,17 @@ CHECK_VALUE_GRIDS = (
      Grid(n_max=4, alphas=(Fraction(1, 2), Fraction(-5, 3)))),
 )
 # sha256 of the recorded [id, params, lhs, rhs] of every case, taken while the
-# x = 0 member had two builders (sequences and umbral)
+# x = 0 member had two builders (sequences and umbral); T4_1's cases are
+# those of its four-variable form, which the check used then
 CHECK_VALUE_DIGEST = "2cf42bfde37dd4b9f01eab553ad06a5a95c4faa703affe138a1a9d5c79f6b386"
+# sha256 of the records of T4_1's cases on the same grids, taken when it went
+# through the x = 0 rows, while every other record still read as above
+T4_1_VALUE_DIGEST = "b8b4b4825b0c252d3c83f304bd688c36b9f4efaaabe18bc6cd9bb7581e20ad44"
 
 
-def test_check_values_digest(monkeypatch):
-    # the verify digests see case counts only; this pins both sides of every
-    # case a check evaluates, up to the negative control's first failure
+def _check_value_records(monkeypatch, registry):
+    # both sides of every case each check of the grids evaluates, up to the
+    # negative control's first failure: the verify digests see counts only
     records = []
     run_cases = identities.run_cases
 
@@ -140,12 +147,26 @@ def test_check_values_digest(monkeypatch):
             (params, lambda params=params, thunk=thunk: recorded(params, thunk))
             for params, thunk in cases))
 
-    # umbral imports the name, so it is patched there too
-    monkeypatch.setattr(identities, "run_cases", recording_run_cases)
-    monkeypatch.setattr(umbral, "run_cases", recording_run_cases)
+    # umbral and the oracles import the name, so it is patched there too
+    for module in (identities, umbral, oracles):
+        monkeypatch.setattr(module, "run_cases", recording_run_cases)
     for check_ids, grid in CHECK_VALUE_GRIDS:
         for check_id in check_ids:
-            cli.REGISTRY[check_id](grid)
+            if check_id in registry:
+                registry[check_id](grid)
+    return records
+
+
+def test_check_values_digest(monkeypatch):
+    registry = {**cli.REGISTRY, "T4_1": oracles.check_T4_1_four_vars}
+    records = _check_value_records(monkeypatch, registry)
     assert len(records) == 942
     digest = hashlib.sha256(json.dumps(records).encode())
     assert digest.hexdigest() == CHECK_VALUE_DIGEST
+
+
+def test_T4_1_values_digest(monkeypatch):
+    records = _check_value_records(monkeypatch, {"T4_1": cli.REGISTRY["T4_1"]})
+    assert len(records) == 63 + 20
+    digest = hashlib.sha256(json.dumps(records).encode())
+    assert digest.hexdigest() == T4_1_VALUE_DIGEST

@@ -8,6 +8,7 @@ from math import factorial
 
 import pytest
 
+import oracles
 from belleuler import identities, umbral
 from belleuler import sequences as seq
 from belleuler.algebra import Poly
@@ -219,14 +220,42 @@ def test_one_order_checks_hold_for_every_order_to_n_16(check_id):
     assert report.checked == 17 * 18 * (2 if check_id == "T4_3" else 1)
 
 
-def test_T4_1_holds_for_every_pair_of_orders_to_n_10():
+def test_T4_1_holds_for_every_pair_of_orders_to_n_16():
     """At fixed n, each side of T4_1 is a polynomial of degree at most n in
-    each of a1 and a2, so agreement on the tensor grid of the 12 orders
-    0..11 in each (n + 1 = 11 would do) proves the addition theorem for
-    every pair of orders at each n <= 10: 144 pairs."""
-    report = check_T4_1(Grid(n_max=10, alphas=tuple(range(12))))
+    each of a1 and a2, so agreement on the tensor grid of the 17 orders
+    0..16 in each proves the addition theorem for every pair of orders at
+    each n <= 16: 289 pairs."""
+    report = check_T4_1(Grid(n_max=16, alphas=tuple(range(17))))
     assert report.passed, report.counterexample
-    assert report.checked == 11 * 144
+    assert report.checked == 17 * 289
+
+
+def test_T4_1_agrees_with_the_four_variable_form_on_an_every_order_grid():
+    # the x = 0 row form and the whole expansion in (x1, x2, y1, y2) it
+    # replaced, on the 144 pairs of orders 0..11 at n <= 10
+    grid = Grid(n_max=10, alphas=tuple(range(12)))
+    rows, whole = check_T4_1(grid), oracles.check_T4_1_four_vars(grid)
+    assert rows.passed and whole.passed
+    assert rows.checked == whole.checked == 11 * 144
+
+
+@pytest.mark.parametrize("error, ring, gap", [(1, ("y1", "y2"), -2), (seq.X, seq.NAMES, 1)])
+def test_T4_1_counterexample_is_a_column_or_the_rows(monkeypatch, error, ring, gap):
+    # a wrong x = 0 row of member (2, 1) fails as the rows in (y1, y2), where
+    # W_2 reads it twice; a wrong x-column fails as that column and
+    # C(n, s) Z_(n-s), in (x, y)
+    true_member = seq.bell_euler_poly
+
+    def perturbed(n, a):
+        member = true_member(n, a)
+        return member + error if (n, a) == (2, 1) else member
+
+    monkeypatch.setattr(seq, "bell_euler_poly", perturbed)
+    report = check_T4_1(Grid(n_max=3, alphas=(1,)))
+    assert not report.passed and report.checked == 3
+    assert report.counterexample.params == {"n": 2, "alpha1": "1", "alpha2": "1"}
+    lhs, rhs = report.counterexample.lhs, report.counterexample.rhs
+    assert lhs.names == rhs.names == ring and lhs - rhs == gap
 
 
 def test_iterated_derivative_collapses_to_factorial():

@@ -20,6 +20,7 @@ from math import prod
 
 import pytest
 
+import oracles
 from belleuler import algebra, identities, umbral
 from belleuler import sequences as seq
 from belleuler.algebra import Poly
@@ -78,7 +79,7 @@ def _special_case_row(monkeypatch):
 
 
 def _subs_polynomial_image(monkeypatch):
-    # the power rows of a multi-term image in Poly.subs (x+1, x+z, x1+x2):
+    # the power rows of a multi-term image in Poly.subs (x+1, x+z, y1+y2):
     # its square gains +1 over the square of its denominator
     _mutate(monkeypatch, algebra, "_power_rows", "return rows",
             "return [row + [(0, 1)] * (e == 2) for e, row in enumerate(rows)]")
@@ -121,9 +122,9 @@ def _memos():
             if callable(getattr(f, "cache_clear", None))]
 
 
-@pytest.mark.parametrize("fault", MATRIX)
-def test_each_fault_fails_exactly_its_checks(monkeypatch, fault):
-    inject, expected = MATRIX[fault]
+def _under(monkeypatch, inject, run):
+    # run() under the fault ``inject`` writes, with every table cleared
+    # before and after it
     memos = _memos()
     monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
     monkeypatch.setattr(seq, "_member_rows", {})
@@ -131,12 +132,30 @@ def test_each_fault_fails_exactly_its_checks(monkeypatch, fault):
         for memo in memos:
             memo.cache_clear()
         inject(monkeypatch)
-        failing = {i for i in CHECK_IDS if not REGISTRY[i](Grid(n_max=8)).passed}
+        return run()
     finally:
         for memo in memos:
             memo.cache_clear()
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("fault", MATRIX)
+def test_each_fault_fails_exactly_its_checks(monkeypatch, fault):
+    inject, expected = MATRIX[fault]
+    failing = _under(monkeypatch, inject, lambda: {
+        i for i in CHECK_IDS if not REGISTRY[i](Grid(n_max=8)).passed})
     assert failing == expected
+
+
+@pytest.mark.parametrize("fault", MATRIX)
+def test_T4_1_fails_where_its_four_variable_form_fails(monkeypatch, fault):
+    # the x = 0 row form of T4_1 and the whole expansion in (x1, x2, y1, y2)
+    # it replaced pass or fail together, at the same grid point
+    reports = _under(monkeypatch, MATRIX[fault][0], lambda: [
+        check(Grid(n_max=8)) for check in (CHECKS["T4_1"], oracles.check_T4_1_four_vars)])
+    rows, whole = [(r.passed, r.checked, r.counterexample and r.counterexample.params)
+                   for r in reports]
+    assert rows == whole
 
 
 def test_every_fault_fails_four_checks_and_every_check_fails_under_one():
@@ -171,22 +190,15 @@ def test_a_fault_off_the_default_orders_fails_only_the_every_order_grids(monkeyp
     # grids of tests/test_identities.py that prove the checks for every
     # order catch it, but for R4_2, T4_2 and T5_1, which hold for any
     # Appell sequence
-    memos = _memos()
-    monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
-    monkeypatch.setattr(seq, "_member_rows", {})
-    try:
-        for memo in memos:
-            memo.cache_clear()
-        _row_8_off_the_read_orders(monkeypatch)
+    def run():
         default_failing = {(n_max, i) for n_max in (8, 10) for i in CHECK_IDS
                            if not REGISTRY[i](Grid(n_max=n_max)).passed}
         every_order = Grid(n_max=16, alphas=tuple(range(18)))
         failing = {i for i in ONE_ORDER_IDS if not CHECKS[i](every_order).passed}
-        if not CHECKS["T4_1"](Grid(n_max=10, alphas=tuple(range(12)))).passed:
+        if not CHECKS["T4_1"](Grid(n_max=16, alphas=tuple(range(17)))).passed:
             failing.add("T4_1")
-    finally:
-        for memo in memos:
-            memo.cache_clear()
-        monkeypatch.undo()
+        return default_failing, failing
+
+    default_failing, failing = _under(monkeypatch, _row_8_off_the_read_orders, run)
     assert default_failing == set()
     assert failing == {"T3_3", "T3_4", "T3_5", "T4_3", "T4_4_corrected", "T5_2", "T4_1"}

@@ -34,7 +34,7 @@ def test_quoted_expand_outputs(capsys):
 LIMIT_ROWS = {
     "MAX_COMPUTE_N": ("`compute --n`", "n 384"),
     "MAX_TABLE_N": ("`table --n-max`", "n-max 128"),
-    "MAX_VERIFY_N": ("`verify --n-max`", None),
+    "MAX_VERIFY_N": ("`verify --n-max`", "n-max 48"),
     "MAX_EXPAND_DEGREE": ("degree of an `expand` literal", "degree 128"),
     "MAX_ORDER_DIGITS": ("digits of the numerator", "5 digits"),
     "MAX_VERIFY_ALPHAS": ("length of the `verify --alphas` list", "48 orders"),
@@ -68,11 +68,8 @@ def test_limits_table_and_cli_comments_name_each_constant():
         # the comment's figures are the README row's, and so is the next size
         assert set(FIGURE.findall(comment)) <= set(FIGURE.findall(" ".join(row[2:]))), name
         measured_next = re.search(r"\(([^():]+):[^()]*\)$", comment)
-        if next_size is None:
-            assert measured_next is None and row[3] == "", name
-        else:
-            assert measured_next.group(1) == next_size, name
-            assert re.match(rf"{re.escape(next_size)}\b", row[3]), name
+        assert measured_next.group(1) == next_size, name
+        assert re.match(rf"{re.escape(next_size)}\b", row[3]), name
 
 
 # the README's label for each fault of tests/test_mutants.py's matrix
