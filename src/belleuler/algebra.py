@@ -37,10 +37,14 @@ floating point anywhere.  Two value types do all the work:
   under exponent tuples.  The two formatters read the packed keys
   directly: :meth:`Poly.pretty` orders the terms by the first exponent
   descending, then the others ascending, and :meth:`Poly.to_json_map` by
-  total degree, then exponent tuple, both descending.  In the (x, y) ring each order is one int per key, so no
-  term unpacks to a tuple.  Each call spells every power that occurs once,
-  into a table per variable, writes each coefficient with one gcd against
-  the common denominator (none when it is 1), and joins the text once.
+  total degree, then exponent tuple, both descending.  In the (x, y) ring
+  each order is one int per key, so no term unpacks to a tuple.  The
+  spelling of the ordered terms is two functions of the module,
+  ``_pretty_terms`` and ``_json_terms``, which the command line also
+  calls for members it writes without a Poly.  They take each term as a
+  key, a numerator and a denominator, spell every power that occurs once,
+  into a table per variable, write each coefficient with one gcd against
+  its denominator (none when it is 1), and join the text once.
 
 * :class:`Series` -- a formal power series in ``t``, truncated at a fixed
   order ``N``, over either plain Fractions or a polynomial ring.  Position
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -567,26 +572,6 @@ class Poly:
 
     # -- serialization ----------------------------------------------------
 
-    def _monomials(self, keys, power) -> list:
-        """The text of each monomial in ``keys``, "" for the constant one.
-        ``power(name, e)`` spells a power e >= 1 once per call, into a table
-        of the exponents that occur; a table that ran to the degree would
-        make ``x^16383 + 1`` spell 16383 powers."""
-        names = self.names
-        if len(names) == 2:
-            x, y = names
-            xs = {e: power(x, e) for e in set(map(_FIELD_MASK.__and__, keys))}
-            ys = {e: power(y, e) for e in {k >> FIELD_BITS for k in keys}}
-            # a power of y follows a power of x after "*", or stands alone
-            tail = {e: "*" + text for e, text in ys.items()}
-            xs[0] = ys[0] = tail[0] = ""
-            return [xs[k & _FIELD_MASK] + tail[k >> FIELD_BITS] if k & _FIELD_MASK
-                    else ys[k >> FIELD_BITS] for k in keys]
-        exps = [_unpack(k, len(names)) for k in keys]
-        tables = [{e: power(name, e) for e in {t[i] for t in exps} if e}
-                  for i, name in enumerate(names)]
-        return ["*".join([t[e] for t, e in zip(tables, ex) if e]) for ex in exps]
-
     def to_json_map(self) -> "dict[str, str]":
         """Ordered monomial-key map, e.g. {"x^2": "1", "x^1*y^1": "2"}.
 
@@ -604,10 +589,8 @@ class Poly:
                 e = _unpack(k, nvars)
                 return sum(e), e
             keys = sorted(num, key=order, reverse=True)
-        monos = self._monomials(keys, lambda name, e: f"{name}^{e}")
-        values = [str(num[k]) for k in keys] if den == 1 \
-            else [_format_ratio(num[k], den) for k in keys]
-        return {mono or "1": value for mono, value in zip(monos, values)}
+        return dict(_json_terms(self.names, keys, map(num.__getitem__, keys),
+                                repeat(den)))
 
     def pretty(self) -> str:
         """Human-readable form: "x^2 - x", "1/2 - y", "0" for the zero poly.
@@ -616,9 +599,7 @@ class Poly:
         other exponents ascending; a coefficient of 1 is left out of a term
         with a monomial.
         """
-        num, den = self._num, self._den
-        if not num:
-            return "0"
+        num = self._num
         nvars = len(self.names)
         if nvars == 2:
             # (-e_x, e_y) in one int: the field of e_x holds its complement
@@ -627,22 +608,69 @@ class Poly:
         else:
             keys = sorted(num, key=lambda k: (-(k & _FIELD_MASK),)
                           + _unpack(k, nvars)[1:])
-        monos = self._monomials(keys, lambda name, e: name if e == 1 else f"{name}^{e}")
-        parts = []
-        append = parts.append
-        for k, mono in zip(keys, monos):
-            c = num[k]
-            if c < 0:
-                append(" - ")
-                c = -c
-            else:
-                append(" + ")
-            if c != den or not mono:
-                body = str(c) if den == 1 else _format_ratio(c, den)
-                mono = f"{body}*{mono}" if mono else body
-            append(mono)
-        parts[0] = "-" if parts[0] == " - " else ""
-        return "".join(parts)
+        return _pretty_terms(self.names, keys, map(num.__getitem__, keys),
+                             repeat(self._den))
+
+
+# -- term spelling ----------------------------------------------------------
+#
+# Both formatters of Poly, and any writer that has a polynomial's terms
+# without the Poly, spell them here: the terms come as packed keys, in the
+# order they are printed, with a numerator and a denominator > 0 each.
+
+def _monomials(names, keys, pretty: bool) -> list:
+    """The text of each monomial in ``keys``, "" for the constant one.  Each
+    power is ``x^e``, or ``x`` for e = 1 in pretty text, and the powers of a
+    monomial are joined by "*".  Each power that occurs is spelled once per
+    call, into a table per variable; a table that ran to the degree would
+    make ``x^16383 + 1`` spell 16383 powers."""
+    def power(name, e):
+        return name if pretty and e == 1 else f"{name}^{e}"
+
+    if len(names) == 2:
+        x, y = names
+        xs = {e: power(x, e) for e in set(map(_FIELD_MASK.__and__, keys))}
+        ys = {e: power(y, e) for e in {k >> FIELD_BITS for k in keys}}
+        # a power of y follows a power of x after "*", or stands alone
+        tail = {e: "*" + text for e, text in ys.items()}
+        xs[0] = ys[0] = tail[0] = ""
+        return [xs[k & _FIELD_MASK] + tail[k >> FIELD_BITS] if k & _FIELD_MASK
+                else ys[k >> FIELD_BITS] for k in keys]
+    exps = [_unpack(k, len(names)) for k in keys]
+    tables = [{e: power(name, e) for e in {t[i] for t in exps} if e}
+              for i, name in enumerate(names)]
+    return ["*".join([t[e] for t, e in zip(tables, ex) if e]) for ex in exps]
+
+
+def _pretty_terms(names, keys, nums, dens) -> str:
+    """The text of ``Poly.pretty`` for the terms ``num/den`` times the
+    monomial of each key: a sign between terms, a coefficient of 1 left out
+    of a term with a monomial, ``_format_ratio`` for the others, and "0"
+    for no term.  ``den`` need not be reduced against ``num``."""
+    parts = []
+    append = parts.append
+    for mono, c, den in zip(_monomials(names, keys, True), nums, dens):
+        if c < 0:
+            append(" - ")
+            c = -c
+        else:
+            append(" + ")
+        if c != den or not mono:
+            body = str(c) if den == 1 else _format_ratio(c, den)
+            mono = f"{body}*{mono}" if mono else body
+        append(mono)
+    if not parts:
+        return "0"
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
+
+
+def _json_terms(names, keys, nums, dens):
+    """The pairs of ``Poly.to_json_map`` for the same terms, one at a time:
+    every power written out ("x^1"), "1" for the constant monomial, and the
+    value ``_format_ratio(num, den)``."""
+    return ((mono or "1", str(c) if den == 1 else _format_ratio(c, den))
+            for mono, c, den in zip(_monomials(names, keys, False), nums, dens))
 
 
 class CoefficientRing:

@@ -9,16 +9,17 @@ Exit codes: 0 = success / all checks pass, 1 = an identity check failed,
 
 from __future__ import annotations
 
-import csv
 import inspect
 import json
 import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from math import comb
 from types import SimpleNamespace
 
-from .algebra import Poly, format_fraction, parse_fraction
+from .algebra import (FIELD_BITS, Poly, _json_terms, _pretty_terms, format_fraction,
+                      parse_fraction)
 from .identities import (CHECKS as IDENTITY_CHECKS, Grid, NEGATIVE_CONTROLS,
                          validate_n_max)
 from .umbral import (CHECKS as UMBRAL_CHECKS, expand_in_appell, reconstruct,
@@ -41,20 +42,30 @@ FAMILIES = {
     "bell-euler-number": seq.bell_euler_number,
 }
 
+# CLI name -> the Appell form (row, scale) of member n, for each family that
+# sequences._appell builds; compute and table write these members off it
+APPELL_FORMS = {
+    "bell-euler": seq.bell_euler_form,
+    "bivariate-bell": seq.bivariate_bell_form,
+    "euler": seq.euler_form,
+    "stirling2-poly": seq.stirling2_poly_form,
+}
+
 _JSON_COMPACT = {"separators": (",", ":")}
 
 # The largest size each command accepts, so that a mistyped size is refused
-# at once instead of running for minutes.  Each but MAX_TABLE_N, which waits
-# for a bounded member memo, is the largest measured size whose slowest case
-# stays near 10 s of CPU and 200 MB (Python 3.11, 2 vCPUs; README, "Limits").
-MAX_COMPUTE_N = 256       # bell-euler at order -5/3: 0.6 s, 72 MB (n 384: 202 MB)
-MAX_TABLE_N = 96          # bell-euler at order -5/3: csv 1.4 s, pretty 55 MB (n-max 128: 4.0 s, 119 MB)
+# at once instead of running for minutes.  Each but MAX_VERIFY_ALPHAS, which
+# waits for a bound on a grid's work, is the largest measured size whose
+# slowest case stays near 10 s of CPU and 200 MB (Python 3.11, 2 vCPUs;
+# README, "Limits"); a four-digit order binds the two member limits.
+MAX_COMPUTE_N = 256       # bell-euler at order -5/3: 0.5 s, 56 MB (n 384: 9.5 s, 402 MB at -9973/9967)
+MAX_TABLE_N = 128         # bell-euler at order -5/3: 2.3 s, 62 MB (n-max 160: 19.2 s, 348 MB at -9973/9967)
 MAX_VERIFY_N = 40         # verify --all: 5.3 s, 35 MB (n-max 48: 10.0 s)
 MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 2.9 s, 52 MB (degree 128: 10 s)
-MAX_VERIFY_ALPHAS = 32    # verify --n-max 10, orders j/97: 10.8 s, 58 MB (48 orders: 20 s)
+MAX_VERIFY_ALPHAS = 32    # verify --n-max 10, orders j/97: 3.7 s, 23 MB (48 orders: 5.9 s, 26 MB)
 # digits of the numerator, and of the denominator, of a compute/table --alpha
 # or an expand --mu; verify --alphas is not bounded by it
-MAX_ORDER_DIGITS = 4      # at -9973/9967: compute 156 MB, expand 8.4 s (5 digits: expand 11 s)
+MAX_ORDER_DIGITS = 4      # at -9973/9967: table 158 MB, expand 8.4 s (5 digits: expand 11 s)
 
 
 class UsageError(Exception):
@@ -93,15 +104,70 @@ def _parse_alphas(text: str):
     return values
 
 
-def _text(value) -> str:
-    return value.pretty() if isinstance(value, Poly) else format_fraction(value)
+def _appell_text(n: int, row, scale: int, fmt: str) -> str:
+    """The member sum_m C(n, m) x^(n-m) Z_m(y), with row(m)[j] the y^j
+    numerator of its x = 0 row Z_m over scale^m, in the bytes that
+    ``Poly.pretty`` (fmt "pretty") or a compact ``json.dumps`` of
+    ``Poly.to_json_map`` (fmt "json") writes for the Poly that
+    ``sequences._appell`` builds, without building it.
+
+    The term x^(n-m) y^j has the coefficient C(n, m) row(m)[j] / scale^m,
+    reduced against scale^m alone, and a zero entry writes no term.  Pretty
+    order is m, then j, ascending; json order is total degree
+    n - (m - j) descending, then m ascending, so no term is sorted.  Every
+    json key and value is of ``[0-9xy^*/-]``, which json.dumps writes as it
+    is, so the pairs are joined as they are."""
+    keys, nums, dens = [], [], []
+    if fmt == "pretty":
+        power = 1   # scale^m
+        for m in range(n + 1):
+            weight = comb(n, m)
+            for j, c in enumerate(row(m)):
+                if c:
+                    keys.append(n - m | j << FIELD_BITS)
+                    nums.append(weight * c)
+                    dens.append(power)
+            power *= scale
+        return _pretty_terms(seq.NAMES, keys, nums, dens)
+    rows = [row(m) for m in range(n + 1)]
+    weights = [comb(n, m) for m in range(n + 1)]
+    powers = [scale ** m for m in range(n + 1)]
+    wide = max(map(len, rows))
+    for r in range(n + 1):   # r = m - j, from the top total degree down
+        for m in range(r, min(n + 1, r + wide)):
+            z = rows[m]
+            if m - r < len(z) and z[m - r]:
+                keys.append(n - m | m - r << FIELD_BITS)
+                nums.append(weights[m] * z[m - r])
+                dens.append(powers[m])
+    return "{" + ",".join(f'"{key}":"{value}"' for key, value in
+                          _json_terms(seq.NAMES, keys, nums, dens)) + "}"
+
+
+def _value_text(family: str, n: int, params, fmt: str = "pretty") -> str:
+    """The text of value n of ``family``, whose arguments after n are
+    ``params``: pretty text, or (fmt "json") its compact json."""
+    form = APPELL_FORMS.get(family)
+    if form is not None:
+        return _appell_text(n, *form(n, *params), fmt)
+    value = FAMILIES[family](n, *params)
+    if fmt == "pretty":
+        return value.pretty() if isinstance(value, Poly) else format_fraction(value)
+    return json.dumps(value.to_json_map() if isinstance(value, Poly)
+                      else format_fraction(value), **_JSON_COMPACT)
 
 
 def _csv_text(header, rows) -> None:
-    """Write the header, then each row as the iterable yields it, to stdout."""
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    """Write the header, then each row as the iterable yields it, to stdout.
+    No cell holds a comma, a quote or a line break (a cell is an int, a
+    header, a number or a polynomial's pretty text), so csv's minimal
+    quoting leaves each one bare, and the cells are joined as they are:
+    the csv module would copy each line into a buffer of four bytes a
+    character first."""
+    write = sys.stdout.write
+    write(",".join(header) + "\n")
+    for row in rows:
+        write(",".join(map(str, row)) + "\n")
 
 
 def _flag(args, name: str, needed: bool):
@@ -121,26 +187,24 @@ def family_flag(name: str):
 
 
 def _family(args):
-    """The chosen generator, the flag it takes, and its parsed --alpha as a
-    tuple of arguments after n; compute and table both check --alpha here."""
+    """The flag the chosen family takes, and its parsed --alpha as a tuple
+    of arguments after n; compute and table both check --alpha here."""
     flag = family_flag(args.family)
     alpha = _flag(args, "alpha", flag == "alpha")
     params = () if alpha is None else (_printed_order(alpha, "alpha"),)
-    return FAMILIES[args.family], flag, params
+    return flag, params
 
 
 def cmd_compute(args) -> int:
     _within(args.n, MAX_COMPUTE_N, "--n")
-    generate, flag, params = _family(args)
+    flag, params = _family(args)
     k = _flag(args, "k", flag == "k")
-    value = generate(args.n, *params) if k is None else generate(args.n, k)
+    if k is not None:
+        params = (k,)
     if args.format == "csv":
-        _csv_text(["n", "value"], [[args.n, _text(value)]])
-    elif args.format == "json":
-        print(json.dumps(value.to_json_map() if isinstance(value, Poly)
-                         else format_fraction(value), **_JSON_COMPACT))
+        _csv_text(["n", "value"], [[args.n, _value_text(args.family, args.n, params)]])
     else:
-        print(_text(value))
+        print(_value_text(args.family, args.n, params, args.format))
     return 0
 
 
@@ -149,16 +213,17 @@ def cmd_table(args) -> int:
     if n_max < 0:
         raise UsageError("--n-max must be non-negative")
     _within(n_max, MAX_TABLE_N, "--n-max")
-    generate, flag, params = _family(args)
+    flag, params = _family(args)
+    family = args.family
 
     # each row is built as it is written, after every refusal
     if flag == "k":
         header = ["n"] + [f"k={k}" for k in range(n_max + 1)]
-        rows = ([n] + [_text(generate(n, k)) for k in range(n_max + 1)]
+        rows = ([n] + [_value_text(family, n, (k,)) for k in range(n_max + 1)]
                 for n in range(n_max + 1))
     else:
         header = ["n", "value"]
-        rows = ([n, _text(generate(n, *params))] for n in range(n_max + 1))
+        rows = ([n, _value_text(family, n, params)] for n in range(n_max + 1))
 
     if args.format == "json":
         # the bytes of one compact json.dumps of the list of row objects

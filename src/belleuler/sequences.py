@@ -20,11 +20,17 @@ the row before it by a three-term recurrence of the generating function
 (``_bell_euler_rows``), in O(m), without reading the Euler numbers or the
 Stirling triangle, so the T3_3 and T3_4 checks hold each member against
 tables that did not build it.  An order's rows are kept and cost O(n^2) in
-all; a sweep of members 0..n still costs O(n^3), because ``_appell`` writes
-each member in O(n^2).  The umbral layer reads the same rows, at y -> -y,
-for its base series h.  ``special_case`` reads Z_n(y) off a third closed
-form, a falling product over one Stirling row: it is the checks' oracle
-(T3_5 holds the two against each other), and no production path reads it.
+all.  Each family that ``_appell`` builds exposes its rows as an Appell form
+``(row, scale)`` (``bell_euler_form``, ``euler_form``,
+``bivariate_bell_form``, ``stirling2_poly_form``), and ``compute`` and
+``table`` write each member's text straight off it, with no member Poly.
+A sweep of members 0..n still writes O(n^3) terms, but it keeps nothing
+per member: the member memo of ``bell_euler_poly`` holds only
+what the library's callers and the ``verify`` checks read.  The umbral layer
+reads the same rows, at y -> -y, for its base series h.  ``special_case``
+reads Z_n(y) off a third closed form, a falling product over one Stirling
+row: it is the checks' oracle (T3_5 holds the two against each other), and
+no production path reads it.
 
 The recurrence path uses only binomials and triangle recurrences.  Tests hold
 the two against each other, against brute-force enumeration, and against the
@@ -141,14 +147,30 @@ def _bell_euler_rows(n: int, alpha) -> list:
     return rows
 
 
+def bell_euler_form(n: int, alpha) -> tuple:
+    """The Appell form ``(row, scale)`` of ``bell_euler_poly(n, alpha)``:
+    ``row(m)[j]`` is the y^j coefficient of its x = 0 row Z_m times
+    scale^m, for m <= n, as ``_appell`` reads it.  Each family that
+    ``_appell`` builds has one such form, and ``cli`` writes a member's text
+    straight off it, with no member Poly."""
+    n, alpha = _degree(n), validate_order(alpha)
+    return _bell_euler_rows(n, alpha).__getitem__, _order_scale(alpha)
+
+
 @lru_cache(maxsize=None)
 def _bell_euler_poly(n: int, alpha) -> Poly:
-    return _appell(n, _bell_euler_rows(n, alpha).__getitem__, _order_scale(alpha))
+    return _appell(n, *bell_euler_form(n, alpha))
+
+
+def bivariate_bell_form(n: int) -> tuple:
+    """The Appell form of ``bivariate_bell(n)``: the Stirling rows, scale 1."""
+    _degree(n)
+    return _stirling_row, 1
 
 
 def bivariate_bell(n: int) -> Poly:
     """n-th polynomial of e^{xt + y(e^t - 1)}: mixes powers of x with partition counts."""
-    return _appell(_degree(n), _stirling_row)
+    return _appell(n, *bivariate_bell_form(n))
 
 
 def bell_poly(n: int) -> Poly:
@@ -167,11 +189,17 @@ def bell_number(n: int) -> Fraction:
     return Fraction(row[0])
 
 
+def euler_form(n: int, alpha) -> tuple:
+    """The Appell form of ``euler_poly_order(n, alpha)``: each row holds one
+    Euler number's numerator, over the order's scale."""
+    alpha = validate_order(alpha)
+    _degree(n)
+    return lambda m: (_euler_numerator(m, alpha),), _order_scale(alpha)
+
+
 def euler_poly_order(n: int, alpha) -> Poly:
     """Euler polynomial of order alpha (univariate in x)."""
-    alpha = validate_order(alpha)
-    return _appell(_degree(n), lambda m: (_euler_numerator(m, alpha),),
-                   _order_scale(alpha))
+    return _appell(n, *euler_form(n, alpha))
 
 
 def euler_number_order(n: int, alpha) -> Fraction:
@@ -179,10 +207,17 @@ def euler_number_order(n: int, alpha) -> Fraction:
     return Fraction(_euler_numerator(_degree(n), alpha), _order_scale(alpha) ** n)
 
 
+def stirling2_poly_form(n: int, k: int) -> tuple:
+    """The Appell form of ``stirling2_poly(n, k)``: each row holds S2(m, k),
+    scale 1."""
+    _count(k, "block count k")
+    _degree(n)
+    return lambda m: (_stirling_row(m)[k] if k <= m else 0,), 1
+
+
 def stirling2_poly(n: int, k: int) -> Poly:
     """n-th polynomial of (e^t - 1)^k / k! * e^{xt}."""
-    _count(k, "block count k")
-    return _appell(_degree(n), lambda m: (_stirling_row(m)[k] if k <= m else 0,))
+    return _appell(n, *stirling2_poly_form(n, k))
 
 
 def stirling2_number(n: int, k: int) -> Fraction:

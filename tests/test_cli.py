@@ -441,6 +441,8 @@ class TestUsageErrors:
         for family in ("bell-euler", "euler"):
             monkeypatch.setitem(cli.FAMILIES, family,
                                 lambda n, alpha: calls.append((n, alpha)))
+            monkeypatch.setitem(cli.APPELL_FORMS, family,
+                                lambda n, alpha: calls.append((n, alpha)))
         monkeypatch.setattr(cli, "expand_in_appell", lambda *args: calls.append(args))
         code, out, err = run_cli(*argv)
         assert code == 2 and out == "" and "digit count" in err
