@@ -60,7 +60,7 @@ _JSON_COMPACT = {"separators": (",", ":")}
 # README, "Limits"); a four-digit order binds the two member limits.
 MAX_COMPUTE_N = 256       # bell-euler at order -5/3: 0.5 s, 56 MB (n 384: 9.5 s, 402 MB at -9973/9967)
 MAX_TABLE_N = 128         # bell-euler at order -5/3: 2.3 s, 62 MB (n-max 160: 19.2 s, 348 MB at -9973/9967)
-MAX_VERIFY_N = 40         # verify --all: 5.3 s, 35 MB (n-max 48: 10.0 s)
+MAX_VERIFY_N = 40         # verify --all: 5.7 s, 35 MB (n-max 48: 10.3 s)
 MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 2.9 s, 52 MB (degree 128: 10 s)
 MAX_VERIFY_ALPHAS = 32    # verify --n-max 10, orders j/97: 3.7 s, 23 MB (48 orders: 5.9 s, 26 MB)
 # digits of the numerator, and of the denominator, of a compute/table --alpha

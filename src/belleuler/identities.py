@@ -148,11 +148,11 @@ def check_T3_4(grid: Grid = Grid()) -> IdentityReport:
     polynomials, the right side again from the tables that the member's
     x = 0 rows do not read.  At fixed n both sides have coefficients of
     degree at most n in a."""
-    bivariate = cache(seq.bivariate_bell)
+    bivariate, euler = cache(seq.bivariate_bell), cache(seq.euler_number_order)
 
     def pair(n, a):
         rhs = Poly.sum_of_products(seq.NAMES, (
-            (comb(n, k) * seq.euler_number_order(k, a), bivariate(n - k), None)
+            (comb(n, k) * euler(k, a), bivariate(n - k), None)
             for k in range(n + 1)))
         return seq.bell_euler_poly(n, a), rhs
     return run_cases("T3_4", _grid_cases(grid, pair))
@@ -177,6 +177,34 @@ def check_T3_5(grid: Grid = Grid()) -> IdentityReport:
     return run_cases("T3_5", _grid_cases(grid, pair))
 
 
+def appell_columns():
+    """Two tables over the members ``bell_euler_poly(n, a)``, for one check
+    call: ``columns(n, a)``, the member's x-columns ``{s: coefficient of
+    x^s}``, and ``column_gap(n, a)``, the first x-column s >= 1 that is not
+    C(n, s) times the x^0 column of member n - s, with what it should be, or
+    None.  A member with no gap is Appell in x, [x^s] BE_n^(a)(x; y) =
+    C(n, s) Z_(n-s)^(a)(y) with Z_r the x = 0 row, and has no column past
+    n; ``T4_1`` and ``orthogonality`` hold each member they read to that
+    form before they compare what it reduces their identities to."""
+    zero = Poly.zero(seq.NAMES)
+
+    @cache
+    def columns(n, a):
+        return seq.bell_euler_poly(n, a).columns("x")
+
+    @cache
+    def column_gap(n, a):
+        # column 0 is Z_n itself
+        found = columns(n, a)
+        for s in range(1, max([n, *found]) + 1):
+            want = comb(n, s) * columns(n - s, a).get(0, zero) if s <= n else zero
+            if found.get(s, zero) != want:
+                return found.get(s, zero), want
+        return None
+
+    return columns, column_gap
+
+
 _SPLIT_Y = ("y1", "y2")
 
 
@@ -190,13 +218,13 @@ def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
     theorem at every n' <= n is Z_r^(a1+a2)(y1 + y2) = W_r := sum_m C(r, m)
     Z_m^(a1)(y1) Z_(r-m)^(a2)(y2) at every r <= n.  So the point n compares
     each x-column of the members of orders a1, a2 and a1 + a2 at n with
-    C(n, s) times the x = 0 row it should be, in the (x, y) ring, and then
-    Z_n^(a1+a2)(y1 + y2) with W_n, in the (y1, y2) ring; the points below
-    n, which run first, hold the rest.  A counterexample is the first
-    column that fails, or else the two rows.  Each member's columns and
-    each row at y1, y2 or y1 + y2 are built once per call, and W_n costs
-    O(n^3) term products.  At fixed n both sides have coefficients of
-    degree at most n in each of a1 and a2."""
+    C(n, s) times the x = 0 row it should be, in the (x, y) ring
+    (:func:`appell_columns`), and then Z_n^(a1+a2)(y1 + y2) with W_n, in
+    the (y1, y2) ring; the points below n, which run first, hold the rest.
+    A counterexample is the first column that fails, or else the two rows.
+    Each member's columns and each row at y1, y2 or y1 + y2 are built once
+    per call, and W_n costs O(n^3) term products.  At fixed n both sides
+    have coefficients of degree at most n in each of a1 and a2."""
     n_max, alphas = grid.resolve(6, (0, 1, 2))
 
     y1, y2 = Poly.gens(*_SPLIT_Y)
@@ -204,20 +232,7 @@ def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
     zero = Poly.zero(seq.NAMES)
 
     # the tables die with this call
-    @cache
-    def columns(n, a):
-        return seq.bell_euler_poly(n, a).columns("x")
-
-    @cache
-    def column_gap(n, a):
-        # the first x-column that is not C(n, s) Z_(n-s), with what it
-        # should be, or None; column 0 is Z_n itself
-        found = columns(n, a)
-        for s in range(1, max([n, *found]) + 1):
-            want = comb(n, s) * columns(n - s, a).get(0, zero) if s <= n else zero
-            if found.get(s, zero) != want:
-                return found.get(s, zero), want
-        return None
+    columns, column_gap = appell_columns()
 
     @cache
     def row(r, a, point):

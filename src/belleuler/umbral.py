@@ -14,12 +14,23 @@ be any exact order.
 
 h generates BE_k^(-mu)(0; -y): the x = 0 rows that build the members, at
 the opposite order and y sign, so the expansion takes mu alone and only
-the orthogonality pairing truncates h.  The expansion reads those rows as
+the orthogonality check truncates h.  The expansion reads those rows as
 int numerators and writes every coefficient in one triangular pass, with
 no ``Poly.sum_of_products`` and no row ``Poly``; the reconstruction sums
 the members through that kernel, so the ``roundtrip`` check holds the two
-routes against each other.  The tests hold h against the ``Series``
-engine of :mod:`.algebra`, and the expansion against its kernel form.
+routes against each other.  The orthogonality check reads the members'
+x = 0 rows too: once a member's x-columns are C(n, s) Z_(n-s), the pairing
+<h t^k | BE_n> is n!/(n-k)! V_(n-k), one kernel sum V_r per degree and
+order, so it pairs no functional with a member; ``pair`` and
+``AppellContext.functionals`` are the library's pairing, and the tests'
+form of the check.  The tests hold h against the ``Series`` engine of
+:mod:`.algebra`, and the expansion against its kernel form.
+
+A check's tables (members' columns, h, V_r, antiderivatives, operators,
+Miller's g) live for one call, like those of :mod:`.identities`.  The
+docstrings of ``orthogonality`` and ``integral`` give the degree in the
+order of both sides at fixed n, which ``tests/test_identities.py`` reads
+to prove them for every order.
 """
 
 from __future__ import annotations
@@ -27,11 +38,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from math import comb, factorial
 
 from .algebra import FIELD_BITS, _FIELD_MASK, Poly, _as_fraction, _check_ceiling, _count
-from .identities import Grid, IdentityReport, json_order, product_cases, run_cases
+from .identities import (Grid, IdentityReport, appell_columns, json_order, product_cases,
+                         run_cases)
 from . import sequences as seq
 
 
@@ -50,21 +62,17 @@ def _item(scale: int, c, p: Poly) -> tuple:
     return (scale, c, p) if isinstance(c, Poly) else (scale * c, p, None)
 
 
-def _pair_columns(coeffs, columns: dict, names: tuple) -> Poly:
-    """<f | q> from q's x-columns ``{n: coefficient of x^n}``."""
-    _truncation(coeffs, max(columns, default=-1), "functional")
-    return Poly.sum_of_products(names, (
-        _item(factorial(n), coeffs[n], columns[n])
-        for n in sorted(columns) if coeffs[n]))
-
-
 def pair(coeffs, q: Poly) -> Poly:
-    """Dual pairing <f | q> of the series f = sum_k coeffs[k] t^k with q,
-    read as a polynomial in x.
+    """Dual pairing <f | q> = sum_n n! coeffs[n] q_n of the series
+    f = sum_k coeffs[k] t^k with q, over q's x-columns q_n.
 
     Returns a polynomial in q's ring, constant in x.
     """
-    return _pair_columns(coeffs, q.columns("x"), q.names)
+    columns = q.columns("x")
+    _truncation(coeffs, max(columns, default=-1), "functional")
+    return Poly.sum_of_products(q.names, (
+        _item(factorial(n), coeffs[n], columns[n])
+        for n in sorted(columns) if coeffs[n]))
 
 
 def apply_operator(coeffs, q: Poly) -> Poly:
@@ -83,10 +91,13 @@ def apply_operator(coeffs, q: Poly) -> Poly:
 
 
 def difference_quotient_operator(z, order: int) -> tuple:
-    """The series (e^{zt} - 1)/t to t^order: coefficient z^(k+1)/(k+1)!."""
+    """The series (e^{zt} - 1)/t to t^order: coefficient z^(k+1)/(k+1)!,
+    each term written from the one before it as term(k - 1) * z / (k + 1)."""
     z = _as_fraction(z)
-    return tuple(z ** (k + 1) / factorial(k + 1)
-                 for k in range(_count(order, "truncation order") + 1))
+    terms = [z]
+    for k in range(1, _count(order, "truncation order") + 1):
+        terms.append(terms[-1] * z / (k + 1))
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -174,26 +185,33 @@ def reconstruct(expansion: AppellExpansion) -> Poly:
         for k, b in enumerate(expansion.coeffs)))
 
 
+def _operator_sides(member: Poly, anti: Poly, z: Fraction, operator: tuple):
+    # the member's running integral from x to x + z, and the operator's action
+    return anti.subs({"x": seq.X + z}) - anti, apply_operator(operator, member)
+
+
+def _pairing_sides(member: Poly, anti: Poly, z: Fraction, operator: tuple):
+    # the member's integral from 0 to z, and the operator's pairing with it
+    return anti.subs({"x": z}) - anti.subs({"x": 0}), pair(operator, member)
+
+
+def _integral_sides(sides, n: int, z, alpha):
+    z = _as_fraction(z)
+    member = seq.bell_euler_poly(n, alpha)
+    return sides(member, member.antiderivative("x"), z,
+                 difference_quotient_operator(z, n + 1))
+
+
 def integral_via_operator(n: int, z, alpha=1):
     """Both routes to the running integral of the order-alpha family member:
     exact antiderivative from x to x+z, and the (e^{zt}-1)/t operator."""
-    z = _as_fraction(z)
-    member = seq.bell_euler_poly(n, alpha)
-    anti = member.antiderivative("x")
-    lhs = anti.subs({"x": seq.X + z}) - anti
-    rhs = apply_operator(difference_quotient_operator(z, n + 1), member)
-    return lhs, rhs
+    return _integral_sides(_operator_sides, n, z, alpha)
 
 
 def integral_pairing_form(n: int, z, alpha=1):
     """Corollary form: the integral from 0 to z equals the pairing of
     (e^{zt}-1)/t against the member, read as a polynomial in x."""
-    z = _as_fraction(z)
-    member = seq.bell_euler_poly(n, alpha)
-    anti = member.antiderivative("x")
-    lhs = anti.subs({"x": z}) - anti.subs({"x": 0})
-    rhs = pair(difference_quotient_operator(z, n + 1), member)
-    return lhs, rhs
+    return _integral_sides(_pairing_sides, n, z, alpha)
 
 
 def _part_count(mu) -> int:
@@ -214,17 +232,24 @@ def multinomial_decomposition(n: int, mu: int):
     recurrence g_m = (1/m) sum_(k=1..m) (mu k - m) f_k g_(m-k), O(n^2).
     The left side is the x = 0 column of the member ``bell_euler_poly``;
     the right side reads ``special_case`` at order 1 and Euler numbers."""
-    return _multinomial_sides(n, mu, seq.special_case)
+    mu, n = _part_count(mu), seq._degree(n)
+    return _multinomial_sides(n, mu, _power_prefix(mu, n), seq.special_case)
 
 
-def _multinomial_sides(n: int, mu: int, special):
-    # special(i, 1) is the order-1 x = 0 member, through the caller's table
-    mu = _part_count(mu)
-    lhs = seq.bell_euler_poly(n, mu).coefficient_in("x", 0)
-    f = [seq.euler_number_order(k, 1) / factorial(k) for k in range(n + 1)]
+def _power_prefix(mu: int, m_max: int) -> list:
+    """[g_0, ..., g_(m_max)] of Miller's recurrence at the order mu: g_m
+    reads only g_0..g_(m-1), so one prefix serves every n <= m_max."""
+    f = [seq.euler_number_order(k, 1) / factorial(k) for k in range(m_max + 1)]
     g = [Fraction(1)]
-    for m in range(1, n + 1):
+    for m in range(1, m_max + 1):
         g.append(sum((mu * k - m) * f[k] * g[m - k] for k in range(1, m + 1)) / m)
+    return g
+
+
+def _multinomial_sides(n: int, mu: int, g: list, special):
+    # g is a prefix of Miller's g to at least n, and special(i, 1) the
+    # order-1 x = 0 member, through the caller's tables
+    lhs = seq.bell_euler_poly(n, mu).coefficient_in("x", 0)
     items = [(comb(n, i) * factorial(n - i) * g[n - i], special(i, 1), None)
              for i in range(n + 1)]
     return lhs, Poly.sum_of_products(seq.NAMES, items)
@@ -242,16 +267,44 @@ def validate_orders(check_ids, alphas) -> None:
 
 def check_orthogonality(grid: Grid = Grid()) -> IdentityReport:
     """<h(t) t^k | BE_n^(mu)> = n! delta_{n,k} over the full (n, k) square,
-    for each order mu.  It reads no Euler number and no ``subs``, so a wrong
-    Euler number or a wrong substitution passes it."""
+    for each order mu, checked through the x = 0 rows.
+
+    With h_j the t^j coefficient of h, the pairing is sum_(s >= k) s!
+    h_(s-k) q_s over the member's x-columns q_s.  For a member that is
+    Appell in x, q_s = C(n, s) Z_(n-s) with Z_r the x = 0 row, so the
+    pairing is n!/(n-k)! V_(n-k) for k <= n and zero for k > n, with
+    V_r = sum_j r!/(r-j)! h_j Z_(r-j): it reads n and k only through
+    n - k.  So the point (mu, n, k) compares each x-column of the member
+    with C(n, s) Z_(n-s), as ``T4_1`` does (``identities.appell_columns``),
+    and then n!/(n-k)! V_(n-k) with n! delta_{n,k}.  A counterexample is
+    the first column that fails, or else these two.  Each order's h, each
+    member's columns and each V_r, one kernel sum of r + 1 products, are
+    built once per call, so a point costs O(n) term products beyond them.
+
+    It reads no Euler number and no ``subs``, so a wrong Euler number or a
+    wrong substitution passes it.  At fixed n both sides have coefficients
+    of degree at most n in mu: h_j has degree at most j and the column s
+    of the member at most n - s, so the pairing has degree at most
+    n - k <= n."""
     n_max, mus = grid.resolve(6, (1, 2, 3))
-    # each order's h is truncated once, and each member split into its
-    # x-columns once for every k; both tables die with this call
-    context = cache(lambda mu: AppellContext.create(mu, n_max))
-    columns = cache(lambda n, mu: seq.bell_euler_poly(n, mu).columns("x"))
+    zero = Poly.zero(seq.NAMES)
+    # the tables die with this call
+    columns, column_gap = appell_columns()
+    h = cache(lambda mu: AppellContext.create(mu, n_max).h)
+
+    @cache
+    def scaled_pairing(r, mu):
+        # V_r; like the pairing, it skips a zero h_j or a missing column
+        h_mu = h(mu)
+        return Poly.sum_of_products(seq.NAMES, (
+            _item(factorial(r) // factorial(r - j), h_mu[j], columns(r - j, mu)[0])
+            for j in range(r + 1) if h_mu[j] and 0 in columns(r - j, mu)))
 
     def pair(mu, n, k):
-        lhs = _pair_columns(context(mu).functionals[k], columns(n, mu), seq.NAMES)
+        gap = column_gap(n, mu)
+        if gap is not None:
+            return gap
+        lhs = factorial(n) // factorial(n - k) * scaled_pairing(n - k, mu) if k <= n else zero
         return lhs, Poly.constant(factorial(n) if n == k else 0)
     degrees = range(n_max + 1)
     return run_cases("orthogonality", product_cases(pair, mu=mus, n=degrees, k=degrees))
@@ -261,12 +314,20 @@ INTEGRAL_Z_VALUES = (Fraction(1), Fraction(1, 2), Fraction(-2, 3))
 
 
 def check_integral(grid: Grid = Grid()) -> IdentityReport:
+    """``integral_via_operator`` and ``integral_pairing_form`` at each point
+    (n, alpha, z).  Each member's antiderivative is built once per
+    (n, alpha), and each z's operator once, to t^(n_max + 1), and read to
+    t^(n + 1), in tables that die with this call.  At a fixed z both sides
+    of either form are linear in the member, so at fixed n their
+    coefficients have degree at most n in alpha."""
     n_max, alphas = grid.resolve(8, (1,))
-
-    forms = {"operator": integral_via_operator, "pairing": integral_pairing_form}
+    forms = {"operator": _operator_sides, "pairing": _pairing_sides}
+    antiderivative = cache(lambda n, a: seq.bell_euler_poly(n, a).antiderivative("x"))
+    operator = cache(lambda z: difference_quotient_operator(z, n_max + 1))
 
     def pair(n, a, z, form):
-        return forms[form](n, z, a)
+        return forms[form](seq.bell_euler_poly(n, a), antiderivative(n, a), z,
+                           operator(z)[:n + 2])
     return run_cases("integral", product_cases(
         pair, n=range(n_max + 1), alpha=alphas, z=INTEGRAL_Z_VALUES, form=forms))
 
@@ -274,9 +335,14 @@ def check_integral(grid: Grid = Grid()) -> IdentityReport:
 def check_multinomial(grid: Grid = Grid()) -> IdentityReport:
     n_max, alphas = grid.resolve(8, (2, 3))
     mus = tuple(_part_count(mu) for mu in alphas)
-    # the order-1 x = 0 members recur across grid points and orders; the
-    # table dies with this call
-    pair = partial(_multinomial_sides, special=cache(seq.special_case))
+    # the order-1 x = 0 members recur across grid points and orders, and
+    # each order's g_0..g_(n_max) across grid points; the tables die with
+    # this call
+    special = cache(seq.special_case)
+    prefix = cache(lambda mu: _power_prefix(mu, n_max))
+
+    def pair(n, mu):
+        return _multinomial_sides(n, mu, prefix(mu), special)
     return run_cases("multinomial", product_cases(pair, n=range(n_max + 1), mu=mus))
 
 

@@ -3,10 +3,12 @@ brute-force enumeration only, apart from ``convolution_rows``, which reads
 the package's Euler-number and Stirling tables, and the umbral route to the
 members, ``h_inverse`` and ``appell_inverse_apply``, which reads
 ``special_case``, and ``reference_expansion``, the Appell expansion as the
-kernel built it from the package's rows.  Nothing here touches the
-package's series engine; polynomials are plain dicts
-{(deg_x, deg_y): Fraction} so comparisons against ``Poly.terms`` stay
-honest.  The ``dict_*`` helpers are a reference
+kernel built it from the package's rows.  ``check_T4_1_four_vars`` and
+``check_orthogonality_pairing`` are the two registry checks that go
+through the x = 0 rows, ``T4_1`` and ``orthogonality``, in forms that read
+whole members.  Nothing here touches the package's series engine;
+polynomials are plain dicts {(deg_x, deg_y): Fraction} so comparisons
+against ``Poly.terms`` stay honest.  The ``dict_*`` helpers are a reference
 polynomial arithmetic on such dicts, in any number of variables, with one
 Fraction per coefficient and no shared denominator.  ``build_parser`` is the
 command line's argparse parser as it stood before ``cli.parse`` replaced it,
@@ -25,7 +27,7 @@ from belleuler.cli import (FAMILIES, _ORDER_HELP, cmd_compute, cmd_expand, cmd_t
 from belleuler.identities import Grid, product_cases, run_cases
 from belleuler.sequences import (_euler_numerator, _negated_y_rows, _order_scale, _stirling_row,
                                  special_case, validate_order)
-from belleuler.umbral import AppellContext, apply_operator
+from belleuler.umbral import AppellContext, apply_operator, pair
 
 
 def bell_triangle(n_max):
@@ -379,6 +381,23 @@ def check_T4_1_four_vars(grid=Grid()):
 
     return run_cases("T4_1", product_cases(
         ring_pair, n=range(n_max + 1), alpha1=alphas, alpha2=alphas))
+
+
+def check_orthogonality_pairing(grid=Grid()):
+    """``umbral.check_orthogonality`` as a pairing of each functional with
+    each member: at every point (mu, n, k), ``pair`` of h(t) t^k, from
+    ``AppellContext.functionals``, with the whole member, O(n^3) term
+    products per point.  It reads the members, h and the kernel, assumes
+    nothing of the members' x-columns, and reports under the same id, on
+    the same grid, in the same case order."""
+    n_max, mus = grid.resolve(6, (1, 2, 3))
+    context = cache(lambda mu: AppellContext.create(mu, n_max))
+
+    def pairing(mu, n, k):
+        lhs = pair(context(mu).functionals[k], sequences.bell_euler_poly(n, mu))
+        return lhs, Poly.constant(factorial(n) if n == k else 0)
+    degrees = range(n_max + 1)
+    return run_cases("orthogonality", product_cases(pairing, mu=mus, n=degrees, k=degrees))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,7 +28,8 @@ from belleuler.identities import (
     check_T5_1,
     validate_n_max,
 )
-from belleuler.umbral import AppellContext, difference_quotient_operator
+from belleuler.umbral import (AppellContext, check_integral, check_orthogonality,
+                              difference_quotient_operator)
 
 POSITIVE_IDS = [i for i in CHECKS if i not in NEGATIVE_CONTROLS]
 
@@ -237,6 +238,37 @@ def test_T4_1_agrees_with_the_four_variable_form_on_an_every_order_grid():
     rows, whole = check_T4_1(grid), oracles.check_T4_1_four_vars(grid)
     assert rows.passed and whole.passed
     assert rows.checked == whole.checked == 11 * 144
+
+
+def test_orthogonality_holds_for_every_order_to_n_16():
+    """At fixed n, each side of each orthogonality point has coefficients of
+    degree at most n in mu: the x-column s of the member and C(n, s)
+    Z_(n-s) at most n - s, and the pairing n!/(n-k)! V_(n-k) at most
+    n - k, since h_j has degree at most j.  So a pass at the 17 orders
+    0..16 proves <h(t) t^k | BE_n^(mu)> = n! delta_{n,k} for every order
+    on the whole (n, k) square to n = 16."""
+    report = check_orthogonality(Grid(n_max=16, alphas=tuple(range(17))))
+    assert report.passed, report.counterexample
+    assert report.checked == 17 * 17 * 17
+
+
+def test_integral_holds_for_every_order_to_n_12():
+    """At a fixed z, both sides of either integral form are linear in the
+    member, so at fixed n their coefficients have degree at most n in the
+    order.  A pass at the 13 orders 0..12 proves both forms for every order
+    at each n <= 12 and each of the three z."""
+    report = check_integral(Grid(n_max=12, alphas=tuple(range(13))))
+    assert report.passed, report.counterexample
+    assert report.checked == 13 * 13 * 3 * 2
+
+
+def test_orthogonality_agrees_with_the_pairing_form_on_an_every_order_grid():
+    # the x = 0 row form and the pairing of each functional with each whole
+    # member, on the orders 0..11 at n <= 10
+    grid = Grid(n_max=10, alphas=tuple(range(12)))
+    rows, whole = check_orthogonality(grid), oracles.check_orthogonality_pairing(grid)
+    assert rows.passed and whole.passed
+    assert rows.checked == whole.checked == 12 * 11 * 11
 
 
 @pytest.mark.parametrize("error, ring, gap", [(1, ("y1", "y2"), -2), (seq.X, seq.NAMES, 1)])

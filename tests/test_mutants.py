@@ -147,12 +147,22 @@ def test_each_fault_fails_exactly_its_checks(monkeypatch, fault):
     assert failing == expected
 
 
-@pytest.mark.parametrize("fault", MATRIX)
-def test_T4_1_fails_where_its_four_variable_form_fails(monkeypatch, fault):
-    # the x = 0 row form of T4_1 and the whole expansion in (x1, x2, y1, y2)
-    # it replaced pass or fail together, at the same grid point
+# each check that goes through the x = 0 rows, with the form it replaced,
+# which reads whole members: T4_1's expansion in (x1, x2, y1, y2), and the
+# pairing of each functional h(t) t^k with each member for orthogonality
+ROW_FORM_ORACLES = {"T4_1": oracles.check_T4_1_four_vars,
+                    "orthogonality": oracles.check_orthogonality_pairing}
+
+
+# T4_1's cases keep the bare fault ids this test has always reported
+@pytest.mark.parametrize("check_id, fault", [
+    pytest.param(check_id, fault, id=fault if check_id == "T4_1" else f"{check_id}-{fault}")
+    for check_id in ROW_FORM_ORACLES for fault in MATRIX])
+def test_T4_1_fails_where_its_four_variable_form_fails(monkeypatch, check_id, fault):
+    # a check's x = 0 row form and its oracle pass or fail together, after
+    # the same number of cases, at the same grid point
     reports = _under(monkeypatch, MATRIX[fault][0], lambda: [
-        check(Grid(n_max=8)) for check in (CHECKS["T4_1"], oracles.check_T4_1_four_vars)])
+        check(Grid(n_max=8)) for check in (REGISTRY[check_id], ROW_FORM_ORACLES[check_id])])
     rows, whole = [(r.passed, r.checked, r.counterexample and r.counterexample.params)
                    for r in reports]
     assert rows == whole
@@ -189,16 +199,20 @@ def test_a_fault_off_the_default_orders_fails_only_the_every_order_grids(monkeyp
     # not a MATRIX row: no check fails under it at the default grids.  The
     # grids of tests/test_identities.py that prove the checks for every
     # order catch it, but for R4_2, T4_2 and T5_1, which hold for any
-    # Appell sequence
+    # Appell sequence, and integral, which holds for any polynomial
     def run():
         default_failing = {(n_max, i) for n_max in (8, 10) for i in CHECK_IDS
                            if not REGISTRY[i](Grid(n_max=n_max)).passed}
         every_order = Grid(n_max=16, alphas=tuple(range(18)))
         failing = {i for i in ONE_ORDER_IDS if not CHECKS[i](every_order).passed}
-        if not CHECKS["T4_1"](Grid(n_max=16, alphas=tuple(range(17)))).passed:
-            failing.add("T4_1")
+        for check_id, grid in (("T4_1", Grid(n_max=16, alphas=tuple(range(17)))),
+                               ("orthogonality", Grid(n_max=16, alphas=tuple(range(17)))),
+                               ("integral", Grid(n_max=12, alphas=tuple(range(13))))):
+            if not REGISTRY[check_id](grid).passed:
+                failing.add(check_id)
         return default_failing, failing
 
     default_failing, failing = _under(monkeypatch, _row_8_off_the_read_orders, run)
     assert default_failing == set()
-    assert failing == {"T3_3", "T3_4", "T3_5", "T4_3", "T4_4_corrected", "T5_2", "T4_1"}
+    assert failing == {"T3_3", "T3_4", "T3_5", "T4_3", "T4_4_corrected", "T5_2", "T4_1",
+                       "orthogonality"}

@@ -210,6 +210,25 @@ class TestOrthogonality:
         report = check_orthogonality(Grid(n_max=5, alphas=(mu,)))
         assert report.passed and report.checked == 36
 
+    @pytest.mark.parametrize("error", [1, X], ids=str)
+    def test_counterexample_is_a_column_or_the_scaled_pairing(self, monkeypatch, error):
+        # a wrong x = 0 row of member (2, 1) fails as n!/(n-k)! V_(n-k) and
+        # n! delta_{n,k}, the constant 0 at k = 0; a wrong x-column fails as
+        # that column and C(n, s) Z_(n-s), here 2 Z_1
+        true_member = seq.bell_euler_poly
+
+        def perturbed(n, a):
+            member = true_member(n, a)
+            return member + error if (n, a) == (2, 1) else member
+
+        z_1 = true_member(1, 1).coefficient_in("x", 0)
+        monkeypatch.setattr(seq, "bell_euler_poly", perturbed)
+        report = check_orthogonality(Grid(n_max=3, alphas=(1,)))
+        assert not report.passed and report.checked == 9
+        assert report.counterexample.params == {"mu": 1, "n": 2, "k": 0}
+        lhs, rhs = report.counterexample.lhs, report.counterexample.rhs
+        assert lhs - rhs == 1 and rhs == (0 if error == 1 else 2 * z_1)
+
 
 def test_multinomial_reads_each_order_one_member_once_per_call(monkeypatch):
     # Grid(n_max=10) at orders 2 and 3 sums over i <= n at 132 grid points,
