@@ -34,14 +34,13 @@ floating point anywhere.  Two value types do all the work:
   result, after cancellation.  :meth:`Poly.columns` splits a polynomial
   into its columns in one variable in one scan, which the dual pairing
   reads.  :attr:`Poly.terms` shows the coefficients as Fractions
-  under exponent tuples.  The two formatters read the packed keys
-  directly: :meth:`Poly.pretty` orders the terms by the first exponent
-  descending, then the others ascending, and :meth:`Poly.to_json_map` by
-  total degree, then exponent tuple, both descending.  In the (x, y) ring
-  each order is one int per key, so no term unpacks to a tuple.  The
-  spelling of the ordered terms is two functions of the module,
-  ``_pretty_terms`` and ``_json_terms``, which the command line also
-  calls for members it writes without a Poly.  They take each term as a
+  under exponent tuples.  Each formatter sorts the packed keys once:
+  :meth:`Poly.pretty` orders the terms by the first exponent descending,
+  then the others ascending, and :meth:`Poly.to_json_map` by total
+  degree, then exponent tuple, both descending.  The spelling of the
+  ordered terms is two functions of the module, ``_pretty_terms`` and
+  ``_json_terms``, which the command line also calls for members it
+  writes without a Poly.  They take each term as a
   key, a numerator and a denominator, spell every power that occurs once,
   into a table per variable, write each coefficient with one gcd against
   its denominator (none when it is 1), and join the text once.
@@ -385,7 +384,7 @@ class Poly:
         if isinstance(other, Poly):
             return (self.names == other.names and self._den == other._den
                     and self._num == other._num)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
 
@@ -580,15 +579,11 @@ class Poly:
         """
         num, den = self._num, self._den
         nvars = len(self.names)
-        if nvars == 2:
-            # (e_x + e_y, e_x) in one int; e_y follows from the two
-            keys = sorted(num, reverse=True, key=lambda k: (
-                (k & _FIELD_MASK) + (k >> FIELD_BITS) << FIELD_BITS) | k & _FIELD_MASK)
-        else:
-            def order(k):
-                e = _unpack(k, nvars)
-                return sum(e), e
-            keys = sorted(num, key=order, reverse=True)
+
+        def order(k):
+            e = _unpack(k, nvars)
+            return sum(e), e
+        keys = sorted(num, key=order, reverse=True)
         return dict(_json_terms(self.names, keys, map(num.__getitem__, keys),
                                 repeat(den)))
 
@@ -601,13 +596,7 @@ class Poly:
         """
         num = self._num
         nvars = len(self.names)
-        if nvars == 2:
-            # (-e_x, e_y) in one int: the field of e_x holds its complement
-            keys = sorted(num, key=lambda k: (
-                (_FIELD_MASK - (k & _FIELD_MASK)) << FIELD_BITS) | (k >> FIELD_BITS))
-        else:
-            keys = sorted(num, key=lambda k: (-(k & _FIELD_MASK),)
-                          + _unpack(k, nvars)[1:])
+        keys = sorted(num, key=lambda k: (-(k & _FIELD_MASK),) + _unpack(k, nvars)[1:])
         return _pretty_terms(self.names, keys, map(num.__getitem__, keys),
                              repeat(self._den))
 

@@ -63,9 +63,11 @@ MAX_TABLE_N = 128         # bell-euler at order -5/3: 2.3 s, 62 MB (n-max 160: 1
 MAX_VERIFY_N = 40         # verify --all: 5.7 s, 35 MB (n-max 48: 10.3 s)
 MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 2.9 s, 52 MB (degree 128: 10 s)
 MAX_VERIFY_ALPHAS = 32    # verify --n-max 10, orders j/97: 3.7 s, 23 MB (48 orders: 5.9 s, 26 MB)
-# digits of the numerator, and of the denominator, of a compute/table --alpha
-# or an expand --mu; verify --alphas is not bounded by it
-MAX_ORDER_DIGITS = 4      # at -9973/9967: table 158 MB, expand 8.4 s (5 digits: expand 11 s)
+# digits of the numerator, and of the denominator, of a compute/table --alpha,
+# an expand --mu, or an expand literal's summed coefficient at each power;
+# verify --alphas is not bounded by it.  The slowest expand is a dense
+# degree-96 literal of four-digit coefficients at a four-digit order.
+MAX_ORDER_DIGITS = 4      # at -9973/9967: table 158 MB, dense expand 14.7 s, 75 MB (5 digits: expand 11 s)
 
 
 class UsageError(Exception):
@@ -85,13 +87,17 @@ def _parse_order(text: str, name: str = "alpha"):
         raise UsageError(f"bad {name} {text!r}: {exc}") from None
 
 
+def _within_digits(ratio: Fraction, name: str) -> None:
+    # the digits of the numerator, and of the denominator, of a ratio
+    digits = max(len(str(abs(ratio.numerator))), len(str(ratio.denominator)))
+    _within(digits, MAX_ORDER_DIGITS, f"{name} digit count")
+
+
 def _printed_order(text: str, name: str):
     """An order for a command that prints polynomials, whose coefficients
     grow with the digits of its numerator and denominator."""
     order = _parse_order(text, name)
-    ratio = Fraction(order)
-    digits = max(len(str(abs(ratio.numerator))), len(str(ratio.denominator)))
-    _within(digits, MAX_ORDER_DIGITS, f"--{name} digit count")
+    _within_digits(Fraction(order), f"--{name}")
     return order
 
 
@@ -279,7 +285,9 @@ _POLY_TOKEN = re.compile(
 
 def parse_x_polynomial(text: str) -> Poly:
     """Parse a univariate polynomial literal like "x^3 - 2/3" or "1/2*x + 1",
-    of degree at most MAX_EXPAND_DEGREE."""
+    of degree at most MAX_EXPAND_DEGREE, whose summed coefficient at each
+    power has at most MAX_ORDER_DIGITS digits in its numerator and in its
+    denominator."""
     stripped = text.replace(" ", "")
     if not stripped:
         raise UsageError("empty polynomial literal")
@@ -298,6 +306,8 @@ def parse_x_polynomial(text: str) -> Poly:
             exponent = int(match.group(4)) if match.group(4) else 1
             _within(exponent, MAX_EXPAND_DEGREE, "degree")
         coeffs[exponent] = coeffs.get(exponent, 0) + sign * coeff
+    for coeff in coeffs.values():
+        _within_digits(coeff, "coefficient")
     return Poly(seq.NAMES, {(e, 0): c for e, c in coeffs.items()})
 
 

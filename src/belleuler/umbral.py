@@ -21,10 +21,10 @@ the members through that kernel, so the ``roundtrip`` check holds the two
 routes against each other.  The orthogonality check reads the members'
 x = 0 rows too: once a member's x-columns are C(n, s) Z_(n-s), the pairing
 <h t^k | BE_n> is n!/(n-k)! V_(n-k), one kernel sum V_r per degree and
-order, so it pairs no functional with a member; ``pair`` and
-``AppellContext.functionals`` are the library's pairing, and the tests'
-form of the check.  The tests hold h against the ``Series`` engine of
-:mod:`.algebra`, and the expansion against its kernel form.
+order, so it pairs no functional with a member; ``pair`` is the
+library's pairing, and the tests' form of the check.  The tests hold h
+against the ``Series`` engine of :mod:`.algebra`, and the expansion against
+its kernel form.
 
 A check's tables (members' columns, h, V_r, antiderivatives, operators,
 Miller's g) live for one call, like those of :mod:`.identities`.  The
@@ -103,8 +103,7 @@ def difference_quotient_operator(z, order: int) -> tuple:
 @dataclass(frozen=True)
 class AppellContext:
     """Invertible base series h for the order-mu Bell-based Euler family,
-    truncated at t^order; h and the functionals are coefficient tuples
-    built on first read."""
+    truncated at t^order; h is a coefficient tuple built on first read."""
 
     mu: "int | Fraction"
     order: int
@@ -118,13 +117,6 @@ class AppellContext:
         """h(t) = ((e^t+1)/2)^mu e^{-y(e^t-1)} generates BE^(-mu)(0; -y)."""
         return tuple(row / factorial(k) for k, row in
                      enumerate(seq._negated_y_rows(self.order, -self.mu)))
-
-    @cached_property
-    def functionals(self) -> tuple:
-        """h(t) t^k for k = 0..order: pairing with the k-th gives k! times
-        the k-th Appell coefficient."""
-        return tuple((0,) * k + self.h[:len(self.h) - k]
-                     for k in range(self.order + 1))
 
 
 @dataclass(frozen=True)
@@ -195,25 +187,6 @@ def _pairing_sides(member: Poly, anti: Poly, z: Fraction, operator: tuple):
     return anti.subs({"x": z}) - anti.subs({"x": 0}), pair(operator, member)
 
 
-def _integral_sides(sides, n: int, z, alpha):
-    z = _as_fraction(z)
-    member = seq.bell_euler_poly(n, alpha)
-    return sides(member, member.antiderivative("x"), z,
-                 difference_quotient_operator(z, n + 1))
-
-
-def integral_via_operator(n: int, z, alpha=1):
-    """Both routes to the running integral of the order-alpha family member:
-    exact antiderivative from x to x+z, and the (e^{zt}-1)/t operator."""
-    return _integral_sides(_operator_sides, n, z, alpha)
-
-
-def integral_pairing_form(n: int, z, alpha=1):
-    """Corollary form: the integral from 0 to z equals the pairing of
-    (e^{zt}-1)/t against the member, read as a polynomial in x."""
-    return _integral_sides(_pairing_sides, n, z, alpha)
-
-
 def _part_count(mu) -> int:
     # the composition sum splits n into mu parts, so mu counts at least one
     mu = seq.validate_order(mu)
@@ -222,18 +195,6 @@ def _part_count(mu) -> int:
     if mu < 1:
         raise ValueError("mu must be at least 1")
     return mu
-
-
-def multinomial_decomposition(n: int, mu: int):
-    """x=0 member of order mu versus the composition sum over order-1 members
-    weighted by order-1 Euler numbers, grouped by the last part i:
-    rhs = sum_i C(n,i) (n-i)! g_(n-i) BE_i^(1)(0; y), where g_m is the t^m
-    coefficient of f^(mu-1), f_k = E_k^(1)/k!, from J. C. P. Miller's power
-    recurrence g_m = (1/m) sum_(k=1..m) (mu k - m) f_k g_(m-k), O(n^2).
-    The left side is the x = 0 column of the member ``bell_euler_poly``;
-    the right side reads ``special_case`` at order 1 and Euler numbers."""
-    mu, n = _part_count(mu), seq._degree(n)
-    return _multinomial_sides(n, mu, _power_prefix(mu, n), seq.special_case)
 
 
 def _power_prefix(mu: int, m_max: int) -> list:
@@ -314,8 +275,12 @@ INTEGRAL_Z_VALUES = (Fraction(1), Fraction(1, 2), Fraction(-2, 3))
 
 
 def check_integral(grid: Grid = Grid()) -> IdentityReport:
-    """``integral_via_operator`` and ``integral_pairing_form`` at each point
-    (n, alpha, z).  Each member's antiderivative is built once per
+    """The running integral of the member BE_n^(alpha) against the operator
+    (e^{zt} - 1)/t, at each point (n, alpha, z), in two forms.  The
+    operator form: the exact antiderivative from x to x + z equals the
+    operator's action on the member.  The pairing form: the integral from
+    0 to z equals the operator's pairing with the member, read as a
+    polynomial in x.  Each member's antiderivative is built once per
     (n, alpha), and each z's operator once, to t^(n_max + 1), and read to
     t^(n + 1), in tables that die with this call.  At a fixed z both sides
     of either form are linear in the member, so at fixed n their
@@ -333,6 +298,14 @@ def check_integral(grid: Grid = Grid()) -> IdentityReport:
 
 
 def check_multinomial(grid: Grid = Grid()) -> IdentityReport:
+    """The x = 0 member of integer order mu >= 1 against the composition sum
+    over order-1 members weighted by order-1 Euler numbers, grouped by the
+    last part i: BE_n^(mu)(0; y) = sum_i C(n, i) (n-i)! g_(n-i)
+    BE_i^(1)(0; y), at each point (n, mu).  g_m is the t^m coefficient of
+    f^(mu-1), f_k = E_k^(1)/k!, from J. C. P. Miller's power recurrence
+    g_m = (1/m) sum_(k=1..m) (mu k - m) f_k g_(m-k), O(n^2) per order.
+    The left side is the x = 0 column of the member ``bell_euler_poly``;
+    the right side reads ``special_case`` at order 1 and Euler numbers."""
     n_max, alphas = grid.resolve(8, (2, 3))
     mus = tuple(_part_count(mu) for mu in alphas)
     # the order-1 x = 0 members recur across grid points and orders, and

@@ -6,7 +6,11 @@ members, ``h_inverse`` and ``appell_inverse_apply``, which reads
 kernel built it from the package's rows.  ``check_T4_1_four_vars`` and
 ``check_orthogonality_pairing`` are the two registry checks that go
 through the x = 0 rows, ``T4_1`` and ``orthogonality``, in forms that read
-whole members.  Nothing here touches the package's series engine;
+whole members.  ``functionals`` shifts an ``AppellContext``'s h into the
+functionals h(t) t^k, and ``integral_via_operator``,
+``integral_pairing_form`` and ``multinomial_decomposition`` are single
+points of the ``integral`` and ``multinomial`` checks, built through the
+checks' own sides.  Nothing here touches the package's series engine;
 polynomials are plain dicts {(deg_x, deg_y): Fraction} so comparisons
 against ``Poly.terms`` stay honest.  The ``dict_*`` helpers are a reference
 polynomial arithmetic on such dicts, in any number of variables, with one
@@ -21,13 +25,15 @@ from functools import cache, lru_cache
 from math import comb, factorial, gcd
 
 from belleuler import sequences
-from belleuler.algebra import Poly
+from belleuler.algebra import Poly, _as_fraction
 from belleuler.cli import (FAMILIES, _ORDER_HELP, cmd_compute, cmd_expand, cmd_table,
                            cmd_verify)
 from belleuler.identities import Grid, product_cases, run_cases
 from belleuler.sequences import (_euler_numerator, _negated_y_rows, _order_scale, _stirling_row,
                                  special_case, validate_order)
-from belleuler.umbral import AppellContext, apply_operator, pair
+from belleuler.umbral import (AppellContext, _multinomial_sides, _operator_sides,
+                              _pairing_sides, _part_count, _power_prefix, apply_operator,
+                              difference_quotient_operator, pair)
 
 
 def bell_triangle(n_max):
@@ -338,6 +344,44 @@ def appell_inverse_apply(mu, n):
     return apply_operator(h_inverse(AppellContext.create(mu, n)), Poly.gen("x") ** n)
 
 
+def functionals(context):
+    """h(t) t^k for k = 0..order of an ``AppellContext``: pairing with the
+    k-th gives k! times the k-th Appell coefficient."""
+    return tuple((0,) * k + context.h[:len(context.h) - k]
+                 for k in range(context.order + 1))
+
+
+def _integral_sides(sides, n: int, z, alpha):
+    z = _as_fraction(z)
+    member = sequences.bell_euler_poly(n, alpha)
+    return sides(member, member.antiderivative("x"), z,
+                 difference_quotient_operator(z, n + 1))
+
+
+def integral_via_operator(n: int, z, alpha=1):
+    """Both routes to the running integral of the order-alpha family member:
+    exact antiderivative from x to x+z, and the (e^{zt}-1)/t operator."""
+    return _integral_sides(_operator_sides, n, z, alpha)
+
+
+def integral_pairing_form(n: int, z, alpha=1):
+    """Corollary form: the integral from 0 to z equals the pairing of
+    (e^{zt}-1)/t against the member, read as a polynomial in x."""
+    return _integral_sides(_pairing_sides, n, z, alpha)
+
+
+def multinomial_decomposition(n: int, mu: int):
+    """x=0 member of order mu versus the composition sum over order-1 members
+    weighted by order-1 Euler numbers, grouped by the last part i:
+    rhs = sum_i C(n,i) (n-i)! g_(n-i) BE_i^(1)(0; y), where g_m is the t^m
+    coefficient of f^(mu-1), f_k = E_k^(1)/k!, from J. C. P. Miller's power
+    recurrence g_m = (1/m) sum_(k=1..m) (mu k - m) f_k g_(m-k), O(n^2).
+    The left side is the x = 0 column of the member ``bell_euler_poly``;
+    the right side reads ``special_case`` at order 1 and Euler numbers."""
+    mu, n = _part_count(mu), sequences._degree(n)
+    return _multinomial_sides(n, mu, _power_prefix(mu, n), sequences.special_case)
+
+
 def reference_expansion(q, mu):
     """The coefficients of ``expand_in_appell(q, mu)`` as the kernel built
     them: b_k = sum_(n >= k) C(n, k) BE_(n-k)^(-mu)(0; -y) q_n, with q's
@@ -386,15 +430,15 @@ def check_T4_1_four_vars(grid=Grid()):
 def check_orthogonality_pairing(grid=Grid()):
     """``umbral.check_orthogonality`` as a pairing of each functional with
     each member: at every point (mu, n, k), ``pair`` of h(t) t^k, from
-    ``AppellContext.functionals``, with the whole member, O(n^3) term
-    products per point.  It reads the members, h and the kernel, assumes
-    nothing of the members' x-columns, and reports under the same id, on
-    the same grid, in the same case order."""
+    ``functionals``, with the whole member, O(n^3) term products per point.
+    It reads the members, h and the kernel, assumes nothing of the members'
+    x-columns, and reports under the same id, on the same grid, in the same
+    case order."""
     n_max, mus = grid.resolve(6, (1, 2, 3))
-    context = cache(lambda mu: AppellContext.create(mu, n_max))
+    shifted = cache(lambda mu: functionals(AppellContext.create(mu, n_max)))
 
     def pairing(mu, n, k):
-        lhs = pair(context(mu).functionals[k], sequences.bell_euler_poly(n, mu))
+        lhs = pair(shifted(mu)[k], sequences.bell_euler_poly(n, mu))
         return lhs, Poly.constant(factorial(n) if n == k else 0)
     degrees = range(n_max + 1)
     return run_cases("orthogonality", product_cases(pairing, mu=mus, n=degrees, k=degrees))

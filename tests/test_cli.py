@@ -434,7 +434,12 @@ class TestUsageErrors:
          "--alpha=1/10000000000000000"),
         ("table", "--family", "euler", "--n-max", "4", "--alpha=-10007/3"),
         ("expand", "--mu=12345", "x"),
-    ], ids=["compute", "table", "expand"])
+        # a literal's summed coefficient at each power is bounded as --mu is
+        ("expand", "--mu=-5/3", "--", "12345*x^2 + 1"),
+        ("expand", "--mu=-5/3", "--", "x^2 - 1/10007*x"),
+        ("expand", "--mu=-5/3", "--", "5000*x + 5001*x"),
+    ], ids=["compute", "table", "expand", "expand-literal-numerator",
+            "expand-literal-denominator", "expand-literal-summed"])
     def test_order_with_too_many_digits_refused_before_any_work(
             self, run_cli, monkeypatch, argv):
         calls = []
@@ -455,6 +460,10 @@ class TestUsageErrors:
                                f"--alpha={alpha}")
         assert code == 0 and out == seq.bell_euler_poly(3, alpha).pretty() + "\n"
         code, out, _ = run_cli("expand", f"--mu={alpha}", "x^3 - 2/3")
+        assert code == 0 and json.loads(out)["residual"] == "0"
+        literal = f"{top}*x^2 - 1/{top}*x - {-alpha}"
+        assert parse_x_polynomial(literal) == int(top) * X**2 - X / int(top) + alpha
+        code, out, _ = run_cli("expand", f"--mu={alpha}", "--", literal)
         assert code == 0 and json.loads(out)["residual"] == "0"
 
     def test_verify_orders_are_not_bounded_by_digits(self, run_cli):

@@ -326,6 +326,17 @@ def test_constants_equal_and_hash_like_their_value(value, names):
         assert x + scalar != scalar
 
 
+@pytest.mark.parametrize("names", RINGS)
+def test_bools_are_not_exact_scalars_in_equality(names):
+    # Poly.constant(True), + True and * True raise, so == must not read a
+    # bool as 1 or 0 either; like a float, it compares unequal
+    one, zero = Poly.constant(1, names), Poly.zero(names)
+    for p, flag in ((one, True), (zero, False), (one, 1.0), (zero, 0.0)):
+        assert p != flag and flag != p
+        assert not p == flag and not flag == p
+    assert hash(one) == hash(1) and hash(zero) == hash(0)
+
+
 def test_public_constructor_validates_and_reduces():
     p = Poly(["x", "y"], {(1, 0): F(2, 4), (0, 1): 3, (2, 2): F(0)})
     assert p._num == {1: 1, 1 << FIELD_BITS: 6} and p._den == 2

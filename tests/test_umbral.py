@@ -9,6 +9,7 @@ from math import factorial
 import pytest
 
 import oracles
+from oracles import integral_pairing_form, integral_via_operator, multinomial_decomposition
 from belleuler import sequences as seq
 from belleuler.algebra import Poly, QQ, Series, XY
 from belleuler.cli import main as cli_main
@@ -23,9 +24,6 @@ from belleuler.umbral import (
     check_roundtrip,
     difference_quotient_operator,
     expand_in_appell,
-    integral_pairing_form,
-    integral_via_operator,
-    multinomial_decomposition,
     pair,
     random_rational_poly,
     reconstruct,
@@ -245,7 +243,7 @@ def test_multinomial_reads_each_order_one_member_once_per_call(monkeypatch):
         calls.clear()
         assert check_multinomial(Grid(n_max=10)).passed
         assert sorted(calls) == [(i, 1) for i in range(11)]
-    # the public pair still reads special_case on every call
+    # the oracle's single point still reads special_case on every call
     calls.clear()
     multinomial_decomposition(3, 2)
     assert calls == [(i, 1) for i in range(4)]
