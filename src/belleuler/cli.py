@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
 
-from .algebra import (FIELD_BITS, Poly, _json_terms, _pretty_terms, format_fraction,
-                      parse_fraction)
+from .algebra import (FIELD_BITS, Poly, _count, _json_terms, _pretty_terms,
+                      format_fraction, parse_fraction)
 from .identities import (CHECKS as IDENTITY_CHECKS, Grid, NEGATIVE_CONTROLS,
                          validate_n_max)
 from .umbral import (CHECKS as UMBRAL_CHECKS, expand_in_appell, reconstruct,
@@ -215,10 +215,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_table(args) -> int:
-    n_max = args.n_max
-    if n_max < 0:
-        raise UsageError("--n-max must be non-negative")
-    _within(n_max, MAX_TABLE_N, "--n-max")
+    n_max = _within(_count(args.n_max, "--n-max"), MAX_TABLE_N, "--n-max")
     flag, params = _family(args)
     family = args.family
 

@@ -130,6 +130,20 @@ class TestPoly:
         with pytest.raises(ValueError):
             X + z
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Poly.gen("z", ("x", "y")), ValueError, "is not one of"),
+        (lambda: X / 0, ZeroDivisionError, "division by zero"),
+        # __add__ and __mul__ return NotImplemented, and so does the str or
+        # float on the right, so Python raises
+        (lambda: X + "1", TypeError, "unsupported operand"),
+        (lambda: X * 1.5, TypeError, "unsupported operand"),
+        (lambda: X.subs({"x": Poly.gen("s", ("s",)), "y": Poly.gen("t", ("t",))}),
+         ValueError, "different rings"),
+    ])
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
 
 class TestPolySerialization:
     def test_json_key_order_and_format(self):

@@ -402,6 +402,22 @@ class TestUsageErrors:
         assert code == 2 and out == "" and "over the limit" in err
         assert calls == []
 
+    def test_table_negative_n_max(self, run_cli, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli.FAMILIES, "stirling2", calls.append)
+        code, out, err = run_cli("table", "--family", "stirling2", "--n-max", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --n-max must be a non-negative int, got -1\n"
+        assert calls == []
+
+    def test_verify_empty_alphas_list(self, run_cli, monkeypatch):
+        calls = []
+        for check_id in list(cli.REGISTRY):
+            monkeypatch.setitem(cli.REGISTRY, check_id, calls.append)
+        code, out, err = run_cli("verify", "--all", "--alphas=,")
+        assert code == 2 and out == "" and err == "error: empty --alphas list\n"
+        assert calls == []
+
     def test_verify_n_max_over_the_limit(self, run_cli, monkeypatch):
         calls = []
         for check_id in list(cli.REGISTRY):

@@ -274,6 +274,19 @@ def test_subs_leaves_a_terms_last_rename_offset_to_the_result():
             {"x": t + 1, "y": t, "z": t})
 
 
+def test_subs_checks_the_offset_before_a_last_row_that_starts_at_key_0():
+    # the image of x is 1 + t, whose power row starts at key 0; each term's
+    # full offset passes the guard bit before that row, and the two would
+    # cancel past it
+    x, y, z = Poly.gens("x", "y", "z")
+    t = Poly.gen("t", ("t",))
+    one_plus_t = Poly.constant(1, ("t",)) + t
+    assert next(iter(one_plus_t._num)) == 0
+    with pytest.raises(ValueError, match="ceiling"):
+        (x * y ** 10000 * z ** 7000 - x * y ** 7000 * z ** 10000).subs(
+            {"x": one_plus_t, "y": t, "z": t})
+
+
 def test_subs_of_an_affine_image_at_rising_and_falling_degrees():
     # one three-term image at rising and falling degrees, and in two rings:
     # each call builds the powers it reads and keeps none for the next
