@@ -17,7 +17,13 @@ floating point anywhere.  Two value types do all the work:
   carrying into the next variable.  That form is canonical, so equality is
   a comparison of ints and is the library's notion of "identity holds";
   every writer hands its raw int sums to :meth:`Poly._make`, the one step
-  that drops the zero numerators and divides out the gcd.
+  that drops the zero numerators and divides out the gcd.  A scalar,
+  whether a coefficient or an operand, is an int or a Fraction
+  (``_is_exact``); ``Poly`` reads it through ``_exact``, as it is, since
+  both carry ``numerator`` and ``denominator``, so an int builds no
+  Fraction.  ``_as_fraction`` converts only where Fraction arithmetic
+  follows, as in a :class:`Series` over the rationals, where int / int
+  would be a float.
   :meth:`Poly.sum_of_products` is the one kernel for the sums
   ``sum_k c_k * a_k * b_k`` that the identity checks, the dual pairing,
   the operator action and the Appell reconstruction build; the Appell
@@ -90,10 +96,18 @@ def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
-def _as_fraction(value) -> Fraction:
-    """``value`` as a Fraction, if :func:`_is_exact` admits it."""
+def _exact(value):
+    """``value`` unchanged, if :func:`_is_exact` admits it: an int and a
+    Fraction both carry ``.numerator`` and ``.denominator``."""
     if not _is_exact(value):
         raise ValueError(f"exact scalar required, got {type(value).__name__}")
+    return value
+
+
+def _as_fraction(value) -> Fraction:
+    """``value`` as a Fraction, if :func:`_is_exact` admits it: for callers
+    whose Fraction arithmetic follows, where int / int would be a float."""
+    value = _exact(value)
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -189,7 +203,7 @@ class Poly:
         coeffs = {}
         for exps, coeff in terms.items():
             key = _pack(exps, len(names))
-            coeff = _as_fraction(coeff)
+            coeff = _exact(coeff)
             if coeff:
                 coeffs[key] = coeff
         # over the lcm of reduced denominators the numerators share no factor
@@ -239,7 +253,7 @@ class Poly:
         work, den, products = [], 1, False
         for c, a, b in items:
             if not _is_exact(c):
-                _as_fraction(c)   # raises the exact-scalar error
+                _exact(c)   # raises the exact-scalar error
             if a.names != names or (b is not None and b.names != names):
                 raise ValueError(f"variable mismatch: expected {names}")
             if not c or not a._num or (b is not None and not b._num):
@@ -274,7 +288,7 @@ class Poly:
 
     @classmethod
     def constant(cls, value, names=("x", "y")) -> "Poly":
-        value = _as_fraction(value)
+        value = _exact(value)
         return cls._make(tuple(names), {0: value.numerator}, value.denominator)
 
     @classmethod
@@ -350,7 +364,7 @@ class Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = _as_fraction(other)
+            other = _exact(other)
             return self._scaled(other.numerator, other.denominator)
         other = self._coerce(other)
         return _check_ceiling(Poly._make(
@@ -360,7 +374,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        scalar = _as_fraction(scalar)
+        scalar = _exact(scalar)
         if not scalar:
             raise ZeroDivisionError("polynomial division by zero")
         p, q = scalar.numerator, scalar.denominator
@@ -556,7 +570,7 @@ class Poly:
 
     def evaluate(self, assignments) -> Fraction:
         """Evaluate at an exact rational point; every variable must be assigned."""
-        return self.subs({name: _as_fraction(assignments[name])
+        return self.subs({name: _exact(assignments[name])
                           for name in self.names}).constant_value()
 
     # -- serialization ----------------------------------------------------

@@ -110,15 +110,18 @@ def product_cases(pair, **axes):
     but ``roundtrip``, whose params come from seeded draws.
 
     A param whose name starts with ``alpha`` prints as ``str(value)``, any
-    other as :func:`json_order`.  The thunks are evaluated in order by
-    :func:`run_cases`, so the first failing point is grid-minimal; a check
-    sees only what its ``pair`` reads, and ``tests/test_mutants.py`` pins
-    which seeded engine faults each check fails.
+    other as :func:`json_order`; each axis value is spelled once per call,
+    and each case's params zip the spelled values of its point.  The
+    thunks are evaluated in order by :func:`run_cases`, so the first
+    failing point is grid-minimal; a check sees only what its ``pair``
+    reads, and ``tests/test_mutants.py`` pins which seeded engine faults
+    each check fails.
     """
-    for point in product(*axes.values()):
-        params = {name: str(value) if name.startswith("alpha") else json_order(value)
-                  for name, value in zip(axes, point)}
-        yield params, partial(pair, *point)
+    names, values = tuple(axes), [tuple(axis) for axis in axes.values()]
+    spelled = [[str(value) if name.startswith("alpha") else json_order(value)
+                for value in axis] for name, axis in zip(names, values)]
+    for point, shown in zip(product(*values), product(*spelled)):
+        yield dict(zip(names, shown)), partial(pair, *point)
 
 
 def _grid_cases(grid: Grid, pair_fn):

@@ -54,8 +54,11 @@ Y = Poly.gen("y", NAMES)
 
 def validate_order(alpha):
     """Normalize the family order, an exact scalar of
-    :func:`.algebra._as_fraction`: an integral order becomes an int.  An
-    int is returned as it is; a bool goes on to the rule, which refuses it."""
+    :func:`.algebra._is_exact`.  An int is returned as it is; anything else
+    goes to :func:`.algebra._as_fraction`, which refuses a bool, and an
+    integral Fraction becomes its int.  The helpers below read a
+    normalized order's ``numerator`` and ``denominator`` off it, an int's
+    too, and build no Fraction."""
     if type(alpha) is int:
         return alpha
     alpha = _as_fraction(alpha)
@@ -89,15 +92,16 @@ def _stirling_row(n: int) -> tuple:
 
 
 def _order_scale(alpha) -> int:
-    # E_k^(alpha) * scale^k is an integer, scale = 2 * denominator(alpha)
-    return 2 * Fraction(alpha).denominator
+    # E_k^(alpha) * scale^k is an integer, scale = 2 * denominator(alpha);
+    # alpha is a normalized order, an int or a Fraction
+    return 2 * alpha.denominator
 
 
 @lru_cache(maxsize=None)
 def _euler_numerator(k: int, alpha) -> int:
     """E_k^(alpha) * scale^k, from the Stirling closed form with the rising
     factorial p (p+q) ... (p+(j-1)q) = q^j alpha^(j) for alpha = p/q."""
-    p, q = Fraction(alpha).numerator, Fraction(alpha).denominator
+    p, q = alpha.numerator, alpha.denominator
     scale = _order_scale(alpha)
     total, rising = 0, 1
     for j, s in enumerate(_stirling_row(k)):
@@ -132,7 +136,7 @@ def _bell_euler_rows(n: int, alpha) -> list:
     grows under the lock, and its rows to n cost O(n^2) operations."""
     rows = _member_rows.get(alpha)
     if rows is None or n >= len(rows):
-        p, q = Fraction(alpha).numerator, Fraction(alpha).denominator
+        p, q = alpha.numerator, alpha.denominator
         scale = _order_scale(alpha)
         with _rows_lock:
             rows = _member_rows.setdefault(alpha, [(1,)])
@@ -261,7 +265,7 @@ def special_case(n: int, alpha) -> Poly:
     sum_j S2(n, j) C(j, m) f_(j-m) (2q)^(n-j+m) / (2q)^n,
     f_i = p (p-q) ... (p-(i-1)q) = q^i i! C(mu, i)."""
     n, alpha = _degree(n), validate_order(alpha)
-    p, q = -Fraction(alpha).numerator, Fraction(alpha).denominator
+    p, q = -alpha.numerator, alpha.denominator
     scale = _order_scale(alpha)
     falling = [1]
     for i in range(n):

@@ -26,11 +26,11 @@ library's pairing, and the tests' form of the check.  The tests hold h
 against the ``Series`` engine of :mod:`.algebra`, and the expansion against
 its kernel form.
 
-A check's tables (members' columns, h, V_r, antiderivatives, operators,
-Miller's g) live for one call, like those of :mod:`.identities`.  The
-docstrings of ``orthogonality`` and ``integral`` give the degree in the
-order of both sides at fixed n, which ``tests/test_identities.py`` reads
-to prove them for every order.
+A check's tables (members' columns and x-derivatives, h, V_r,
+antiderivatives, operators, Miller's g) live for one call, like those of
+:mod:`.identities`.  The docstrings of ``orthogonality`` and ``integral``
+give the degree in the order of both sides at fixed n, which
+``tests/test_identities.py`` reads to prove them for every order.
 """
 
 from __future__ import annotations
@@ -58,8 +58,19 @@ def _truncation(coeffs, deg: int, role: str) -> int:
 
 
 def _item(scale: int, c, p: Poly) -> tuple:
-    """The kernel item for scale * c * p, where c is a scalar or a Poly."""
-    return (scale, c, p) if isinstance(c, Poly) else (scale * c, p, None)
+    """The kernel item for scale * c * p, where c is a scalar or a Poly; a
+    scale of 1 leaves a scalar c as it is."""
+    if isinstance(c, Poly):
+        return scale, c, p
+    return (c if scale == 1 else scale * c), p, None
+
+
+def _pair_columns(coeffs, columns: dict, names) -> Poly:
+    """<f | q> over q's x-columns ``{n: q_n}``, as ``pair`` reads them."""
+    _truncation(coeffs, max(columns, default=-1), "functional")
+    return Poly.sum_of_products(names, (
+        _item(factorial(n), coeffs[n], columns[n])
+        for n in sorted(columns) if coeffs[n]))
 
 
 def pair(coeffs, q: Poly) -> Poly:
@@ -68,11 +79,24 @@ def pair(coeffs, q: Poly) -> Poly:
 
     Returns a polynomial in q's ring, constant in x.
     """
-    columns = q.columns("x")
-    _truncation(coeffs, max(columns, default=-1), "functional")
+    return _pair_columns(coeffs, q.columns("x"), q.names)
+
+
+def _x_derivatives(q: Poly) -> list:
+    """[q, q', ..., q^(d)], the x-derivatives of q to its x-degree d."""
+    chain = [q]
+    for _ in range(q.degree("x")):
+        chain.append(chain[-1].derivative("x"))
+    return chain
+
+
+def _act(coeffs, derivatives: list) -> Poly:
+    """sum_k coeffs[k] q^(k) over ``_x_derivatives(q)``, as
+    ``apply_operator`` acts on q."""
+    q = derivatives[0]
+    _truncation(coeffs, len(derivatives) - 1 if q else -1, "operator")
     return Poly.sum_of_products(q.names, (
-        _item(factorial(n), coeffs[n], columns[n])
-        for n in sorted(columns) if coeffs[n]))
+        _item(1, c, d) for c, d in zip(coeffs, derivatives) if c and d))
 
 
 def apply_operator(coeffs, q: Poly) -> Poly:
@@ -81,13 +105,7 @@ def apply_operator(coeffs, q: Poly) -> Poly:
 
     e.g. applying the series of e^{ct} shifts x -> x + c.
     """
-    items = []
-    d = q
-    for k in range(max(_truncation(coeffs, q.degree("x"), "operator"), 0) + 1):
-        if coeffs[k] and d:
-            items.append(_item(1, coeffs[k], d))
-        d = d.derivative("x")
-    return Poly.sum_of_products(q.names, items)
+    return _act(coeffs, _x_derivatives(q))
 
 
 def difference_quotient_operator(z, order: int) -> tuple:
@@ -177,14 +195,17 @@ def reconstruct(expansion: AppellExpansion) -> Poly:
         for k, b in enumerate(expansion.coeffs)))
 
 
-def _operator_sides(member: Poly, anti: Poly, z: Fraction, operator: tuple):
-    # the member's running integral from x to x + z, and the operator's action
-    return anti.subs({"x": seq.X + z}) - anti, apply_operator(operator, member)
+def _operator_sides(anti: Poly, derivatives: list, z: Fraction, operator: tuple):
+    # the member's running integral from x to x + z, and the operator's
+    # action on it, over the member's x-derivatives
+    return anti.subs({"x": seq.X + z}) - anti, _act(operator, derivatives)
 
 
-def _pairing_sides(member: Poly, anti: Poly, z: Fraction, operator: tuple):
-    # the member's integral from 0 to z, and the operator's pairing with it
-    return anti.subs({"x": z}) - anti.subs({"x": 0}), pair(operator, member)
+def _pairing_sides(anti: Poly, columns: dict, z: Fraction, operator: tuple):
+    # the member's integral from 0 to z, and the operator's pairing with it,
+    # over the member's x-columns
+    return (anti.subs({"x": z}) - anti.subs({"x": 0}),
+            _pair_columns(operator, columns, anti.names))
 
 
 def _part_count(mu) -> int:
@@ -280,19 +301,22 @@ def check_integral(grid: Grid = Grid()) -> IdentityReport:
     operator form: the exact antiderivative from x to x + z equals the
     operator's action on the member.  The pairing form: the integral from
     0 to z equals the operator's pairing with the member, read as a
-    polynomial in x.  Each member's antiderivative is built once per
-    (n, alpha), and each z's operator once, to t^(n_max + 1), and read to
-    t^(n + 1), in tables that die with this call.  At a fixed z both sides
-    of either form are linear in the member, so at fixed n their
-    coefficients have degree at most n in alpha."""
+    polynomial in x.  Each member's antiderivative, x-derivatives and
+    x-columns are built once per (n, alpha), and each z's operator once,
+    to t^(n_max + 1), and read to t^(n + 1), in tables that die with this
+    call.  At a fixed z both sides of either form are linear in the member,
+    so at fixed n their coefficients have degree at most n in alpha."""
     n_max, alphas = grid.resolve(8, (1,))
-    forms = {"operator": _operator_sides, "pairing": _pairing_sides}
     antiderivative = cache(lambda n, a: seq.bell_euler_poly(n, a).antiderivative("x"))
+    forms = {"operator": (_operator_sides, cache(
+                 lambda n, a: _x_derivatives(seq.bell_euler_poly(n, a)))),
+             "pairing": (_pairing_sides, cache(
+                 lambda n, a: seq.bell_euler_poly(n, a).columns("x")))}
     operator = cache(lambda z: difference_quotient_operator(z, n_max + 1))
 
     def pair(n, a, z, form):
-        return forms[form](seq.bell_euler_poly(n, a), antiderivative(n, a), z,
-                           operator(z)[:n + 2])
+        sides, member = forms[form]
+        return sides(antiderivative(n, a), member(n, a), z, operator(z)[:n + 2])
     return run_cases("integral", product_cases(
         pair, n=range(n_max + 1), alpha=alphas, z=INTEGRAL_Z_VALUES, form=forms))
 

@@ -32,8 +32,8 @@ from belleuler.identities import Grid, product_cases, run_cases
 from belleuler.sequences import (_euler_numerator, _negated_y_rows, _order_scale, _stirling_row,
                                  special_case, validate_order)
 from belleuler.umbral import (AppellContext, _multinomial_sides, _operator_sides,
-                              _pairing_sides, _part_count, _power_prefix, apply_operator,
-                              difference_quotient_operator, pair)
+                              _pairing_sides, _part_count, _power_prefix, _x_derivatives,
+                              apply_operator, difference_quotient_operator, pair)
 
 
 def bell_triangle(n_max):
@@ -351,23 +351,24 @@ def functionals(context):
                  for k in range(context.order + 1))
 
 
-def _integral_sides(sides, n: int, z, alpha):
+def _integral_sides(sides, read, n: int, z, alpha):
+    # ``read`` gives the member's part that ``sides`` takes
     z = _as_fraction(z)
     member = sequences.bell_euler_poly(n, alpha)
-    return sides(member, member.antiderivative("x"), z,
+    return sides(member.antiderivative("x"), read(member), z,
                  difference_quotient_operator(z, n + 1))
 
 
 def integral_via_operator(n: int, z, alpha=1):
     """Both routes to the running integral of the order-alpha family member:
     exact antiderivative from x to x+z, and the (e^{zt}-1)/t operator."""
-    return _integral_sides(_operator_sides, n, z, alpha)
+    return _integral_sides(_operator_sides, _x_derivatives, n, z, alpha)
 
 
 def integral_pairing_form(n: int, z, alpha=1):
     """Corollary form: the integral from 0 to z equals the pairing of
     (e^{zt}-1)/t against the member, read as a polynomial in x."""
-    return _integral_sides(_pairing_sides, n, z, alpha)
+    return _integral_sides(_pairing_sides, lambda member: member.columns("x"), n, z, alpha)
 
 
 def multinomial_decomposition(n: int, mu: int):

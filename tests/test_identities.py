@@ -74,6 +74,13 @@ _BAD_INPUTS = {
     "x ** True": (lambda: _X ** True, "non-negative int"),
     "subs x=True": (lambda: _X.subs({"x": True}), "exact scalar"),
     "evaluate x=True": (lambda: _X.evaluate({"x": True, "y": 1}), "exact scalar"),
+    # Poly reads its scalars through algebra._exact, which keeps the rule's
+    # one message for each type it refuses
+    **{f"{name} {bad!r}": (partial(op, bad), f"^exact scalar required, got {kind}$")
+       for name, op in (("Poly(...)", lambda c: Poly(("x", "y"), {(1, 0): c})),
+                        ("Poly.constant", Poly.constant),
+                        ("x / c", _X.__truediv__))
+       for bad, kind in ((True, "bool"), (1.5, "float"), ("3", "str"))},
     "validate_n_max(True)": (lambda: validate_n_max(True), "non-negative int"),
     **{f"{check_id} n_max=2.5": (partial(check, Grid(n_max=2.5)), "non-negative int")
        for check_id, check in REGISTRY.items()},

@@ -350,6 +350,42 @@ def test_bools_are_not_exact_scalars_in_equality(names):
     assert hash(one) == hash(1) and hash(zero) == hash(0)
 
 
+def test_int_scalars_build_no_fraction(monkeypatch):
+    # Poly reads an int scalar as it is, and the order helpers read an
+    # order's numerator and denominator off it, so none of these builds a
+    # Fraction; each result is the one its Fraction form gives
+    x, y = Poly.gens("x", "y")
+    p = x ** 2 * y - F(1, 2) * x + 5
+    operations = {
+        "Poly(...)": lambda c: Poly(("x", "y"), {(2, 1): c, (0, 0): -c, (1, 0): 0}),
+        "Poly.constant": Poly.constant,
+        "p * c": lambda c: p * c,
+        "c * p": lambda c: c * p,
+        "p / c": lambda c: p / c,
+        "p + c": lambda c: p + c,
+        "p - c": lambda c: p - c,
+        "bell_euler_poly(12, c - 1)": lambda c: seq.bell_euler_poly(12, c - 1),
+        "special_case(8, c)": lambda c: seq.special_case(8, c),
+    }
+    true_new, built = F.__new__, []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return true_new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        # the families from empty tables, so every row is built here
+        patch.setattr(seq, "_stirling_rows", [(1,)])
+        patch.setattr(seq, "_member_rows", {})
+        seq._bell_euler_poly.cache_clear()
+        patch.setattr(F, "__new__", staticmethod(counting))
+        got = {name: op(3) for name, op in operations.items()}
+    assert built == []
+    for name, op in operations.items():
+        want = op(F(3))
+        assert got[name] == want and hash(got[name]) == hash(want), name
+
+
 def test_public_constructor_validates_and_reduces():
     p = Poly(["x", "y"], {(1, 0): F(2, 4), (0, 1): 3, (2, 2): F(0)})
     assert p._num == {1: 1, 1 << FIELD_BITS: 6} and p._den == 2
