@@ -38,12 +38,18 @@ floating point anywhere.  Two value types do all the work:
   :meth:`Poly.pretty` orders the terms by the first exponent descending,
   then the others ascending, and :meth:`Poly.to_json_map` by total
   degree, then exponent tuple, both descending.  The spelling of the
-  ordered terms is two functions of the module, ``_pretty_terms`` and
-  ``_json_terms``, which the command line also calls for members it
-  writes without a Poly.  They take each term as a
-  key, a numerator and a denominator, spell every power that occurs once,
-  into a table per variable, write each coefficient with one gcd against
-  its denominator (none when it is 1), and join the text once.
+  ordered terms is one function per format, ``_pretty_terms`` and
+  ``_json_terms``, which the command line also calls for the members it
+  writes without a Poly.  ``_pretty_terms`` takes the terms in blocks of
+  one exponent of the first variable, each with its denominator and an
+  int weight that multiplies every numerator of the block, and yields the
+  text one block at a time; ``Poly.pretty`` passes a block per exponent,
+  the command line a block per x = 0 row, and writes each as it comes.
+  ``_json_terms`` takes ``(key, numerator, denominator)`` triples and
+  yields the pairs.  Both spell each monomial of the other variables once
+  per call, and ``_json_terms`` each reduced denominator too, and both
+  reduce each coefficient inline, with one gcd against its denominator
+  (none when it is 1).
 
 * :class:`Series` -- a formal power series in ``t``, truncated at a fixed
   order ``N``, over either plain Fractions or a polynomial ring.  Position
@@ -61,7 +67,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import repeat
+from itertools import groupby
 from math import gcd, lcm
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -83,12 +89,6 @@ def parse_fraction(text: str) -> Fraction:
 def format_fraction(value: Fraction) -> str:
     """Canonical "p/q" form (sign on p, q > 0) or plain "p" when q = 1."""
     return str(value)
-
-
-def _format_ratio(num: int, den: int) -> str:
-    # format_fraction(Fraction(num, den)) with one gcd and no Fraction
-    g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _is_exact(value) -> bool:
@@ -587,9 +587,8 @@ class Poly:
         def order(k):
             e = _unpack(k, nvars)
             return sum(e), e
-        keys = sorted(num, key=order, reverse=True)
-        return dict(_json_terms(self.names, keys, map(num.__getitem__, keys),
-                                repeat(den)))
+        return dict(_json_terms(self.names, ((k, num[k], den) for k in
+                                             sorted(num, key=order, reverse=True))))
 
     def pretty(self) -> str:
         """Human-readable form: "x^2 - x", "1/2 - y", "0" for the zero poly.
@@ -598,72 +597,120 @@ class Poly:
         other exponents ascending; a coefficient of 1 is left out of a term
         with a monomial.
         """
-        num = self._num
+        num, den = self._num, self._den
         nvars = len(self.names)
         keys = sorted(num, key=lambda k: (-(k & _FIELD_MASK),) + _unpack(k, nvars)[1:])
-        return _pretty_terms(self.names, keys, map(num.__getitem__, keys),
-                             repeat(self._den))
+        # one block per exponent of the first variable
+        return "".join(_pretty_terms(self.names, (
+            (lead, den, 1, [(k >> FIELD_BITS, num[k]) for k in group])
+            for lead, group in groupby(keys, _FIELD_MASK.__and__))))
 
 
 # -- term spelling ----------------------------------------------------------
 #
 # Both formatters of Poly, and any writer that has a polynomial's terms
-# without the Poly, spell them here: the terms come as packed keys, in the
-# order they are printed, with a numerator and a denominator > 0 each.
+# without the Poly, spell them here, so there is one spelling per format.
+# A monomial is split into its lead, the exponent of the first variable, and
+# its tail, the packed key of the others (key >> FIELD_BITS).  Each speller
+# keeps, for one call, the text of every tail it has met, and _json_terms
+# that of every reduced denominator; a table that ran to the degree would
+# make x^16383 + 1 spell 16383 powers.
 
-def _monomials(names, keys, pretty: bool) -> list:
-    """The text of each monomial in ``keys``, "" for the constant one.  Each
-    power is ``x^e``, or ``x`` for e = 1 in pretty text, and the powers of a
-    monomial are joined by "*".  Each power that occurs is spelled once per
-    call, into a table per variable; a table that ran to the degree would
-    make ``x^16383 + 1`` spell 16383 powers."""
-    def power(name, e):
-        return name if pretty and e == 1 else f"{name}^{e}"
-
-    if len(names) == 2:   # (x, y): compute and table write 25-50% slower without it
-        x, y = names
-        xs = {e: power(x, e) for e in set(map(_FIELD_MASK.__and__, keys))}
-        ys = {e: power(y, e) for e in {k >> FIELD_BITS for k in keys}}
-        # a power of y follows a power of x after "*", or stands alone
-        tail = {e: "*" + text for e, text in ys.items()}
-        xs[0] = ys[0] = tail[0] = ""
-        return [xs[k & _FIELD_MASK] + tail[k >> FIELD_BITS] if k & _FIELD_MASK
-                else ys[k >> FIELD_BITS] for k in keys]
-    exps = [_unpack(k, len(names)) for k in keys]
-    tables = [{e: power(name, e) for e in {t[i] for t in exps} if e}
-              for i, name in enumerate(names)]
-    return ["*".join([t[e] for t, e in zip(tables, ex) if e]) for ex in exps]
+def _tail_text(names, tail: int, pretty: bool) -> tuple:
+    """The monomial of ``tail`` in ``names[1:]``, as the text that follows
+    a lead power ("*y^2") and the text that stands alone ("y^2"), both ""
+    for tail 0.  A power is ``y^e``, or ``y`` for e = 1 in pretty text."""
+    if len(names) == 2:   # (x, y): a table sweep writes 20% slower without it
+        y = names[1]
+        text = "" if not tail else y if pretty and tail == 1 else f"{y}^{tail}"
+    else:
+        text = "*".join([name if pretty and e == 1 else f"{name}^{e}"
+                         for name, e in zip(names[1:], _unpack(tail, len(names) - 1))
+                         if e])
+    return ("*" + text if text else "", text)
 
 
-def _pretty_terms(names, keys, nums, dens) -> str:
-    """The text of ``Poly.pretty`` for the terms ``num/den`` times the
-    monomial of each key: a sign between terms, a coefficient of 1 left out
-    of a term with a monomial, ``_format_ratio`` for the others, and "0"
-    for no term.  ``den`` need not be reduced against ``num``."""
-    parts = []
+def _pretty_terms(names, blocks):
+    """The text of ``Poly.pretty``, one piece per block that writes a term,
+    for ``blocks`` of ``(lead, den, weight, terms)`` in print order:
+    ``terms`` yields ``(tail, num)`` for the term ``weight * num / den``
+    times the monomial of (lead, tail), with ``den > 0`` and ``weight`` an
+    int, and a zero ``num`` writes no term.  A sign stands between terms, a
+    coefficient of 1 is left out of a term with a monomial, and no term at
+    all is "0".  Each lead power is spelled once per block, and each
+    coefficient is reduced inline, with one gcd against ``den`` (none when
+    it is 1)."""
+    lead_name = names[0] if names else ""
+    after, alone = {}, {}   # tail -> its text after a lead power, and alone
+    started = False
+    parts = []              # the parts of one block
     append = parts.append
-    for mono, c, den in zip(_monomials(names, keys, True), nums, dens):
-        if c < 0:
-            append(" - ")
-            c = -c
+    for lead, den, weight, terms in blocks:
+        head = f"{lead_name}^{lead}" if lead > 1 else lead_name if lead else ""
+        tails = after if head else alone
+        for tail, num in terms:
+            if not num:
+                continue
+            if tail not in after:
+                after[tail], alone[tail] = _tail_text(names, tail, True)
+            mono = head + tails[tail]
+            c = weight * num
+            if c < 0:
+                append(" - ")
+                c = -c
+            else:
+                append(" + ")
+            if c == den and mono:
+                append(mono)
+                continue
+            if den == 1:
+                body = str(c)
+            else:
+                g = gcd(c, den)
+                body = str(c // g) if g == den else f"{c // g}/{den // g}"
+            append(f"{body}*{mono}" if mono else body)
+        if parts:
+            if not started:   # the first term carries only its own sign
+                parts[0] = "-" if parts[0] == " - " else ""
+                started = True
+            text = "".join(parts)
+            parts.clear()
+            yield text
+    if not started:
+        yield "0"
+
+
+def _json_terms(names, triples):
+    """The pairs of ``Poly.to_json_map``, one at a time, for ``triples`` of
+    ``(key, num, den)`` in json order: the monomial of the packed key with
+    every power written out ("x^1"), "1" for the constant one, and the
+    value ``num / den`` in lowest terms, reduced inline with one gcd
+    against ``den`` (none when it is 1)."""
+    lead_name = names[0] if names else ""
+    heads, after, alone = {}, {}, {}
+    ratios = {}             # reduced denominator -> "/den"
+    for key, num, den in triples:
+        lead, tail = key & _FIELD_MASK, key >> FIELD_BITS
+        if tail not in after:
+            after[tail], text = _tail_text(names, tail, False)
+            alone[tail] = text or "1"
+        if lead:
+            if lead not in heads:
+                heads[lead] = f"{lead_name}^{lead}"
+            mono = heads[lead] + after[tail]
         else:
-            append(" + ")
-        if c != den or not mono:
-            body = str(c) if den == 1 else _format_ratio(c, den)
-            mono = f"{body}*{mono}" if mono else body
-        append(mono)
-    if not parts:
-        return "0"
-    parts[0] = "-" if parts[0] == " - " else ""
-    return "".join(parts)
-
-
-def _json_terms(names, keys, nums, dens):
-    """The pairs of ``Poly.to_json_map`` for the same terms, one at a time:
-    every power written out ("x^1"), "1" for the constant monomial, and the
-    value ``_format_ratio(num, den)``."""
-    return ((mono or "1", str(c) if den == 1 else _format_ratio(c, den))
-            for mono, c, den in zip(_monomials(names, keys, False), nums, dens))
+            mono = alone[tail]
+        if den == 1:
+            yield mono, str(num)
+            continue
+        g = gcd(num, den)
+        if g == den:
+            yield mono, str(num // g)
+            continue
+        d = den // g
+        if d not in ratios:
+            ratios[d] = f"/{d}"
+        yield mono, f"{num // g}{ratios[d]}"
 
 
 class CoefficientRing:

@@ -15,11 +15,12 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain, islice
 from math import comb
 from types import SimpleNamespace
 
-from .algebra import (FIELD_BITS, Poly, _count, _json_terms, _pretty_terms,
-                      format_fraction, parse_fraction)
+from . import algebra
+from .algebra import FIELD_BITS, Poly, _count, format_fraction, parse_fraction
 from .identities import (CHECKS as IDENTITY_CHECKS, Grid, NEGATIVE_CONTROLS,
                          validate_n_max)
 from .umbral import (CHECKS as UMBRAL_CHECKS, expand_in_appell, reconstruct,
@@ -52,13 +53,15 @@ APPELL_FORMS = {
 }
 
 _JSON_COMPACT = {"separators": (",", ":")}
+# terms per piece of a member's json text, which compute writes as it goes
+_JSON_RUN = 1024
 
 # The largest size each command accepts, so that a mistyped size is refused
 # at once instead of running for minutes.  Each but MAX_VERIFY_ALPHAS, which
 # waits for a bound on a grid's work, is the largest measured size whose
 # slowest case stays near 10 s of CPU and 200 MB (Python 3.11, 2 vCPUs;
 # README, "Limits"); a four-digit order binds the two member limits.
-MAX_COMPUTE_N = 256       # bell-euler at order -5/3: 0.5 s, 56 MB (n 384: 9.5 s, 402 MB at -9973/9967)
+MAX_COMPUTE_N = 384       # bell-euler at order -9973/9967: 6.3 s, 83 MB (n 512: 19.3 s, 155 MB)
 MAX_TABLE_N = 128         # bell-euler at order -5/3: 2.3 s, 62 MB (n-max 160: 19.2 s, 348 MB at -9973/9967)
 MAX_VERIFY_N = 40         # verify --all: 5.7 s, 35 MB (n-max 48: 10.3 s)
 MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 2.9 s, 52 MB (degree 128: 10 s)
@@ -110,57 +113,60 @@ def _parse_alphas(text: str):
     return values
 
 
-def _appell_text(n: int, row, scale: int, fmt: str) -> str:
+def _appell_text(n: int, row, scale: int, fmt: str):
     """The member sum_m C(n, m) x^(n-m) Z_m(y), with row(m)[j] the y^j
     numerator of its x = 0 row Z_m over scale^m, in the bytes that
     ``Poly.pretty`` (fmt "pretty") or a compact ``json.dumps`` of
     ``Poly.to_json_map`` (fmt "json") writes for the Poly that
-    ``sequences._appell`` builds, without building it.
+    ``sequences._appell`` builds, without building it.  The text comes in
+    pieces, so that a caller can write each one as it is spelled.
 
     The term x^(n-m) y^j has the coefficient C(n, m) row(m)[j] / scale^m,
     reduced against scale^m alone, and a zero entry writes no term.  Pretty
-    order is m, then j, ascending; json order is total degree
-    n - (m - j) descending, then m ascending, so no term is sorted.  Every
-    json key and value is of ``[0-9xy^*/-]``, which json.dumps writes as it
-    is, so the pairs are joined as they are."""
-    keys, nums, dens = [], [], []
+    order is m, then j, ascending: row m is one block of the speller, and
+    one piece.  Json order is total degree n - (m - j) descending, then m
+    ascending, so no term is sorted; its pieces are runs of _JSON_RUN
+    terms.  Every json key and value is of ``[0-9xy^*/-]``, which json.dumps
+    writes as it is, so the pairs are joined as they are."""
     if fmt == "pretty":
-        power = 1   # scale^m
-        for m in range(n + 1):
-            weight = comb(n, m)
-            for j, c in enumerate(row(m)):
-                if c:
-                    keys.append(n - m | j << FIELD_BITS)
-                    nums.append(weight * c)
-                    dens.append(power)
-            power *= scale
-        return _pretty_terms(seq.NAMES, keys, nums, dens)
+        yield from algebra._pretty_terms(seq.NAMES, (
+            (n - m, scale ** m, comb(n, m), enumerate(row(m))) for m in range(n + 1)))
+        return
     rows = [row(m) for m in range(n + 1)]
     weights = [comb(n, m) for m in range(n + 1)]
     powers = [scale ** m for m in range(n + 1)]
     wide = max(map(len, rows))
-    for r in range(n + 1):   # r = m - j, from the top total degree down
-        for m in range(r, min(n + 1, r + wide)):
-            z = rows[m]
-            if m - r < len(z) and z[m - r]:
-                keys.append(n - m | m - r << FIELD_BITS)
-                nums.append(weights[m] * z[m - r])
-                dens.append(powers[m])
-    return "{" + ",".join(f'"{key}":"{value}"' for key, value in
-                          _json_terms(seq.NAMES, keys, nums, dens)) + "}"
+    diagonals = ([(n - m | m - r << FIELD_BITS, weights[m] * z[m - r], powers[m])
+                  for m in range(r, min(n + 1, r + wide))
+                  for z in (rows[m],) if m - r < len(z) and z[m - r]]
+                 for r in range(n + 1))   # r = m - j, from the top total degree down
+    pairs = algebra._json_terms(seq.NAMES, chain.from_iterable(diagonals))
+    sep = "{"
+    while run := [f'"{mono}":"{value}"' for mono, value in islice(pairs, _JSON_RUN)]:
+        yield sep + ",".join(run)
+        sep = ","
+    yield "{}" if sep == "{" else "}"
 
 
-def _value_text(family: str, n: int, params, fmt: str = "pretty") -> str:
+def _value_pieces(family: str, n: int, params, fmt: str = "pretty"):
     """The text of value n of ``family``, whose arguments after n are
-    ``params``: pretty text, or (fmt "json") its compact json."""
+    ``params``, in pieces: pretty text, or (fmt "json") its compact json.
+    The arguments are checked before this returns, so that a refusal comes
+    before any piece is written."""
     form = APPELL_FORMS.get(family)
     if form is not None:
         return _appell_text(n, *form(n, *params), fmt)
     value = FAMILIES[family](n, *params)
     if fmt == "pretty":
-        return value.pretty() if isinstance(value, Poly) else format_fraction(value)
-    return json.dumps(value.to_json_map() if isinstance(value, Poly)
-                      else format_fraction(value), **_JSON_COMPACT)
+        return (value.pretty() if isinstance(value, Poly) else format_fraction(value),)
+    return (json.dumps(value.to_json_map() if isinstance(value, Poly)
+                       else format_fraction(value), **_JSON_COMPACT),)
+
+
+def _value_text(family: str, n: int, params, fmt: str = "pretty") -> str:
+    """The text of value n of ``family``, whose arguments after n are
+    ``params``: pretty text, or (fmt "json") its compact json."""
+    return "".join(_value_pieces(family, n, params, fmt))
 
 
 def _csv_text(header, rows) -> None:
@@ -207,10 +213,16 @@ def cmd_compute(args) -> int:
     k = _flag(args, "k", flag == "k")
     if k is not None:
         params = (k,)
+    pieces = _value_pieces(args.family, args.n, params,
+                           "pretty" if args.format == "csv" else args.format)
+    # the value is written piece by piece, as it is spelled; its csv is the
+    # header and one row, whose one cell is the pretty text
+    write = sys.stdout.write
     if args.format == "csv":
-        _csv_text(["n", "value"], [[args.n, _value_text(args.family, args.n, params)]])
-    else:
-        print(_value_text(args.family, args.n, params, args.format))
+        write(f"n,value\n{args.n},")
+    for piece in pieces:
+        write(piece)
+    write("\n")
     return 0
 
 

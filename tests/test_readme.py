@@ -32,7 +32,7 @@ def test_quoted_expand_outputs(capsys):
 # each MAX_* constant of cli.py, the first cell of its README "Limits" row,
 # and the next size measured over it
 LIMIT_ROWS = {
-    "MAX_COMPUTE_N": ("`compute --n`", "n 384"),
+    "MAX_COMPUTE_N": ("`compute --n`", "n 512"),
     "MAX_TABLE_N": ("`table --n-max`", "n-max 160"),
     "MAX_VERIFY_N": ("`verify --n-max`", "n-max 48"),
     "MAX_EXPAND_DEGREE": ("degree of an `expand` literal", "degree 128"),
