@@ -28,9 +28,9 @@ its kernel form.
 
 A check's tables (members' columns and x-derivatives, h, V_r,
 antiderivatives, operators, Miller's g) live for one call, like those of
-:mod:`.identities`.  The docstrings of ``orthogonality`` and ``integral``
-give the degree in the order of both sides at fixed n, which
-``tests/test_identities.py`` reads to prove them for every order.
+:mod:`.identities`.  The docstrings of ``orthogonality``, ``integral`` and
+``multinomial`` give the degree in the order of both sides at fixed n,
+which ``tests/test_identities.py`` reads to prove them for every order.
 """
 
 from __future__ import annotations
@@ -208,19 +208,9 @@ def _pairing_sides(anti: Poly, columns: dict, z: Fraction, operator: tuple):
             _pair_columns(operator, columns, anti.names))
 
 
-def _part_count(mu) -> int:
-    # the composition sum splits n into mu parts, so mu counts at least one
-    mu = seq.validate_order(mu)
-    if not isinstance(mu, int):
-        raise ValueError(f"multinomial needs integer orders, got {mu}")
-    if mu < 1:
-        raise ValueError("mu must be at least 1")
-    return mu
-
-
-def _power_prefix(mu: int, m_max: int) -> list:
-    """[g_0, ..., g_(m_max)] of Miller's recurrence at the order mu: g_m
-    reads only g_0..g_(m-1), so one prefix serves every n <= m_max."""
+def _power_prefix(mu, m_max: int) -> list:
+    """[g_0, ..., g_(m_max)] of Miller's recurrence at any exact order mu:
+    g_m reads only g_0..g_(m-1), so one prefix serves every n <= m_max."""
     f = [seq.euler_number_order(k, 1) / factorial(k) for k in range(m_max + 1)]
     g = [Fraction(1)]
     for m in range(1, m_max + 1):
@@ -228,9 +218,9 @@ def _power_prefix(mu: int, m_max: int) -> list:
     return g
 
 
-def _multinomial_sides(n: int, mu: int, g: list, special):
-    # g is a prefix of Miller's g to at least n, and special(i, 1) the
-    # order-1 x = 0 member, through the caller's tables
+def _multinomial_sides(n: int, mu, g: list, special):
+    # at any exact order mu: g is a prefix of Miller's g to at least n, and
+    # special(i, 1) the order-1 x = 0 member, through the caller's tables
     lhs = seq.bell_euler_poly(n, mu).coefficient_in("x", 0)
     items = [(comb(n, i) * factorial(n - i) * g[n - i], special(i, 1), None)
              for i in range(n + 1)]
@@ -238,14 +228,6 @@ def _multinomial_sides(n: int, mu: int, g: list, special):
 
 
 # -- registry wrappers ------------------------------------------------------
-
-def validate_orders(check_ids, alphas) -> None:
-    """Reject, before any check runs, orders that a selected check cannot
-    take: every check takes any exact order but multinomial."""
-    if alphas is not None and "multinomial" in check_ids:
-        for mu in alphas:
-            _part_count(mu)
-
 
 def check_orthogonality(grid: Grid = Grid()) -> IdentityReport:
     """<h(t) t^k | BE_n^(mu)> = n! delta_{n,k} over the full (n, k) square,
@@ -322,16 +304,19 @@ def check_integral(grid: Grid = Grid()) -> IdentityReport:
 
 
 def check_multinomial(grid: Grid = Grid()) -> IdentityReport:
-    """The x = 0 member of integer order mu >= 1 against the composition sum
-    over order-1 members weighted by order-1 Euler numbers, grouped by the
-    last part i: BE_n^(mu)(0; y) = sum_i C(n, i) (n-i)! g_(n-i)
-    BE_i^(1)(0; y), at each point (n, mu).  g_m is the t^m coefficient of
-    f^(mu-1), f_k = E_k^(1)/k!, from J. C. P. Miller's power recurrence
-    g_m = (1/m) sum_(k=1..m) (mu k - m) f_k g_(m-k), O(n^2) per order.
-    The left side is the x = 0 column of the member ``bell_euler_poly``;
-    the right side reads ``special_case`` at order 1 and Euler numbers."""
-    n_max, alphas = grid.resolve(8, (2, 3))
-    mus = tuple(_part_count(mu) for mu in alphas)
+    """The x = 0 member of any exact order mu against the order-1 members
+    weighted by the t^m coefficients of a power of f(t) = 2/(e^t+1), at
+    each point (n, mu).  The members' generating function at x = 0 is the
+    product f^mu e^{y(e^t-1)} = f^(mu-1) * f e^{y(e^t-1)}, so
+    BE_n^(mu)(0; y) = sum_i C(n, i) (n-i)! g_(n-i) BE_i^(1)(0; y), with
+    g_m the t^m coefficient of f^(mu-1).  As f_0 = 1, J. C. P. Miller's
+    power recurrence g_m = (1/m) sum_(k=1..m) (mu k - m) f_k g_(m-k), with
+    f_k = E_k^(1)/k!, gives g at every order, O(n^2) per order.  g_m has
+    degree at most m in mu, and the member's coefficients at most n, so at
+    fixed n each side has coefficients of degree at most n in mu.  The
+    left side is the x = 0 column of the member ``bell_euler_poly``; the
+    right side reads ``special_case`` at order 1 and Euler numbers."""
+    n_max, mus = grid.resolve(8, (2, 3))
     # the order-1 x = 0 members recur across grid points and orders, and
     # each order's g_0..g_(n_max) across grid points; the tables die with
     # this call

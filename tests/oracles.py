@@ -32,7 +32,7 @@ from belleuler.identities import Grid, product_cases, run_cases
 from belleuler.sequences import (_euler_numerator, _negated_y_rows, _order_scale, _stirling_row,
                                  special_case, validate_order)
 from belleuler.umbral import (AppellContext, _multinomial_sides, _operator_sides,
-                              _pairing_sides, _part_count, _power_prefix, _x_derivatives,
+                              _pairing_sides, _power_prefix, _x_derivatives,
                               apply_operator, difference_quotient_operator, pair)
 
 
@@ -369,6 +369,16 @@ def integral_pairing_form(n: int, z, alpha=1):
     """Corollary form: the integral from 0 to z equals the pairing of
     (e^{zt}-1)/t against the member, read as a polynomial in x."""
     return _integral_sides(_pairing_sides, lambda member: member.columns("x"), n, z, alpha)
+
+
+def _part_count(mu) -> int:
+    # the composition sum splits n into mu parts, so mu counts at least one
+    mu = validate_order(mu)
+    if not isinstance(mu, int):
+        raise ValueError(f"multinomial needs integer orders, got {mu}")
+    if mu < 1:
+        raise ValueError("mu must be at least 1")
+    return mu
 
 
 def multinomial_decomposition(n: int, mu: int):

@@ -251,6 +251,21 @@ class TestVerify:
                                "--alphas", "1/2,-3/2")
         assert code == 0 and json.loads(out)[0]["pass"] is True
 
+    def test_non_integer_alphas_accepted_by_every_check(self, run_cli):
+        code, out, _ = run_cli("verify", "--id", "T3_3", "--id", "multinomial",
+                               "--n-max", "2", "--alphas", "1/2")
+        assert code == 0
+        assert [(r["id"], r["pass"]) for r in json.loads(out)] == [
+            ("T3_3", True), ("multinomial", True)]
+
+    @pytest.mark.parametrize("selection, alphas", [(("--all",), "-1,2"),
+                                                   (("--id", "multinomial"), "0")])
+    def test_multinomial_orders_below_one_accepted(self, run_cli, selection, alphas):
+        code, out, _ = run_cli("verify", *selection, "--n-max", "3", f"--alphas={alphas}")
+        reports = json.loads(out)
+        assert code == 0 and all(r["pass"] for r in reports)
+        assert "multinomial" in [r["id"] for r in reports]
+
 
 class TestNegativeOrders:
     # a separate value may start with "-" only as a negative number, so "-5/3"
@@ -309,37 +324,12 @@ class TestUsageErrors:
         code, out, err = run_cli("table", "--family", "euler", "--n-max", "2")
         assert code == 2 and out == "" and "needs --alpha" in err
 
-    def test_non_integer_alphas_rejected_before_any_check(self, run_cli, monkeypatch):
-        # multinomial splits n into mu parts; it is the one check that needs
-        # integer orders
-        calls = []
-        for check_id in ("T3_3", "multinomial"):
-            monkeypatch.setitem(cli.REGISTRY, check_id,
-                                lambda grid, check_id=check_id: calls.append(check_id))
-        code, out, err = run_cli("verify", "--id", "T3_3", "--id", "multinomial",
-                                 "--n-max", "2", "--alphas", "1/2")
-        assert code == 2 and out == "" and "integer orders" in err
-        assert calls == []
-
     def test_id_and_all_together_rejected_before_any_check(self, run_cli, monkeypatch):
         calls = []
         for check_id in list(cli.REGISTRY):
             monkeypatch.setitem(cli.REGISTRY, check_id, calls.append)
         code, out, err = run_cli("verify", "--all", "--id", "T4_4_literal")
         assert code == 2 and out == "" and "not both" in err
-        assert calls == []
-
-    @pytest.mark.parametrize("selection, alphas", [(("--all",), "-1,2"),
-                                                   (("--id", "multinomial"), "0")])
-    def test_multinomial_orders_below_one_rejected_before_any_check(
-            self, run_cli, monkeypatch, selection, alphas):
-        calls = []
-        for check_id in list(cli.REGISTRY):
-            monkeypatch.setitem(cli.REGISTRY, check_id,
-                                lambda grid, check_id=check_id: calls.append(check_id))
-        code, out, err = run_cli("verify", *selection, "--n-max", "3",
-                                 f"--alphas={alphas}")
-        assert code == 2 and out == "" and "mu must be at least 1" in err
         assert calls == []
 
     def test_order_grid_reaches_T4_1_and_integral(self, run_cli, monkeypatch):

@@ -63,7 +63,8 @@ def test_compute_and_table_output_digest():
     assert digest.hexdigest() == DIGEST
 
 
-# every check but multinomial, which takes integer orders >= 1 only
+# every check but multinomial, which was left out of this digest while it took
+# integer orders >= 1 only
 RATIONAL_ORDER_CHECKS = [i for i in cli.REGISTRY
                          if i not in cli.NEGATIVE_CONTROLS and i != "multinomial"]
 VERIFY_RUNS = (
@@ -116,8 +117,8 @@ def test_multinomial_output_digest():
     assert digest.hexdigest() == MULTINOMIAL_DIGEST
 
 
-# every registry check at the default orders, and every check but multinomial
-# at rational ones
+# every registry check at the default orders, and every check but multinomial,
+# which took integer orders only when this digest was pinned, at rational ones
 CHECK_VALUE_GRIDS = (
     (tuple(cli.REGISTRY), Grid(n_max=6)),
     (tuple(i for i in cli.REGISTRY if i != "multinomial"),

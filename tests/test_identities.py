@@ -28,8 +28,8 @@ from belleuler.identities import (
     check_T5_1,
     validate_n_max,
 )
-from belleuler.umbral import (AppellContext, check_integral, check_orthogonality,
-                              difference_quotient_operator)
+from belleuler.umbral import (AppellContext, check_integral, check_multinomial,
+                              check_orthogonality, difference_quotient_operator)
 
 POSITIVE_IDS = [i for i in CHECKS if i not in NEGATIVE_CONTROLS]
 
@@ -267,6 +267,17 @@ def test_integral_holds_for_every_order_to_n_12():
     report = check_integral(Grid(n_max=12, alphas=tuple(range(13))))
     assert report.passed, report.counterexample
     assert report.checked == 13 * 13 * 3 * 2
+
+
+def test_multinomial_holds_for_every_order_to_n_16():
+    """At fixed n, each side of the multinomial identity has coefficients of
+    degree at most n in mu: the member's coefficients at most n, and the
+    weight g_(n-i) of the order-1 member BE_i^(1)(0; y) at most n - i,
+    since Miller's g_m has degree at most m.  So a pass at the 17 orders
+    0..16 proves the identity for every order at each n <= 16."""
+    report = check_multinomial(Grid(n_max=16, alphas=tuple(range(17))))
+    assert report.passed, report.counterexample
+    assert report.checked == 17 * 17
 
 
 def test_orthogonality_agrees_with_the_pairing_form_on_an_every_order_grid():

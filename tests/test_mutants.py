@@ -207,7 +207,8 @@ def test_a_fault_off_the_default_orders_fails_only_the_every_order_grids(monkeyp
         failing = {i for i in ONE_ORDER_IDS if not CHECKS[i](every_order).passed}
         for check_id, grid in (("T4_1", Grid(n_max=16, alphas=tuple(range(17)))),
                                ("orthogonality", Grid(n_max=16, alphas=tuple(range(17)))),
-                               ("integral", Grid(n_max=12, alphas=tuple(range(13))))):
+                               ("integral", Grid(n_max=12, alphas=tuple(range(13)))),
+                               ("multinomial", Grid(n_max=16, alphas=tuple(range(17))))):
             if not REGISTRY[check_id](grid).passed:
                 failing.add(check_id)
         return default_failing, failing
@@ -215,4 +216,4 @@ def test_a_fault_off_the_default_orders_fails_only_the_every_order_grids(monkeyp
     default_failing, failing = _under(monkeypatch, _row_8_off_the_read_orders, run)
     assert default_failing == set()
     assert failing == {"T3_3", "T3_4", "T3_5", "T4_3", "T4_4_corrected", "T5_2", "T4_1",
-                       "orthogonality"}
+                       "orthogonality", "multinomial"}

@@ -17,6 +17,7 @@ from belleuler.identities import Grid
 from belleuler.umbral import (
     CHECKS as UMBRAL_CHECKS,
     AppellContext,
+    _power_prefix,
     apply_operator,
     check_integral,
     check_multinomial,
@@ -27,7 +28,6 @@ from belleuler.umbral import (
     pair,
     random_rational_poly,
     reconstruct,
-    validate_orders,
 )
 
 X, Y = Poly.gens("x", "y")
@@ -250,25 +250,24 @@ def test_multinomial_reads_each_order_one_member_once_per_call(monkeypatch):
 
 
 def test_only_multinomial_needs_positive_orders():
-    for orders in ((0,), (-1, 2)):
+    # only the composition oracle splits n into mu parts; every check,
+    # check_multinomial included, takes the orders 0 and -1
+    for mu in (0, -1):
         with pytest.raises(ValueError, match="mu must be at least 1"):
-            validate_orders(["orthogonality", "multinomial"], orders)
-        validate_orders(["orthogonality", "roundtrip", "integral"], orders)
-    validate_orders(["multinomial"], (1, 2))
+            multinomial_decomposition(3, mu)
+    grid = Grid(n_max=4, alphas=(0, -1))
+    for check in UMBRAL_CHECKS.values():
+        assert check(grid).passed
 
 
 def test_only_multinomial_rejects_rationals():
-    grid = Grid(n_max=1, alphas=(F(1, 2),))
-    for check_id, check in UMBRAL_CHECKS.items():
-        if check_id == "multinomial":
-            with pytest.raises(ValueError, match="integer orders"):
-                check(grid)
-            with pytest.raises(ValueError, match="integer orders"):
-                validate_orders([check_id], grid.alphas)
-        else:
-            assert check(grid).passed
-            validate_orders([check_id], grid.alphas)
-    validate_orders(list(UMBRAL_CHECKS), None)
+    # only the composition oracle needs an integer count of parts; every
+    # check, check_multinomial included, takes the order 1/2
+    with pytest.raises(ValueError, match="integer orders"):
+        multinomial_decomposition(3, F(1, 2))
+    grid = Grid(n_max=4, alphas=(F(1, 2),))
+    for check in UMBRAL_CHECKS.values():
+        assert check(grid).passed
 
 
 def test_no_production_path_builds_a_series(monkeypatch, capsys):
@@ -443,8 +442,19 @@ class TestMultinomial:
         assert report.passed and report.checked == 18
 
     def test_mu_zero_rejected(self):
+        # the composition oracle splits n into mu parts; the check takes mu = 0
         with pytest.raises(ValueError):
             multinomial_decomposition(3, 0)
+
+    @pytest.mark.parametrize("mu", [F(7, 2), F(-5, 3), F(1, 97), 0, -2])
+    def test_power_prefix_is_the_series_power(self, mu):
+        # g_m against the t^m coefficients of (2/(e^t+1))^(mu-1) from the
+        # Series engine, exp(alpha log f) at a non-integer exponent, with no
+        # Miller recurrence
+        f = (Series.exp_t(QQ, 12) + 1).inverse() * 2
+        assert _power_prefix(mu, 12) == f.pow(mu - 1).coeffs
+        report = check_multinomial(Grid(n_max=12, alphas=(mu,)))
+        assert report.passed and report.checked == 13
 
     @pytest.mark.parametrize("mu", range(1, 6))
     def test_rhs_matches_literal_composition_sum(self, mu):
