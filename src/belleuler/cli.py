@@ -1,7 +1,10 @@
 """Command-line front end: sequence values and tables, identity verification,
 and Appell-basis expansion, with machine-readable output.  One table,
 COMMANDS, gives each command's handler and flags; ``parse`` reads argv off it
-and ``-h`` renders it, so a run imports no argparse.
+and ``-h`` renders it, so a run imports no argparse.  Another, FAMILIES, gives
+each family of ``compute`` and ``table`` one row: the flag it takes, its
+generator, and for the four Appell families the form their text is written
+off.
 
 Exit codes: 0 = success / all checks pass, 1 = an identity check failed,
 2 = usage or parameter error.
@@ -9,7 +12,6 @@ Exit codes: 0 = success / all checks pass, 1 = an identity check failed,
 
 from __future__ import annotations
 
-import inspect
 import json
 import re
 import sys
@@ -28,27 +30,22 @@ from . import sequences as seq
 
 REGISTRY = {**IDENTITY_CHECKS, **UMBRAL_CHECKS}
 
-# CLI name -> generator; the generator's parameter after n, if any, is the
-# one flag the family takes (--alpha or --k)
-FAMILIES = {
-    "bell-number": seq.bell_number,
-    "bell-poly": seq.bell_poly,
-    "bivariate-bell": seq.bivariate_bell,
-    "euler": seq.euler_poly_order,
-    "euler-number": seq.euler_number_order,
-    "stirling2": seq.stirling2_number,
-    "stirling2-poly": seq.stirling2_poly,
-    "bell-euler": seq.bell_euler_poly,
-    "bell-euler-number": seq.bell_euler_number,
-}
+# a family of compute and table: the one flag it takes after n ("alpha", "k"
+# or None), its generator, and for each family that sequences._appell builds
+# the Appell form (row, scale) of member n, which compute and table write the
+# member's text off, with no Poly
+Family = namedtuple("Family", "flag generator form")
 
-# CLI name -> the Appell form (row, scale) of member n, for each family that
-# sequences._appell builds; compute and table write these members off it
-APPELL_FORMS = {
-    "bell-euler": seq.bell_euler_form,
-    "bivariate-bell": seq.bivariate_bell_form,
-    "euler": seq.euler_form,
-    "stirling2-poly": seq.stirling2_poly_form,
+FAMILIES = {
+    "bell-number": Family(None, seq.bell_number, None),
+    "bell-poly": Family(None, seq.bell_poly, None),
+    "bivariate-bell": Family(None, seq.bivariate_bell, seq.bivariate_bell_form),
+    "euler": Family("alpha", seq.euler_poly_order, seq.euler_form),
+    "euler-number": Family("alpha", seq.euler_number_order, None),
+    "stirling2": Family("k", seq.stirling2_number, None),
+    "stirling2-poly": Family("k", seq.stirling2_poly, seq.stirling2_poly_form),
+    "bell-euler": Family("alpha", seq.bell_euler_poly, seq.bell_euler_form),
+    "bell-euler-number": Family("alpha", seq.bell_euler_number, None),
 }
 
 _JSON_COMPACT = {"separators": (",", ":")}
@@ -152,10 +149,10 @@ def _value_pieces(family: str, n: int, params, fmt: str = "pretty"):
     ``params``, in pieces: pretty text, or (fmt "json") its compact json.
     The arguments are checked before this returns, so that a refusal comes
     before any piece is written."""
-    form = APPELL_FORMS.get(family)
-    if form is not None:
-        return _appell_text(n, *form(n, *params), fmt)
-    value = FAMILIES[family](n, *params)
+    row = FAMILIES[family]
+    if row.form is not None:
+        return _appell_text(n, *row.form(n, *params), fmt)
+    value = row.generator(n, *params)
     if fmt == "pretty":
         return (value.pretty() if isinstance(value, Poly) else format_fraction(value),)
     return (json.dumps(value.to_json_map() if isinstance(value, Poly)
@@ -181,38 +178,27 @@ def _csv_text(header, rows) -> None:
         write(",".join(map(str, row)) + "\n")
 
 
-def _flag(args, name: str, needed: bool):
-    """The raw value of --<name>, which the chosen family needs or refuses."""
-    value = getattr(args, name, None)
-    if needed and value is None:
-        raise UsageError(f"family {args.family} needs --{name}")
-    if not needed and value is not None:
-        raise UsageError(f"family {args.family} does not take --{name}")
-    return value
-
-
-def family_flag(name: str):
-    """The flag family ``name`` takes after n: "alpha", "k" or None."""
-    params = list(inspect.signature(FAMILIES[name]).parameters)
-    return params[1] if len(params) > 1 else None
-
-
-def _family(args):
-    """The flag the chosen family takes, and its parsed --alpha as a tuple
-    of arguments after n; compute and table both check --alpha here."""
-    flag = family_flag(args.family)
-    alpha = _flag(args, "alpha", flag == "alpha")
-    params = () if alpha is None else (_printed_order(alpha, "alpha"),)
-    return flag, params
+def _params(args) -> tuple:
+    """The chosen family's arguments after n: its --alpha, parsed as an order
+    that it prints, or compute's --k (table writes k = 0..n-max as columns).
+    A family needs its own flag and refuses the other, --alpha first."""
+    flag, params = FAMILIES[args.family].flag, ()
+    for name in ("alpha", "k"):
+        if name not in vars(args):
+            continue
+        value = getattr(args, name)
+        if value is None and flag == name:
+            raise UsageError(f"family {args.family} needs --{name}")
+        if value is not None and flag != name:
+            raise UsageError(f"family {args.family} does not take --{name}")
+        if value is not None:
+            params = (_printed_order(value, name) if name == "alpha" else value,)
+    return params
 
 
 def cmd_compute(args) -> int:
     _within(args.n, MAX_COMPUTE_N, "--n")
-    flag, params = _family(args)
-    k = _flag(args, "k", flag == "k")
-    if k is not None:
-        params = (k,)
-    pieces = _value_pieces(args.family, args.n, params,
+    pieces = _value_pieces(args.family, args.n, _params(args),
                            "pretty" if args.format == "csv" else args.format)
     # the value is written piece by piece, as it is spelled; its csv is the
     # header and one row, whose one cell is the pretty text
@@ -227,11 +213,11 @@ def cmd_compute(args) -> int:
 
 def cmd_table(args) -> int:
     n_max = _within(_count(args.n_max, "--n-max"), MAX_TABLE_N, "--n-max")
-    flag, params = _family(args)
+    params = _params(args)
     family = args.family
 
     # each row is built as it is written, after every refusal
-    if flag == "k":
+    if FAMILIES[family].flag == "k":
         header = ["n"] + [f"k={k}" for k in range(n_max + 1)]
         rows = ([n] + [_value_text(family, n, (k,)) for k in range(n_max + 1)]
                 for n in range(n_max + 1))

@@ -98,11 +98,12 @@ def _order_scale(alpha) -> int:
 
 
 @lru_cache(maxsize=None)
-def _euler_numerator(k: int, alpha) -> int:
-    """E_k^(alpha) * scale^k, from the Stirling closed form with the rising
-    factorial p (p+q) ... (p+(j-1)q) = q^j alpha^(j) for alpha = p/q."""
-    p, q = alpha.numerator, alpha.denominator
-    scale = _order_scale(alpha)
+def _euler_numerator(k: int, p: int, q: int) -> int:
+    """E_k^(alpha) * scale^k for alpha = p/q in lowest terms, scale = 2q, from
+    the Stirling closed form with the rising factorial
+    p (p+q) ... (p+(j-1)q) = q^j alpha^(j).  The memo is keyed on the two
+    ints, which hash in C, not on the order."""
+    scale = 2 * q
     total, rising = 0, 1
     for j, s in enumerate(_stirling_row(k)):
         total += (-1) ** j * rising * s * scale ** (k - j)
@@ -198,7 +199,8 @@ def euler_form(n: int, alpha) -> tuple:
     Euler number's numerator, over the order's scale."""
     alpha = validate_order(alpha)
     _degree(n)
-    return lambda m: (_euler_numerator(m, alpha),), _order_scale(alpha)
+    p, q = alpha.numerator, alpha.denominator
+    return lambda m: (_euler_numerator(m, p, q),), _order_scale(alpha)
 
 
 def euler_poly_order(n: int, alpha) -> Poly:
@@ -208,7 +210,8 @@ def euler_poly_order(n: int, alpha) -> Poly:
 
 def euler_number_order(n: int, alpha) -> Fraction:
     alpha = validate_order(alpha)
-    return Fraction(_euler_numerator(_degree(n), alpha), _order_scale(alpha) ** n)
+    return Fraction(_euler_numerator(_degree(n), alpha.numerator, alpha.denominator),
+                    _order_scale(alpha) ** n)
 
 
 def stirling2_poly_form(n: int, k: int) -> tuple:

@@ -317,7 +317,7 @@ def convolution_rows(n, alpha):
     the convolution Z_m[y^j] = sum_k C(m, k) E_k^(alpha) S2(m - k, j) of the
     package's Euler-number and Stirling tables, in O(n^3)."""
     scale = _order_scale(alpha)
-    euler = [_euler_numerator(k, alpha) for k in range(n + 1)]
+    euler = [_euler_numerator(k, alpha.numerator, alpha.denominator) for k in range(n + 1)]
     stirling = [_stirling_row(i) for i in range(n + 1)]
     rows = []
     for m in range(n + 1):

@@ -33,7 +33,7 @@ IDS = [f"{family}{'' if flag is None else flag.replace('--', ' ')}"
 
 def _member(family, n, param):
     params = () if param is None else (param,)
-    return cli.FAMILIES[family](n, *params), params
+    return cli.FAMILIES[family].generator(n, *params), params
 
 
 def _compute(run_cli, family, flag, n, fmt):

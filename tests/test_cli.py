@@ -1,6 +1,7 @@
 """End-to-end CLI tests: golden outputs byte-for-byte, exit codes, and
 deterministic serialization."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -111,7 +112,8 @@ class TestTableGoldens:
             written.append(capsys.readouterr().out)
             return seq.bell_number(n)
 
-        monkeypatch.setitem(cli.FAMILIES, "bell-number", spy)
+        monkeypatch.setitem(cli.FAMILIES, "bell-number",
+                            cli.FAMILIES["bell-number"]._replace(generator=spy))
         code, rest, _ = run_cli(*argv)
         assert code == 0
         assert ["".join(written[:n + 1]) for n in range(6)] == prefixes
@@ -153,20 +155,65 @@ class TestFamilyTable:
     FLAG_VALUES = {"alpha": "--alpha=1", "k": "--k=1"}
 
     def test_dispatch(self):
-        assert cli.FAMILIES["bell-number"](5) == 52
-        assert cli.FAMILIES["euler"](2, 1) == X**2 - X
-        assert cli.FAMILIES["stirling2"](4, 2) == 7
-        assert cli.FAMILIES["bell-euler-number"](0, 3) == 1
-        assert {name: cli.family_flag(name) for name in cli.FAMILIES} == {
+        assert cli.FAMILIES["bell-number"].generator(5) == 52
+        assert cli.FAMILIES["euler"].generator(2, 1) == X**2 - X
+        assert cli.FAMILIES["stirling2"].generator(4, 2) == 7
+        assert cli.FAMILIES["bell-euler-number"].generator(0, 3) == 1
+        assert {name: cli.FAMILIES[name].flag for name in cli.FAMILIES} == {
             "bell-number": None, "bell-poly": None, "bivariate-bell": None,
             "euler": "alpha", "euler-number": "alpha", "bell-euler": "alpha",
             "bell-euler-number": "alpha", "stirling2": "k", "stirling2-poly": "k"}
+
+    def test_rows_match_the_generators(self):
+        # each row's flag is its generator's parameter after n, if any, and
+        # exactly the four Appell families carry a form
+        after_n = {name: [*inspect.signature(row.generator).parameters, None][1]
+                   for name, row in cli.FAMILIES.items()}
+        assert after_n == {name: row.flag for name, row in cli.FAMILIES.items()}
+        assert {name for name, row in cli.FAMILIES.items() if row.form is not None} == {
+            "bell-euler", "bivariate-bell", "euler", "stirling2-poly"}
+
+    # an Appell family, its flag as given and the generator's argument after n
+    APPELL_CASES = {"bell-euler": ("--alpha=-5/3", F(-5, 3)), "euler": ("--alpha=7/2", F(7, 2)),
+                    "bivariate-bell": (None, None), "stirling2-poly": ("--k=2", 2)}
+
+    def test_appell_families_are_written_off_their_forms(self, run_cli, monkeypatch):
+        # the bytes of compute in each format, and of a csv table, as the
+        # generator's Poly writes them; with every Appell row's generator a
+        # spy that raises, the form alone must give them
+        def csv(rows):
+            return "".join(",".join(map(str, row)) + "\n" for row in rows)
+        runs = {}
+        for name, (given, param) in self.APPELL_CASES.items():
+            generator = cli.FAMILIES[name].generator
+            flag, params = ([], ()) if given is None else ([given], (param,))
+            poly = generator(7, *params)
+            compute = ("compute", "--family", name, "--n", "7", *flag)
+            runs[(*compute, "--format", "pretty")] = poly.pretty() + "\n"
+            runs[(*compute, "--format", "json")] = json.dumps(
+                poly.to_json_map(), separators=(",", ":")) + "\n"
+            runs[(*compute, "--format", "csv")] = csv([("n", "value"), (7, poly.pretty())])
+            table = ("table", "--family", name, "--n-max", "6")
+            if name == "stirling2-poly":   # table takes no --k: k = 0..6 are columns
+                runs[table] = csv([("n", *(f"k={k}" for k in range(7)))] + [
+                    (n, *(generator(n, k).pretty() for k in range(7))) for n in range(7)])
+            else:
+                runs[(*table, *flag)] = csv([("n", "value")] + [
+                    (n, generator(n, *params).pretty()) for n in range(7)])
+
+        def refuse(*args):
+            raise AssertionError("an Appell family called its generator")
+        for name in self.APPELL_CASES:
+            monkeypatch.setitem(cli.FAMILIES, name,
+                                cli.FAMILIES[name]._replace(generator=refuse))
+        for argv, out in runs.items():
+            assert run_cli(*argv) == (0, out, ""), argv
 
     @pytest.mark.parametrize("flag", ["alpha", "k"])
     def test_presence_enforced(self, run_cli, flag):
         # a family needs its own flag and refuses any other
         for name in cli.FAMILIES:
-            own = cli.family_flag(name)
+            own = cli.FAMILIES[name].flag
             if own == flag:
                 given, message = [], f"needs --{flag}"
             else:
@@ -177,7 +224,7 @@ class TestFamilyTable:
 
     def test_negative_n_rejected(self, run_cli):
         for name in cli.FAMILIES:
-            own = cli.family_flag(name)
+            own = cli.FAMILIES[name].flag
             given = [self.FLAG_VALUES[own]] if own else []
             code, out, err = run_cli("compute", "--family", name, "--n", "-1", *given)
             assert code == 2 and out == "" and "non-negative" in err, name
@@ -378,7 +425,8 @@ class TestUsageErrors:
 
     def test_compute_n_over_the_limit(self, run_cli, monkeypatch):
         calls = []
-        monkeypatch.setitem(cli.FAMILIES, "bell-number", calls.append)
+        monkeypatch.setitem(cli.FAMILIES, "bell-number",
+                            cli.FAMILIES["bell-number"]._replace(generator=calls.append))
         code, out, err = run_cli("compute", "--family", "bell-number",
                                  "--n", str(cli.MAX_COMPUTE_N + 1))
         assert code == 2 and out == "" and "over the limit" in err
@@ -386,7 +434,8 @@ class TestUsageErrors:
 
     def test_table_n_max_over_the_limit(self, run_cli, monkeypatch):
         calls = []
-        monkeypatch.setitem(cli.FAMILIES, "stirling2", calls.append)
+        monkeypatch.setitem(cli.FAMILIES, "stirling2",
+                            cli.FAMILIES["stirling2"]._replace(generator=calls.append))
         code, out, err = run_cli("table", "--family", "stirling2",
                                  "--n-max", str(cli.MAX_TABLE_N + 1))
         assert code == 2 and out == "" and "over the limit" in err
@@ -394,7 +443,8 @@ class TestUsageErrors:
 
     def test_table_negative_n_max(self, run_cli, monkeypatch):
         calls = []
-        monkeypatch.setitem(cli.FAMILIES, "stirling2", calls.append)
+        monkeypatch.setitem(cli.FAMILIES, "stirling2",
+                            cli.FAMILIES["stirling2"]._replace(generator=calls.append))
         code, out, err = run_cli("table", "--family", "stirling2", "--n-max", "-1")
         assert code == 2 and out == ""
         assert err == "error: --n-max must be a non-negative int, got -1\n"
@@ -449,11 +499,12 @@ class TestUsageErrors:
     def test_order_with_too_many_digits_refused_before_any_work(
             self, run_cli, monkeypatch, argv):
         calls = []
+
+        def spy(n, alpha):
+            calls.append((n, alpha))
         for family in ("bell-euler", "euler"):
             monkeypatch.setitem(cli.FAMILIES, family,
-                                lambda n, alpha: calls.append((n, alpha)))
-            monkeypatch.setitem(cli.APPELL_FORMS, family,
-                                lambda n, alpha: calls.append((n, alpha)))
+                                cli.FAMILIES[family]._replace(generator=spy, form=spy))
         monkeypatch.setattr(cli, "expand_in_appell", lambda *args: calls.append(args))
         code, out, err = run_cli(*argv)
         assert code == 2 and out == "" and "digit count" in err

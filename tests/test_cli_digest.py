@@ -35,7 +35,7 @@ DIGEST = "f767952444fa168c7d67bdeae6ec360667e33f07453a64ca09a10be581372216"
 def _invocations():
     for name in sorted(cli.FAMILIES):
         compute_params = table_params = [[]]
-        flag = cli.family_flag(name)
+        flag = cli.FAMILIES[name].flag
         if flag == "alpha":
             compute_params = table_params = [[f"--alpha={a}"] for a in ORDERS]
         elif flag == "k":

@@ -54,10 +54,11 @@ def _stirling_entry(monkeypatch):
 
 
 def _euler_numerator(monkeypatch):
-    # E_3^(a) + 1 at every order: its numerator over scale^3 gains scale^3
+    # E_3^(a) + 1 at every order a = p/q: its numerator over scale^3, with
+    # scale = 2q, gains scale^3
     true_numerator = seq._euler_numerator
-    monkeypatch.setattr(seq, "_euler_numerator", lambda k, a: (
-        true_numerator(k, a) + (k == 3) * seq._order_scale(a) ** 3))
+    monkeypatch.setattr(seq, "_euler_numerator", lambda k, p, q: (
+        true_numerator(k, p, q) + (k == 3) * (2 * q) ** 3))
 
 
 def _row_recurrence(monkeypatch):

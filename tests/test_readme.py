@@ -1,8 +1,9 @@
 """The README's examples run as written: its Library block executes, and
 each quoted ``expand`` output is what the CLI prints, so a changed signature
-or output fails here instead of leaving the docs stale.  Its "Limits" table
-is held to the ``MAX_*`` constants of cli.py, and the registry's last column
-to the mutation matrix of test_mutants.py."""
+or output fails here instead of leaving the docs stale.  Its "Families"
+sentence is held to cli.FAMILIES, its "Limits" table to the ``MAX_*``
+constants of cli.py, and the registry's last column to the mutation matrix
+of test_mutants.py."""
 
 import inspect
 import re
@@ -14,6 +15,21 @@ from belleuler.cli import main
 from test_mutants import CHECK_IDS, MATRIX
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_families_sentence_names_each_familys_flag():
+    # "Families, by the flag each takes: `--alpha` for ...; `--k` for ...;
+    # none for ...", one clause a flag, whose family names come before any
+    # " in " that names a command
+    sentence, = re.findall(r"^Families, by the flag each takes: (.*?)\.  ", README, re.M | re.S)
+    named = {}
+    for clause in sentence.replace("\n", " ").split("; "):
+        flag, names = re.match(r"(?:`--(\w+)`|none) for (.*?)(?: in `\w+`.*)?$",
+                               clause).groups()
+        for name in re.findall(r"`([\w-]+)`", names):
+            assert name not in named, name
+            named[name] = flag
+    assert named == {name: row.flag for name, row in cli.FAMILIES.items()}
 
 
 def test_library_block_runs():

@@ -115,7 +115,7 @@ def test_negative_first_term_is_written_as_poly_writes_it():
     ("bell-euler", (0,)), ("bell-euler", (Fraction(-5, 3),)), ("euler", (Fraction(7, 2),)),
     ("bivariate-bell", ()), ("stirling2-poly", (0,)), ("stirling2-poly", (2,))])
 def test_degree_zero_member(family, params):
-    poly = cli.FAMILIES[family](0, *params)
+    poly = cli.FAMILIES[family].generator(0, *params)
     assert (cli._value_text(family, 0, params),
             cli._value_text(family, 0, params, "json")) == _poly_texts(poly)
 
