@@ -119,6 +119,10 @@ def _appell(n: int, row, scale: int = 1) -> Poly:
                               for j, c in enumerate(row(m))}, scale ** n)
 
 
+def _y_poly(nums, den: int) -> Poly:
+    return Poly._make(NAMES, {j << FIELD_BITS: c for j, c in enumerate(nums)}, den)
+
+
 def _bell_euler_rows(n: int, alpha) -> list:
     """The x = 0 rows Z_m = BE_m^(alpha)(0; y), m <= n, as numerators
     z_m = S^m Z_m with S = scale = 2q for alpha = p/q, each from the row
@@ -180,8 +184,7 @@ def bivariate_bell(n: int) -> Poly:
 
 def bell_poly(n: int) -> Poly:
     """Classical Bell polynomial sum_k S2(n, k) y^k: bivariate value at x = 0."""
-    row = _stirling_row(n)
-    return Poly._make(NAMES, {k << FIELD_BITS: s for k, s in enumerate(row)}, 1)
+    return _y_poly(_stirling_row(n), 1)
 
 
 def bell_number(n: int) -> Fraction:
@@ -255,8 +258,7 @@ def _negated_y_rows(n: int, alpha) -> list:
     """[BE_m^(alpha)(0; -y) for m <= n]: the x = 0 rows of
     ``_bell_euler_rows`` with a sign (-1)^j on each y^j."""
     scale, rows = _order_scale(alpha), _bell_euler_rows(n, alpha)[:n + 1]
-    return [Poly._make(NAMES, {j << FIELD_BITS: (-1) ** j * c
-                               for j, c in enumerate(row)}, scale ** m)
+    return [_y_poly([(-1) ** j * c for j, c in enumerate(row)], scale ** m)
             for m, row in enumerate(rows)]
 
 
@@ -274,10 +276,8 @@ def special_case(n: int, alpha) -> Poly:
     for i in range(n):
         falling.append(falling[-1] * (p - i * q))
     row = _stirling_row(n)
-    return Poly._make(NAMES, {m << FIELD_BITS: sum(
-                          row[j] * comb(j, m) * falling[j - m] * scale ** (n - j + m)
-                          for j in range(m, n + 1))
-                      for m in range(n + 1)}, scale ** n)
+    return _y_poly([sum(row[j] * comb(j, m) * falling[j - m] * scale ** (n - j + m)
+                        for j in range(m, n + 1)) for m in range(n + 1)], scale ** n)
 
 
 # -- recurrence / summation path ------------------------------------------

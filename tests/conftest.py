@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import settings
 
+from belleuler import identities, umbral
+from belleuler import sequences as seq
 from belleuler.cli import main as cli_main
 
 # a failing example prints the blob that replays it; the profile is the one
@@ -17,3 +19,26 @@ def run_cli(capsys):
         out, err = capsys.readouterr()
         return code, out, err
     return run
+
+
+@pytest.fixture
+def reset_tables(monkeypatch):
+    """``reset()`` empties every process-lifetime table: the Stirling and
+    x = 0 row tables of ``sequences`` and every lru_cache of ``sequences``,
+    ``identities`` and ``umbral``; ``reset(rows=False)`` empties the caches
+    alone.  After the test the row tables are the ones it found, and the
+    caches are emptied once more, so that no entry built on the test's
+    tables, or under a fault it injected, outlives it."""
+    memos = [f for module in (seq, identities, umbral) for f in vars(module).values()
+             if callable(getattr(f, "cache_clear", None))]
+
+    def reset(rows=True):
+        if rows:
+            monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
+            monkeypatch.setattr(seq, "_member_rows", {})
+        for memo in memos:
+            memo.cache_clear()
+
+    yield reset
+    for memo in memos:
+        memo.cache_clear()

@@ -101,10 +101,10 @@ def test_stirling2_poly_table_is_the_poly_text(run_cli):
     assert out == expected.getvalue()
 
 
-def test_table_leaves_the_member_memo_alone(run_cli):
+def test_table_leaves_the_member_memo_alone(run_cli, reset_tables):
     # the library's member memo serves the library and verify; a table
     # writes its members off the rows and keeps none of them
-    seq._bell_euler_poly.cache_clear()
+    reset_tables()
     code, _, _ = run_cli("table", "--family", "bell-euler", "--n-max", "24",
                          "--alpha=2")
     assert code == 0

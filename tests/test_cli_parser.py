@@ -3,13 +3,16 @@
 ``cli.parse`` reads argv off ``cli.COMMANDS``; ``oracles.build_parser`` is
 the argparse parser as it stood before.  Over one corpus of argv lists, the
 two must agree on what they accept, refuse or answer with help, and on every
-value they parse.  A cold ``belleuler`` process must not import argparse,
-gettext or locale at all.
+value they parse.  The corpus includes every command that the tier-1
+workflow pins or expects refused, read off its two tables.  A cold
+``belleuler`` process must not import argparse, gettext or locale at all.
 """
 
 import contextlib
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +22,24 @@ import pytest
 import oracles
 from belleuler import cli
 from test_cli_digest import _invocations
+
+WORKFLOW = (Path(__file__).resolve().parents[1] / ".github" / "workflows"
+            / "tier1.yml").read_text()
+
+
+def _workflow_rows(table, fields):
+    """The rows of the workflow's heredoc ``table``, each cut at its first
+    fields - 1 "|" as ``read`` cuts it, with the command split as a shell
+    splits it; comment lines are skipped."""
+    body, = re.findall(rf"<<'{table}'\n(.*?)^ *{table}\n", WORKFLOW, re.M | re.S)
+    rows = [line.strip().split("|", fields - 1) for line in body.splitlines()
+            if not line.strip().startswith("#")]
+    return [(*cells[:-1], shlex.split(cells[-1])) for cells in rows]
+
+
+# exit|sha256|command and fragment|command
+WORKFLOW_PINS = _workflow_rows("PINS", 3)
+WORKFLOW_REFUSALS = _workflow_rows("REFUSALS", 2)
 
 # the argv shapes that perfbench/run.py sends, one of each
 BENCHMARK_ARGV = [
@@ -132,15 +153,31 @@ def parser():
     return oracles.build_parser()
 
 
-@pytest.mark.parametrize("corpus, kind", [
-    (list(_invocations()), "parsed"), (BENCHMARK_ARGV, "parsed"),
-    (ACCEPTED_ARGV, "parsed"), (HELP_ARGV, "help"), (MALFORMED_ARGV, "refused"),
-], ids=["digest", "benchmark", "accepted", "help", "malformed"])
-def test_table_parse_agrees_with_argparse(parser, corpus, kind):
+# a mistyped flag in a new workflow pin fails here, not on the CI runner
+@pytest.mark.parametrize("corpus, kinds", [
+    (list(_invocations()), {"parsed"}), (BENCHMARK_ARGV, {"parsed"}),
+    (ACCEPTED_ARGV, {"parsed"}), (HELP_ARGV, {"help"}), (MALFORMED_ARGV, {"refused"}),
+    ([argv for _, _, argv in WORKFLOW_PINS], {"parsed", "help"}),
+], ids=["digest", "benchmark", "accepted", "help", "malformed", "workflow"])
+def test_table_parse_agrees_with_argparse(parser, corpus, kinds):
+    assert corpus
     for argv in corpus:
         expected = _oracle(parser, argv)
         assert _table(argv) == expected, argv
-        assert (expected if isinstance(expected, str) else "parsed") == kind, argv
+        assert (expected if isinstance(expected, str) else "parsed") in kinds, argv
+
+
+def test_workflow_pins_are_well_formed():
+    assert len({digest for _, digest, _ in WORKFLOW_PINS}) == len(WORKFLOW_PINS)
+    for code, digest, argv in WORKFLOW_PINS:
+        assert code in ("0", "1") and re.fullmatch("[0-9a-f]{64}", digest), argv
+
+
+def test_workflow_refusals_exit_2(run_cli):
+    assert WORKFLOW_REFUSALS
+    for fragment, argv in WORKFLOW_REFUSALS:
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "") and fragment in err, argv
 
 
 def test_negative_non_numbers_are_refused(parser):

@@ -97,12 +97,11 @@ _BAD_INPUTS = {
 
 
 @pytest.mark.parametrize("case", _BAD_INPUTS)
-def test_bad_input_is_refused_before_any_work(monkeypatch, case):
+def test_bad_input_is_refused_before_any_work(monkeypatch, reset_tables, case):
     # each input rule lives once in algebra, and every layer refuses before
     # a shared table grows or a check evaluates its first case
     call, message = _BAD_INPUTS[case]
-    monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
-    monkeypatch.setattr(seq, "_member_rows", {})
+    reset_tables()
     cases_run = []
     for module in (identities, umbral):
         monkeypatch.setattr(module, "run_cases", lambda *args: cases_run.append(args))

@@ -21,7 +21,7 @@ from math import prod
 import pytest
 
 import oracles
-from belleuler import algebra, identities, umbral
+from belleuler import algebra
 from belleuler import sequences as seq
 from belleuler.algebra import Poly
 from belleuler.cli import REGISTRY
@@ -116,34 +116,22 @@ MATRIX = {
 }
 
 
-def _memos():
-    # every lru_cache of the package's builder and check modules
-    return [f for module in (seq, identities, umbral)
-            for f in vars(module).values()
-            if callable(getattr(f, "cache_clear", None))]
-
-
-def _under(monkeypatch, inject, run):
+def _under(monkeypatch, reset, inject, run):
     # run() under the fault ``inject`` writes, with every table cleared
     # before and after it
-    memos = _memos()
-    monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
-    monkeypatch.setattr(seq, "_member_rows", {})
+    reset()
     try:
-        for memo in memos:
-            memo.cache_clear()
         inject(monkeypatch)
         return run()
     finally:
-        for memo in memos:
-            memo.cache_clear()
+        reset()
         monkeypatch.undo()
 
 
 @pytest.mark.parametrize("fault", MATRIX)
-def test_each_fault_fails_exactly_its_checks(monkeypatch, fault):
+def test_each_fault_fails_exactly_its_checks(monkeypatch, reset_tables, fault):
     inject, expected = MATRIX[fault]
-    failing = _under(monkeypatch, inject, lambda: {
+    failing = _under(monkeypatch, reset_tables, inject, lambda: {
         i for i in CHECK_IDS if not REGISTRY[i](Grid(n_max=8)).passed})
     assert failing == expected
 
@@ -159,10 +147,11 @@ ROW_FORM_ORACLES = {"T4_1": oracles.check_T4_1_four_vars,
 @pytest.mark.parametrize("check_id, fault", [
     pytest.param(check_id, fault, id=fault if check_id == "T4_1" else f"{check_id}-{fault}")
     for check_id in ROW_FORM_ORACLES for fault in MATRIX])
-def test_T4_1_fails_where_its_four_variable_form_fails(monkeypatch, check_id, fault):
+def test_T4_1_fails_where_its_four_variable_form_fails(monkeypatch, reset_tables, check_id,
+                                                       fault):
     # a check's x = 0 row form and its oracle pass or fail together, after
     # the same number of cases, at the same grid point
-    reports = _under(monkeypatch, MATRIX[fault][0], lambda: [
+    reports = _under(monkeypatch, reset_tables, MATRIX[fault][0], lambda: [
         check(Grid(n_max=8)) for check in (REGISTRY[check_id], ROW_FORM_ORACLES[check_id])])
     rows, whole = [(r.passed, r.checked, r.counterexample and r.counterexample.params)
                    for r in reports]
@@ -196,7 +185,8 @@ def _row_8_off_the_read_orders(monkeypatch):
     monkeypatch.setattr(seq, "_bell_euler_rows", faulty)
 
 
-def test_a_fault_off_the_default_orders_fails_only_the_every_order_grids(monkeypatch):
+def test_a_fault_off_the_default_orders_fails_only_the_every_order_grids(monkeypatch,
+                                                                         reset_tables):
     # not a MATRIX row: no check fails under it at the default grids.  The
     # grids of tests/test_identities.py that prove the checks for every
     # order catch it, but for R4_2, T4_2 and T5_1, which hold for any
@@ -214,7 +204,8 @@ def test_a_fault_off_the_default_orders_fails_only_the_every_order_grids(monkeyp
                 failing.add(check_id)
         return default_failing, failing
 
-    default_failing, failing = _under(monkeypatch, _row_8_off_the_read_orders, run)
+    default_failing, failing = _under(monkeypatch, reset_tables, _row_8_off_the_read_orders,
+                                      run)
     assert default_failing == set()
     assert failing == {"T3_3", "T3_4", "T3_5", "T4_3", "T4_4_corrected", "T5_2", "T4_1",
                        "orthogonality", "multinomial"}

@@ -350,7 +350,7 @@ def test_bools_are_not_exact_scalars_in_equality(names):
     assert hash(one) == hash(1) and hash(zero) == hash(0)
 
 
-def test_int_scalars_build_no_fraction(monkeypatch):
+def test_int_scalars_build_no_fraction(monkeypatch, reset_tables):
     # Poly reads an int scalar as it is, and the order helpers read an
     # order's numerator and denominator off it, so none of these builds a
     # Fraction; each result is the one its Fraction form gives
@@ -375,9 +375,7 @@ def test_int_scalars_build_no_fraction(monkeypatch):
 
     with monkeypatch.context() as patch:
         # the families from empty tables, so every row is built here
-        patch.setattr(seq, "_stirling_rows", [(1,)])
-        patch.setattr(seq, "_member_rows", {})
-        seq._bell_euler_poly.cache_clear()
+        reset_tables()
         patch.setattr(F, "__new__", staticmethod(counting))
         got = {name: op(3) for name, op in operations.items()}
     assert built == []
@@ -548,15 +546,13 @@ def test_family_builders_refuse_degrees_the_keys_cannot_hold():
         seq.bell_euler_poly(EXPONENT_CEILING, 1)
 
 
-def test_oracle_subs_and_parser_never_call_the_kernel(monkeypatch):
+def test_oracle_subs_and_parser_never_call_the_kernel(monkeypatch, reset_tables):
     # the oracle is the independent path the kernel's results are held
     # against, so it must build with the kernel disabled
     def refuse(*args, **kwargs):
         raise AssertionError("the kernel was called")
 
-    for cached in (seq.euler_poly_recurrence, seq.euler_numbers_of_order,
-                   seq.stirling2_recurrence):
-        cached.cache_clear()
+    reset_tables()
     monkeypatch.setattr(Poly, "sum_of_products", refuse)
     with pytest.raises(AssertionError):
         check_T3_3(Grid(n_max=2))

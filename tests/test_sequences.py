@@ -179,7 +179,7 @@ class TestBellEuler:
                 assert seq.bell_euler_convolution(n, alpha) == \
                     seq.bell_euler_poly(n, alpha)
 
-    def test_members_never_read_special_case(self, monkeypatch):
+    def test_members_never_read_special_case(self, monkeypatch, reset_tables):
         # T3_5 holds each member against special_case's closed form, so the
         # members must be built without it
         orders = (0, 1, 3, F(1, 2), F(-5, 3))
@@ -189,12 +189,11 @@ class TestBellEuler:
             raise AssertionError("a member read special_case")
 
         monkeypatch.setattr(seq, "special_case", refuse)
-        seq._bell_euler_poly.cache_clear()
-        seq._member_rows.clear()
+        reset_tables()
         for (n, a), member in built.items():
             assert seq.bell_euler_poly(n, a) == member
 
-    def test_production_paths_never_read_special_case(self, monkeypatch):
+    def test_production_paths_never_read_special_case(self, monkeypatch, reset_tables):
         # special_case is the checks' oracle for the x = 0 rows, so expand,
         # the base series h and the umbral checks read the members' rows
         # instead.  Its falling product reads a Stirling row, which these
@@ -210,10 +209,7 @@ class TestBellEuler:
 
         monkeypatch.setattr(seq, "special_case", refuse)
         monkeypatch.setattr(seq, "_stirling_row", refuse)
-        monkeypatch.setattr(seq, "_member_rows", {})
-        for memo in vars(seq).values():
-            if callable(getattr(memo, "cache_clear", None)):
-                memo.cache_clear()
+        reset_tables()
         for mu in orders:
             assert expand_in_appell(q, mu) == expanded[mu]
             assert AppellContext.create(mu, 9).h == h[mu]
@@ -229,7 +225,7 @@ class TestBellEuler:
             assert seq._bell_euler_rows(96, alpha)[:97] == \
                 oracles.convolution_rows(96, alpha)
 
-    def test_x0_rows_read_no_stirling_row_or_euler_number(self, monkeypatch):
+    def test_x0_rows_read_no_stirling_row_or_euler_number(self, monkeypatch, reset_tables):
         # T3_3 and T3_4 hold each member against the Euler-number and
         # Stirling tables, so the members must be built without them
         orders = (0, 1, 3, -2, F(1, 2), F(-5, 3), F(7, 11))
@@ -240,12 +236,11 @@ class TestBellEuler:
 
         monkeypatch.setattr(seq, "_stirling_row", refuse)
         monkeypatch.setattr(seq, "_euler_numerator", refuse)
-        monkeypatch.setattr(seq, "_member_rows", {})
-        seq._bell_euler_poly.cache_clear()
+        reset_tables()
         for (n, a), member in built.items():
             assert seq.bell_euler_poly(n, a) == member
 
-    def test_x0_rows_grow_safely_from_threads(self):
+    def test_x0_rows_grow_safely_from_threads(self, reset_tables):
         # six threads build members of one fresh order at interleaved
         # degrees, so they grow its one row table together; a lost or
         # doubled row would leave a wrong member or a wrong row count
@@ -266,22 +261,22 @@ class TestBellEuler:
         finally:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in threads) and len(results) == 6
-        rows = seq._member_rows.pop(alpha)
+        rows = seq._member_rows[alpha]
         assert len(rows) == 41
-        seq._bell_euler_poly.cache_clear()
+        reset_tables()
         for members in results.values():
             for n, member in members.items():
                 assert member == seq.bell_euler_poly(n, alpha)
         assert rows == seq._member_rows[alpha]
 
-    def test_a_sweep_builds_each_x0_row_once(self):
+    def test_a_sweep_builds_each_x0_row_once(self, reset_tables):
         alpha = F(11, 131)  # an order no other test builds
         assert alpha not in seq._member_rows
         for n in range(41):
             seq.bell_euler_poly(n, alpha)
         rows = seq._member_rows[alpha]
         assert len(rows) == 41
-        seq._bell_euler_poly.cache_clear()
+        reset_tables(rows=False)
         for n in range(41):
             seq.bell_euler_poly(n, alpha)
         assert len(rows) == 41
@@ -346,11 +341,10 @@ class TestSpecialCases:
                 assert seq.bell_euler_number(n, alpha) == \
                     member.evaluate({"x": 0, "y": 1})
 
-    def test_memo_keys_on_normalized_arguments(self, monkeypatch):
+    def test_memo_keys_on_normalized_arguments(self, reset_tables):
         # equal orders share an entry of the x = 0 row table, distinct
         # orders do not, and expand reads the rows at the opposite order
-        monkeypatch.setattr(seq, "_member_rows", {})
-        seq._bell_euler_poly.cache_clear()
+        reset_tables()
         for n in range(6):
             for alpha in (1, F(2, 2)):
                 assert seq.special_case(n, alpha) == \
@@ -380,12 +374,21 @@ def test_negative_degree_rejected():
     ("stirling2_number", (3, "1")), ("stirling2_poly", (3.0, 1)),
     ("stirling2_poly", (3, True)), ("falling_factorial", (2.0,)),
     ("falling_factorial", (True,))])
-def test_non_int_degree_or_count_rejected_before_any_table_grows(monkeypatch, name,
-                                                                 args):
+def test_non_int_degree_or_count_rejected_before_any_table_grows(reset_tables, name, args):
     # as for orders: a float, a str or a bool is not an int, and the shared
     # tables are left as they were
-    monkeypatch.setattr(seq, "_stirling_rows", [(1,)])
-    monkeypatch.setattr(seq, "_member_rows", {})
+    reset_tables()
     with pytest.raises(ValueError, match="must be a non-negative int"):
         getattr(seq, name)(*args)
     assert seq._stirling_rows == [(1,)] and seq._member_rows == {}
+
+
+def test_a_memo_hit_never_answers_a_bool_or_a_float():
+    # lru_cache keys compare True == 1 and 1.0 == 1, so the private memo
+    # would answer these from the int entries; bell_euler_poly validates
+    # its degree and order before it reaches the memo
+    seq.bell_euler_poly(3, 1), seq.bell_euler_poly(1, 1)
+    assert seq._bell_euler_poly(3, True) is seq._bell_euler_poly(3, 1)
+    for n, alpha in ((3, True), (3, 1.0), (True, 1)):
+        with pytest.raises(ValueError):
+            seq.bell_euler_poly(n, alpha)
