@@ -262,11 +262,10 @@ class Poly:
             if b is not None:
                 d *= b._den
                 products = True
-                # the longer factor runs in the inner loop
+                # the longer factor runs in the inner loop, read off its map in place
                 if len(a._num) > len(b._num):
                     a, b = b, a
-            work.append((c.numerator, d, a._num,
-                         None if b is None else list(b._num.items())))
+            work.append((c.numerator, d, a._num, None if b is None else b._num.items()))
             den = lcm(den, d)
         acc = {}
         get = acc.get

@@ -113,10 +113,11 @@ def _euler_numerator(k: int, p: int, q: int) -> int:
 
 def _appell(n: int, row, scale: int = 1) -> Poly:
     """sum_m C(n, m) x^(n-m) Z_m(y) over scale^n, with row(m)[j] the y^j
-    coefficient of the x = 0 row Z_m times scale^m: each (m, j) owns one key."""
+    coefficient of the x = 0 row Z_m times scale^m: each (m, j) owns one key,
+    and a zero entry writes no term, so ``Poly._make`` has none to drop."""
     return Poly._make(NAMES, {n - m | j << FIELD_BITS: weight * c for m in range(n + 1)
                               for weight in (comb(n, m) * scale ** (n - m),)
-                              for j, c in enumerate(row(m))}, scale ** n)
+                              for j, c in enumerate(row(m)) if c}, scale ** n)
 
 
 def _y_poly(nums, den: int) -> Poly:

@@ -15,8 +15,9 @@ be any exact order.
 h generates BE_k^(-mu)(0; -y): the x = 0 rows that build the members, at
 the opposite order and y sign, so the expansion takes mu alone and only
 the orthogonality check truncates h.  The expansion reads those rows as
-int numerators and writes every coefficient in one triangular pass, with
-no ``Poly.sum_of_products`` and no row ``Poly``; the reconstruction sums
+int numerators, signed once per call, and writes every coefficient in one
+triangular pass into dense int lists, one per y-exponent of q's terms,
+with no ``Poly.sum_of_products`` and no row ``Poly``; the reconstruction sums
 the members through that kernel, so the ``roundtrip`` check holds the two
 routes against each other.  The orthogonality check reads the members'
 x = 0 rows too: once a member's x-columns are C(n, s) Z_(n-s), the pairing
@@ -39,7 +40,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .algebra import FIELD_BITS, _FIELD_MASK, Poly, _as_fraction, _check_ceiling, _count
 from .identities import (Grid, IdentityReport, appell_columns, json_order, product_cases,
@@ -155,14 +156,19 @@ def expand_in_appell(q: Poly, mu) -> AppellExpansion:
     """b_k = sum_(n >= k) C(n, k) BE_(n-k)^(-mu)(0; -y) q_n over q's x-columns
     q_n: the closed form of (1/k!) <h(t) t^k | q>, the pairing the tests use.
 
-    One pass over the terms c x^n y^i of q, each k <= n and each entry z_j
-    of the numerator row z_(n-k) = S^(n-k) BE_(n-k)^(-mu)(0; y) of
-    ``_bell_euler_rows`` adds C(n, k) S^(top-(n-k)) (-1)^j z_j c to the
-    y^(i+j) numerator of b_k, as ``sequences._appell`` writes the members.
-    Every b_k is over den(q) S^top, with S = 2 * denominator(mu) and top
-    the x-degree of q.  A nonzero q must be in the (x, y) ring, and each b_k
-    is refused at the exponent ceiling of y, as a kernel product would be;
-    a zero q in any ring gives one zero coefficient in that ring."""
+    One pass over the terms c x^n y^i of q, grouped by their y-exponent i.
+    The numerator rows z_m = S^m BE_m^(-mu)(0; y) of ``_bell_euler_rows``
+    are signed once per call, (-1)^j z_j on y^j, and for each i and each k
+    a dense int list holds the y^(i+j) numerators of b_k: each term of the
+    group with n >= k adds C(n, k) S^(top-(n-k)) c times the signed row
+    z_(n-k) to its head, as ``sequences._appell`` writes the members.  Each
+    list is then written into b_k's map in one step.  A group's lists span
+    its own x-degree, so time and memory grow with q's terms, not with its
+    y-span; an x-only q has one group.  Every b_k is over den(q) S^top,
+    with S = 2 * denominator(mu) and top the x-degree of q.  A nonzero q
+    must be in the (x, y) ring, and each b_k is refused at the exponent
+    ceiling of y, as a kernel product would be; a zero q in any ring gives
+    one zero coefficient in that ring."""
     mu = seq.validate_order(mu)
     if not q._num:
         return AppellExpansion(mu, (Poly.zero(q.names),))
@@ -170,20 +176,33 @@ def expand_in_appell(q: Poly, mu) -> AppellExpansion:
         raise ValueError(f"variable mismatch: expected {q.names}")
     top = q.degree("x")
     scale = seq._order_scale(-mu)
-    rows = seq._bell_euler_rows(top, -mu)
+    signed = [[-z if j & 1 else z for j, z in enumerate(row)]
+              for row in seq._bell_euler_rows(top, -mu)[:top + 1]]
     powers = [scale ** e for e in range(top + 1)]
-    sums = [{} for _ in range(top + 1)]
+    groups = {}  # the y-part of a key -> the (n, c) of its terms c x^n y^i
     for key, c in q._num.items():
         n = key & _FIELD_MASK
-        y_part = key - n
-        for k in range(n + 1):
+        groups.setdefault(key - n, []).append((n, c))
+    sums = [{} for _ in range(top + 1)]
+    step = 1 << FIELD_BITS
+    for y_part, terms in groups.items():
+        width = max(n for n, _ in terms) + 1
+        # dense[k][j]: this group's y^(i+j) numerator of b_k
+        dense = [[0] * (width - k) for k in range(width)]
+        for n, c in terms:
+            for k in range(n + 1):
+                weight = comb(n, k) * c * powers[top - n + k]
+                sums_k = dense[k]
+                for j, z in enumerate(signed[n - k]):
+                    sums_k[j] += weight * z
+        for k, sums_k in enumerate(dense):
+            keys = range(y_part, y_part + len(sums_k) * step, step)
             acc = sums[k]
-            get = acc.get
-            weight = comb(n, k) * c * powers[top - n + k]
-            signed = (weight, -weight)  # (-1)^j on y^j
-            for j, z in enumerate(rows[n - k]):
-                at = y_part + (j << FIELD_BITS)
-                acc[at] = get(at, 0) + signed[j & 1] * z
+            if acc:  # another group wrote b_k first
+                for key, v in zip(keys, sums_k):
+                    acc[key] = acc.get(key, 0) + v
+            else:
+                sums[k] = dict(zip(keys, sums_k))
     den = q._den * powers[top]
     return AppellExpansion(mu, tuple(_check_ceiling(Poly._make(seq.NAMES, acc, den))
                                      for acc in sums))
@@ -333,13 +352,18 @@ ROUNDTRIP_SEED = 271828
 
 
 def random_rational_poly(rng: random.Random, degree: int) -> Poly:
+    """sum_i num_i/den_i x^i for i <= degree, with one draw of num_i and then
+    den_i per power; each ratio is reduced and the Poly written over their
+    lcm, so the draw builds no Fraction."""
     terms = {}
     for i in range(degree + 1):
         num = rng.randint(-10**6, 10**6)
         den = rng.randint(1, 10**6)
         if num:
-            terms[(i, 0)] = Fraction(num, den)
-    return Poly(("x", "y"), terms)
+            g = gcd(num, den)
+            terms[i] = num // g, den // g
+    den = lcm(*(d for _, d in terms.values()))
+    return Poly._make(seq.NAMES, {i: p * (den // d) for i, (p, d) in terms.items()}, den)
 
 
 def check_roundtrip(grid: Grid = Grid()) -> IdentityReport:

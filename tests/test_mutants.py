@@ -9,19 +9,22 @@ what any check sees, fails here.  A check that is missing from a set holds
 for the faulty engine: ``R4_2``, ``T4_2`` and ``T5_1`` hold for any Appell
 sequence, and ``integral`` for any polynomial.
 
-The last test pins a fault that no default grid can see, since its error
-vanishes at every order those grids read: only the every-order grids of
-``tests/test_identities.py`` fail under it.
+The last two tests pin faults that no ``MATRIX`` row can hold.  One has an
+error that vanishes at every order the default grids read: only the
+every-order grids of ``tests/test_identities.py`` fail under it.  The other
+is in the Appell expansion, which only ``roundtrip`` and the ``expand``
+command read, so one check fails under it where a row needs four.
 """
 
 import inspect
+import json
 from fractions import Fraction
 from math import prod
 
 import pytest
 
 import oracles
-from belleuler import algebra
+from belleuler import algebra, cli, umbral
 from belleuler import sequences as seq
 from belleuler.algebra import Poly
 from belleuler.cli import REGISTRY
@@ -209,3 +212,24 @@ def test_a_fault_off_the_default_orders_fails_only_the_every_order_grids(monkeyp
     assert default_failing == set()
     assert failing == {"T3_3", "T3_4", "T3_5", "T4_3", "T4_4_corrected", "T5_2", "T4_1",
                        "orthogonality", "multinomial"}
+
+
+def _expansion_row_sign(monkeypatch):
+    # the y^1 entry of each signed row of the Appell expansion keeps its
+    # sign, where the rows of BE(0; -y) negate it; the command line calls
+    # the faulty copy too
+    _mutate(monkeypatch, umbral, "expand_in_appell", "-z if j & 1 else z",
+            "-z if j & 1 and j != 1 else z")
+    monkeypatch.setattr(cli, "expand_in_appell", umbral.expand_in_appell)
+
+
+def test_a_fault_in_the_expansion_fails_roundtrip_and_expand(monkeypatch, reset_tables,
+                                                             capsys):
+    def run():
+        passed = umbral.check_roundtrip(Grid(n_max=8)).passed
+        assert cli.main(["expand", "--mu", "2", "--", "x^2"]) == 0
+        return passed, json.loads(capsys.readouterr().out)["residual"]
+
+    assert run() == (True, "0")
+    passed, residual = _under(monkeypatch, reset_tables, _expansion_row_sign, run)
+    assert not passed and residual != "0"

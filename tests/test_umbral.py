@@ -3,7 +3,9 @@ constructions, and the section's identity checks."""
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
+from hashlib import sha256
 from math import factorial
 
 import pytest
@@ -13,9 +15,11 @@ from oracles import integral_pairing_form, integral_via_operator, multinomial_de
 from belleuler import sequences as seq
 from belleuler.algebra import Poly, QQ, Series, XY
 from belleuler.cli import main as cli_main
-from belleuler.identities import Grid
+from belleuler.identities import Grid, json_order
 from belleuler.umbral import (
     CHECKS as UMBRAL_CHECKS,
+    ROUNDTRIP_COUNT,
+    ROUNDTRIP_SEED,
     AppellContext,
     _power_prefix,
     apply_operator,
@@ -313,6 +317,22 @@ class TestExpansion:
         report = check_roundtrip(Grid(n_max=6, alphas=RATIONAL_AND_NONPOSITIVE_ORDERS))
         assert report.passed and report.checked == 100
 
+    def test_roundtrip_draws_are_pinned(self):
+        # the 100 polynomials check_roundtrip(Grid(n_max=10)) expands, drawn
+        # with its seed, degrees and orders; the digest was taken before the
+        # draws were written without Fractions, so a changed draw shows here
+        max_degree, mus = Grid(n_max=10).resolve(8, (1, 2, 3))
+        rng = random.Random(ROUNDTRIP_SEED)
+        lines = []
+        for index in range(ROUNDTRIP_COUNT):
+            mu = mus[index % len(mus)]
+            degree = rng.randint(0, max_degree)
+            lines.append(f"{json_order(mu)} {degree} "
+                         f"{random_rational_poly(rng, degree).pretty()}\n")
+        assert (max_degree, mus) == (10, (1, 2, 3))
+        assert sha256("".join(lines).encode()).hexdigest() == (
+            "6e549f105edd5c05f284eba1d1e51127415b018378ebfdf0b987b4092348a19b")
+
 
 class TestExpansionPass:
     """The one-pass expansion against ``oracles.reference_expansion``, the
@@ -363,6 +383,24 @@ class TestExpansionPass:
             coeffs = expand_in_appell(zero, mu).coeffs
             assert coeffs == oracles.reference_expansion(zero, mu) == (zero,)
             assert coeffs[0].names == names
+
+    @pytest.mark.parametrize("mu", ORDERS, ids=str)
+    def test_matches_the_kernel_form_over_a_wide_y_span(self, mu):
+        for q in (Y**16000 + X**40, X**3 * Y**5 - F(2, 3) * Y**2 + 1):
+            assert expand_in_appell(q, mu).coeffs == oracles.reference_expansion(q, mu)
+
+    def test_memory_follows_the_terms_not_the_y_span(self):
+        # one list per y-exponent of q's terms: a list from y^0 would hold
+        # 16,001 slots for each of the 41 coefficients, about 5 MB
+        q, mu = Y**16000 + X**40, F(-5, 3)
+        expected = expand_in_appell(q, mu)  # the rows are built here, outside the trace
+        tracemalloc.start()
+        try:
+            assert expand_in_appell(q, mu) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_reads_no_kernel_sum_while_reconstruct_does(self, monkeypatch):
         def refuse(*args):
