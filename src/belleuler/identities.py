@@ -14,7 +14,7 @@ agree at d + 1 orders agree at every order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, partial
 from itertools import product
 from math import comb
@@ -33,12 +33,10 @@ def validate_n_max(n_max: int) -> int:
     return _count(n_max, "n_max")
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(namedtuple("Grid", "n_max alphas", defaults=(None, None))):
     """Parameter grid for a check; None fields fall back to per-check defaults."""
 
-    n_max: "int | None" = None
-    alphas: "tuple | None" = None
+    __slots__ = ()
 
     def resolve(self, n_default=DEFAULT_N_MAX, alphas_default=DEFAULT_ALPHAS):
         """(n_max, orders) from the grid or the check's defaults, validated
@@ -50,11 +48,8 @@ class Grid:
         return n_max, tuple(map(seq.validate_order, alphas))
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    params: dict
-    lhs: Poly
-    rhs: Poly
+class Counterexample(namedtuple("Counterexample", "params lhs rhs")):
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -64,12 +59,8 @@ class Counterexample:
         }
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    id: str
-    checked: int
-    counterexample: "Counterexample | None"
-    elapsed: float
+class IdentityReport(namedtuple("IdentityReport", "id checked counterexample elapsed")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -37,7 +37,7 @@ which ``tests/test_identities.py`` reads to prove them for every order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, factorial, gcd, lcm
@@ -119,13 +119,13 @@ def difference_quotient_operator(z, order: int) -> tuple:
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class AppellContext:
+class AppellContext(namedtuple("AppellContext", "mu order")):
     """Invertible base series h for the order-mu Bell-based Euler family,
     truncated at t^order; h is a coefficient tuple built on first read."""
 
-    mu: "int | Fraction"
-    order: int
+    # h is cached in the instance dict, which must still refuse assignment
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: AppellContext is immutable")
 
     @classmethod
     def create(cls, mu, order: int) -> "AppellContext":
@@ -138,12 +138,10 @@ class AppellContext:
                      enumerate(seq._negated_y_rows(self.order, -self.mu)))
 
 
-@dataclass(frozen=True)
-class AppellExpansion:
+class AppellExpansion(namedtuple("AppellExpansion", "mu coeffs")):
     """Coefficients b_0..b_n of a polynomial in the order-mu Appell basis."""
 
-    mu: "int | Fraction"
-    coeffs: tuple
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -160,11 +158,11 @@ def expand_in_appell(q: Poly, mu) -> AppellExpansion:
     The numerator rows z_m = S^m BE_m^(-mu)(0; y) of ``_bell_euler_rows``
     are signed once per call, (-1)^j z_j on y^j, and for each i and each k
     a dense int list holds the y^(i+j) numerators of b_k: each term of the
-    group with n >= k adds C(n, k) S^(top-(n-k)) c times the signed row
+    group with n >= k adds C(n, k) S^(top-n) c times the signed row
     z_(n-k) to its head, as ``sequences._appell`` writes the members.  Each
     list is then written into b_k's map in one step.  A group's lists span
     its own x-degree, so time and memory grow with q's terms, not with its
-    y-span; an x-only q has one group.  Every b_k is over den(q) S^top,
+    y-span; an x-only q has one group.  Each b_k is over den(q) S^(top-k),
     with S = 2 * denominator(mu) and top the x-degree of q.  A nonzero q
     must be in the (x, y) ring, and each b_k is refused at the exponent
     ceiling of y, as a kernel product would be; a zero q in any ring gives
@@ -190,8 +188,9 @@ def expand_in_appell(q: Poly, mu) -> AppellExpansion:
         # dense[k][j]: this group's y^(i+j) numerator of b_k
         dense = [[0] * (width - k) for k in range(width)]
         for n, c in terms:
+            c *= powers[top - n]
             for k in range(n + 1):
-                weight = comb(n, k) * c * powers[top - n + k]
+                weight = comb(n, k) * c
                 sums_k = dense[k]
                 for j, z in enumerate(signed[n - k]):
                     sums_k[j] += weight * z
@@ -203,9 +202,9 @@ def expand_in_appell(q: Poly, mu) -> AppellExpansion:
                     acc[key] = acc.get(key, 0) + v
             else:
                 sums[k] = dict(zip(keys, sums_k))
-    den = q._den * powers[top]
-    return AppellExpansion(mu, tuple(_check_ceiling(Poly._make(seq.NAMES, acc, den))
-                                     for acc in sums))
+    return AppellExpansion(mu, tuple(
+        _check_ceiling(Poly._make(seq.NAMES, acc, q._den * powers[top - k]))
+        for k, acc in enumerate(sums)))
 
 
 def reconstruct(expansion: AppellExpansion) -> Poly:
