@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 from . import algebra
 from .algebra import FIELD_BITS, Poly, _count, format_fraction, parse_fraction
-from .identities import (CHECKS as IDENTITY_CHECKS, Grid, NEGATIVE_CONTROLS,
+from .identities import (CHECKS as IDENTITY_CHECKS, Grid, NEGATIVE_CONTROLS, Tables,
                          validate_n_max)
 from .umbral import CHECKS as UMBRAL_CHECKS, expand_in_appell, reconstruct
 from . import sequences as seq
@@ -59,9 +59,9 @@ _JSON_RUN = 1024
 # README, "Limits"); a four-digit order binds the two member limits.
 MAX_COMPUTE_N = 384       # bell-euler at order -9973/9967: 6.3 s, 83 MB (n 512: 19.3 s, 155 MB)
 MAX_TABLE_N = 128         # bell-euler at order -5/3: 2.3 s, 62 MB (n-max 160: 19.2 s, 348 MB at -9973/9967)
-MAX_VERIFY_N = 40         # verify --all: 5.7 s, 35 MB (n-max 48: 10.3 s)
+MAX_VERIFY_N = 40         # verify --all: 4.1 s, 55 MB (n-max 48: 5.7 s, 88 MB)
 MAX_EXPAND_DEGREE = 96    # expand at mu -5/3: 2.9 s, 52 MB (degree 128: 10 s)
-MAX_VERIFY_ALPHAS = 32    # verify --all --n-max 10, orders j/97: 2.4 s, 24 MB (48 orders: 4.3 s, 26 MB)
+MAX_VERIFY_ALPHAS = 32    # verify --all --n-max 10, orders j/97: 2.2 s, 30 MB (48 orders: 2.8 s, 31 MB)
 # digits of the numerator, and of the denominator, of a compute/table --alpha,
 # an expand --mu, or an expand literal's summed coefficient at each power;
 # verify --alphas is not bounded by it.  The slowest expand is a dense
@@ -263,7 +263,9 @@ def cmd_verify(args) -> int:
         selected = [i for i in REGISTRY if i not in NEGATIVE_CONTROLS]
     else:
         raise UsageError("verify needs --id or --all")
-    reports = [REGISTRY[check_id](grid) for check_id in selected]
+    # the checks of one run share its tables, which die with the run
+    tables = Tables()
+    reports = [REGISTRY[check_id](grid, tables) for check_id in selected]
 
     print(json.dumps([r.to_json_dict() for r in reports], **_JSON_COMPACT))
     for report in reports:

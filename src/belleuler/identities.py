@@ -6,6 +6,11 @@ each check states the identity it verifies.  ``T4_4_literal`` is a negative
 control: an uncorrected double-sum form that is *not* an identity, kept to
 prove the harness detects false statements.
 
+The values that the checks derive from the engine and that no grid bounds
+live in one :class:`Tables`, for one run, or one call when a check is
+called alone; a table that a grid bounds, or that one check alone reads,
+stays in that check.
+
 The docstrings of ``T4_1`` and of the checks with one order give the degree
 in the order of both sides at fixed n: two sides of degree at most d that
 agree at d + 1 orders agree at every order.
@@ -120,15 +125,75 @@ def _grid_cases(grid: Grid, pair_fn):
     return product_cases(pair_fn, n=range(n_max + 1), alpha=alphas)
 
 
-def check_T3_3(grid: Grid = Grid()) -> IdentityReport:
+class Tables:
+    """The values that the checks derive from the engine and that no grid
+    bounds, each built once per ``Tables``.  Every registry check takes one
+    as its second argument: ``cli.cmd_verify`` makes one per run and hands
+    it to each check it runs, and a check called alone makes its own, so a
+    table lives for one run, or one call when called alone, and never for
+    the process.  Each builder is read off its module when the tables are
+    made, so a builder replaced before a run is the one the run reads.  A
+    table that a grid bounds, or that one check alone reads, stays in that
+    check, for one call: orthogonality's h and V_r, integral's operators
+    and antiderivatives, multinomial's Miller prefix, T4_1's y-rows.
+
+    ``special`` holds the x = 0 members Z_k = ``special_case(k, a)``, and
+    ``convolution(n, a)`` is sum_k C(n, k) Z_k x^(n-k): T3_5's right side,
+    and T5_2's order-(a-1) member.  ``shifted(member, n, a)`` is
+    ``member(n, a)`` at x + 1.  ``columns(n, a)`` is the x-columns ``{s:
+    coefficient of x^s}`` of the member ``bell_euler_poly(n, a)``, and
+    ``column_gap(n, a)`` the first x-column s >= 1 that is not C(n, s) times
+    the x^0 column of member n - s, with what it should be, or None.  A
+    member with no gap is Appell in x, [x^s] BE_n^(a)(x; y) = C(n, s)
+    Z_(n-s)^(a)(y) with Z_r the x = 0 row, and has no column past n;
+    ``T4_1`` and ``orthogonality`` hold each member they read to that form
+    before they compare what it reduces their identities to."""
+
+    def __init__(self):
+        self.euler = cache(seq.euler_poly_order)
+        self.euler_number = cache(seq.euler_number_order)
+        self.bell = cache(seq.bell_poly)
+        self.bivariate = cache(seq.bivariate_bell)
+        self.weight = cache(_stirling_weight)
+        self.special = special = cache(seq.special_case)
+        power = cache(seq.X.__pow__)
+        zero = Poly.zero(seq.NAMES)
+
+        @cache
+        def convolution(n, a):
+            return Poly.sum_of_products(seq.NAMES, (
+                (comb(n, k), special(k, a), power(n - k)) for k in range(n + 1)))
+
+        @cache
+        def shifted(member, n, a):
+            return member(n, a).subs({"x": seq.X + 1})
+
+        @cache
+        def columns(n, a):
+            return seq.bell_euler_poly(n, a).columns("x")
+
+        @cache
+        def column_gap(n, a):
+            # column 0 is Z_n itself
+            found = columns(n, a)
+            for s in range(1, max([n, *found]) + 1):
+                want = comb(n, s) * columns(n - s, a).get(0, zero) if s <= n else zero
+                if found.get(s, zero) != want:
+                    return found.get(s, zero), want
+            return None
+
+        self.convolution, self.shifted = convolution, shifted
+        self.columns, self.column_gap = columns, column_gap
+
+
+def check_T3_3(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """Hybrid polynomial = binomial convolution of Euler polynomials of the
     same order with Bell polynomials.  The member is built from x = 0 rows
     of a three-term recurrence, and the right side from the Euler-number and
     Stirling tables, so a wrong entry in either table fails the check.  At
     fixed n both sides have coefficients of degree at most n in a."""
-    # members recur across grid points; each table dies with this call, so
-    # a later call builds them afresh (T3_4, T4_1 and T4_3 do the same)
-    euler, bell = cache(seq.euler_poly_order), cache(seq.bell_poly)
+    tables = Tables() if tables is None else tables
+    euler, bell = tables.euler, tables.bell
 
     def pair(n, a):
         rhs = Poly.sum_of_products(seq.NAMES, (
@@ -137,12 +202,13 @@ def check_T3_3(grid: Grid = Grid()) -> IdentityReport:
     return run_cases("T3_3", _grid_cases(grid, pair))
 
 
-def check_T3_4(grid: Grid = Grid()) -> IdentityReport:
+def check_T3_4(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """Hybrid polynomial = convolution of Euler numbers with bivariate Bell
     polynomials, the right side again from the tables that the member's
     x = 0 rows do not read.  At fixed n both sides have coefficients of
     degree at most n in a."""
-    bivariate, euler = cache(seq.bivariate_bell), cache(seq.euler_number_order)
+    tables = Tables() if tables is None else tables
+    bivariate, euler = tables.bivariate, tables.euler_number
 
     def pair(n, a):
         rhs = Poly.sum_of_products(seq.NAMES, (
@@ -152,57 +218,24 @@ def check_T3_4(grid: Grid = Grid()) -> IdentityReport:
     return run_cases("T3_4", _grid_cases(grid, pair))
 
 
-def check_T3_5(grid: Grid = Grid()) -> IdentityReport:
+def check_T3_5(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """Hybrid polynomial = convolution of its own x=0 specialization with
     powers of x.  The member is built from x = 0 rows of a three-term
     recurrence; ``special_case`` reads the same rows off its falling-product
     form over one Stirling row, so the check holds two distinct closed
     forms.  At fixed n both sides have coefficients of degree at most n in
     a."""
-    # the x = 0 members and the powers of x recur across grid points; the
-    # tables die with this call
-    power, special = cache(seq.X.__pow__), cache(seq.special_case)
+    convolution = (Tables() if tables is None else tables).convolution
 
     def pair(n, a):
-        rhs = Poly.sum_of_products(seq.NAMES, (
-            (comb(n, k), special(k, a), power(n - k))
-            for k in range(n + 1)))
-        return seq.bell_euler_poly(n, a), rhs
+        return seq.bell_euler_poly(n, a), convolution(n, a)
     return run_cases("T3_5", _grid_cases(grid, pair))
-
-
-def appell_columns():
-    """Two tables over the members ``bell_euler_poly(n, a)``, for one check
-    call: ``columns(n, a)``, the member's x-columns ``{s: coefficient of
-    x^s}``, and ``column_gap(n, a)``, the first x-column s >= 1 that is not
-    C(n, s) times the x^0 column of member n - s, with what it should be, or
-    None.  A member with no gap is Appell in x, [x^s] BE_n^(a)(x; y) =
-    C(n, s) Z_(n-s)^(a)(y) with Z_r the x = 0 row, and has no column past
-    n; ``T4_1`` and ``orthogonality`` hold each member they read to that
-    form before they compare what it reduces their identities to."""
-    zero = Poly.zero(seq.NAMES)
-
-    @cache
-    def columns(n, a):
-        return seq.bell_euler_poly(n, a).columns("x")
-
-    @cache
-    def column_gap(n, a):
-        # column 0 is Z_n itself
-        found = columns(n, a)
-        for s in range(1, max([n, *found]) + 1):
-            want = comb(n, s) * columns(n - s, a).get(0, zero) if s <= n else zero
-            if found.get(s, zero) != want:
-                return found.get(s, zero), want
-        return None
-
-    return columns, column_gap
 
 
 _SPLIT_Y = ("y1", "y2")
 
 
-def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
+def check_T4_1(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """Addition theorem, for every pair of the grid's orders:
     BE_n^(a1+a2)(x1+x2; y1+y2) = sum_k C(n, k) BE_k^(a1)(x1; y1)
     BE_(n-k)^(a2)(x2; y2), checked through the x = 0 rows.
@@ -213,21 +246,22 @@ def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
     Z_m^(a1)(y1) Z_(r-m)^(a2)(y2) at every r <= n.  So the point n compares
     each x-column of the members of orders a1, a2 and a1 + a2 at n with
     C(n, s) times the x = 0 row it should be, in the (x, y) ring
-    (:func:`appell_columns`), and then Z_n^(a1+a2)(y1 + y2) with W_n, in
-    the (y1, y2) ring; the points below n, which run first, hold the rest.
-    A counterexample is the first column that fails, or else the two rows.
-    Each member's columns and each row at y1, y2 or y1 + y2 are built once
-    per call, and W_n costs O(n^3) term products.  At fixed n both sides
-    have coefficients of degree at most n in each of a1 and a2."""
+    (:class:`Tables`' ``column_gap``), and then Z_n^(a1+a2)(y1 + y2) with
+    W_n, in the (y1, y2) ring; the points below n, which run first, hold
+    the rest.  A counterexample is the first column that fails, or else
+    the two rows.  Each member's columns are built once per run, or once
+    per call when called alone, and each row at y1, y2 or y1 + y2 once per
+    call; W_n costs O(n^3) term products.  At fixed n both sides have
+    coefficients of degree at most n in each of a1 and a2."""
     n_max, alphas = grid.resolve(6, (0, 1, 2))
+    tables = Tables() if tables is None else tables
+    columns, column_gap = tables.columns, tables.column_gap
 
     y1, y2 = Poly.gens(*_SPLIT_Y)
     images = {"sum": y1 + y2, "left": y1, "right": y2}
     zero = Poly.zero(seq.NAMES)
 
-    # the tables die with this call
-    columns, column_gap = appell_columns()
-
+    # the y-rows die with this call
     @cache
     def row(r, a, point):
         return columns(r, a).get(0, zero).subs({"x": 0, "y": images[point]})
@@ -246,43 +280,46 @@ def check_T4_1(grid: Grid = Grid()) -> IdentityReport:
         pair, n=range(n_max + 1), alpha1=alphas, alpha2=alphas))
 
 
-def check_R4_2(grid: Grid = Grid()) -> IdentityReport:
+def check_R4_2(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """Unit shift in x equals the full binomial sum of lower members.  At
     fixed n both sides have coefficients of degree at most n in a."""
+    shifted = (Tables() if tables is None else tables).shifted
+
     def pair(n, a):
-        lhs = seq.bell_euler_poly(n, a).subs({"x": seq.X + 1})
         rhs = Poly.sum_of_products(seq.NAMES, (
             (comb(n, k), seq.bell_euler_poly(k, a), None) for k in range(n + 1)))
-        return lhs, rhs
+        return shifted(seq.bell_euler_poly, n, a), rhs
     return run_cases("R4_2", _grid_cases(grid, pair))
 
 
-def check_T4_2(grid: Grid = Grid()) -> IdentityReport:
+def check_T4_2(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """Forward difference of the degree-(n+1) member equals the truncated
     binomial sum with C(n+1, k), k <= n.  At fixed n the left side has
     coefficients of degree at most n + 1 in a, the right side at most n."""
+    shifted = (Tables() if tables is None else tables).shifted
+
     def pair(n, a):
-        top = seq.bell_euler_poly(n + 1, a)
-        lhs = top.subs({"x": seq.X + 1}) - top
+        lhs = shifted(seq.bell_euler_poly, n + 1, a) - seq.bell_euler_poly(n + 1, a)
         rhs = Poly.sum_of_products(seq.NAMES, (
             (comb(n + 1, k), seq.bell_euler_poly(k, a), None) for k in range(n + 1)))
         return lhs, rhs
     return run_cases("T4_2", _grid_cases(grid, pair))
 
 
-def check_T4_3(grid: Grid = Grid()) -> IdentityReport:
+def check_T4_3(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """Order shift: the order-(a-1) hybrid is the average of the order-a
     hybrid at x and x+1, and likewise for the Euler polynomials (its y=0
     shadow).  At a = 1 this is the bivariate Bell polynomial and the
     classical 'average equals x^n' relation.  At fixed n both sides have
     coefficients of degree at most n in a, the order-(a-1) member too."""
     n_max, alphas = grid.resolve(alphas_default=(1,))
-    members = {"bivariate": seq.bell_euler_poly,
-               "classical": cache(seq.euler_poly_order)}
+    tables = Tables() if tables is None else tables
+    members = {"bivariate": seq.bell_euler_poly, "classical": tables.euler}
 
     def pair(n, a, part):
-        lower, member = members[part](n, a - 1), members[part](n, a)
-        return lower, (member.subs({"x": seq.X + 1}) + member) / 2
+        build = members[part]
+        lower, member = build(n, a - 1), build(n, a)
+        return lower, (tables.shifted(build, n, a) + member) / 2
     return run_cases("T4_3", product_cases(
         pair, n=range(n_max + 1), alpha=alphas, part=members))
 
@@ -294,14 +331,14 @@ def _stirling_weight(j: int) -> Poly:
         for k in range(j + 1)))
 
 
-def check_T4_4_corrected(grid: Grid = Grid()) -> IdentityReport:
+def check_T4_4_corrected(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """Hybrid polynomial rebuilt from its x=0 family through the
     falling-factorial/Stirling change of basis (the index-corrected form).
     It reads no Euler number and no ``subs``, so a wrong Euler number or a
     wrong substitution passes it.  At fixed n both sides have coefficients
     of degree at most n in a."""
-    # the weights and x = 0 members recur across grid points, in per-call tables
-    weight, special = cache(_stirling_weight), cache(seq.special_case)
+    tables = Tables() if tables is None else tables
+    weight, special = tables.weight, tables.special
 
     def pair(n, a):
         rhs = Poly.sum_of_products(seq.NAMES, (
@@ -311,13 +348,13 @@ def check_T4_4_corrected(grid: Grid = Grid()) -> IdentityReport:
     return run_cases("T4_4_corrected", _grid_cases(grid, pair))
 
 
-def check_T4_4_literal(grid: Grid = Grid()) -> IdentityReport:
+def check_T4_4_literal(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """Negative control: the uncorrected form whose summand keeps the degree-n
     member independent of the summation index.  Not an identity; the k-sum is
     finite because the Stirling factors vanish for k > j.  Expected to fail
     with a counterexample at n = 1; the mutation matrix, which pins the
     checks meant to pass, leaves it out."""
-    weight = cache(_stirling_weight)
+    weight = (Tables() if tables is None else tables).weight
 
     def pair(n, a):
         base = seq.special_case(n, a)
@@ -327,11 +364,11 @@ def check_T4_4_literal(grid: Grid = Grid()) -> IdentityReport:
     return run_cases("T4_4_literal", _grid_cases(grid, pair))
 
 
-def check_T5_1(grid: Grid = Grid()) -> IdentityReport:
+def check_T5_1(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """d/dx lowers the degree: derivative of the n-th member is n times the
     (n-1)-th.  n = 0 checks that the derivative vanishes.  At fixed n the
     left side has coefficients of degree at most n in a, the right side at
-    most n - 1."""
+    most n - 1.  It reads no table."""
     def pair(n, a):
         lhs = seq.bell_euler_poly(n, a).derivative("x")
         rhs = n * seq.bell_euler_poly(n - 1, a) if n else Poly.zero()
@@ -339,21 +376,17 @@ def check_T5_1(grid: Grid = Grid()) -> IdentityReport:
     return run_cases("T5_1", _grid_cases(grid, pair))
 
 
-def check_T5_2(grid: Grid = Grid()) -> IdentityReport:
+def check_T5_2(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """d/dy acts as -2 times the difference between consecutive orders.
     The order-(a-1) member is built as T3_5's right side, from
     ``special_case`` and powers of x, so it shares no builder with the member.
     At fixed n both sides have coefficients of degree at most n in a, the
     order-(a-1) member too."""
-    # the powers of x and x = 0 members recur across grid points, in per-call tables
-    power, special = cache(seq.X.__pow__), cache(seq.special_case)
+    convolution = (Tables() if tables is None else tables).convolution
 
     def pair(n, a):
         member = seq.bell_euler_poly(n, a)
-        lower = Poly.sum_of_products(seq.NAMES, (
-            (comb(n, k), special(k, a - 1), power(n - k))
-            for k in range(n + 1)))
-        return member.derivative("y"), -2 * (member - lower)
+        return member.derivative("y"), -2 * (member - convolution(n, a - 1))
     return run_cases("T5_2", _grid_cases(grid, pair))
 
 

@@ -27,11 +27,14 @@ library's pairing, and the tests' form of the check.  The tests hold h
 against the ``Series`` engine of :mod:`.algebra`, and the expansion against
 its kernel form.
 
-A check's tables (members' columns and x-derivatives, h, V_r,
-antiderivatives, operators, Miller's g) live for one call, like those of
-:mod:`.identities`.  The docstrings of ``orthogonality``, ``integral`` and
-``multinomial`` give the degree in the order of both sides at fixed n,
-which ``tests/test_identities.py`` reads to prove them for every order.
+The checks read the members' x-columns and the x = 0 members from the
+:class:`.identities.Tables` of one run, or one call when called alone; the
+tables that a grid bounds, or that one check alone reads (h, V_r,
+antiderivatives and x-derivatives, operators, Miller's g), live for one
+call.  The docstrings of
+``orthogonality``, ``integral`` and ``multinomial`` give the degree in the
+order of both sides at fixed n, which ``tests/test_identities.py`` reads to
+prove them for every order.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from functools import cache, cached_property
 from math import comb, factorial, gcd, lcm
 
 from .algebra import FIELD_BITS, _FIELD_MASK, Poly, _as_fraction, _check_ceiling, _count
-from .identities import (Grid, IdentityReport, appell_columns, json_order, product_cases,
+from .identities import (Grid, IdentityReport, Tables, json_order, product_cases,
                          run_cases)
 from . import sequences as seq
 
@@ -219,11 +222,10 @@ def _operator_sides(anti: Poly, derivatives: list, z: Fraction, operator: tuple)
     return anti.subs({"x": seq.X + z}) - anti, _act(operator, derivatives)
 
 
-def _pairing_sides(anti: Poly, columns: dict, z: Fraction, operator: tuple):
-    # the member's integral from 0 to z, and the operator's pairing with it,
-    # over the member's x-columns
-    return (anti.subs({"x": z}) - anti.subs({"x": 0}),
-            _pair_columns(operator, columns, anti.names))
+def _pairing_sides(anti: Poly, start: Poly, columns: dict, z: Fraction, operator: tuple):
+    # the member's integral from 0 to z, with start the antiderivative at
+    # x = 0, and the operator's pairing with it, over the member's x-columns
+    return anti.subs({"x": z}) - start, _pair_columns(operator, columns, anti.names)
 
 
 def _power_prefix(mu, m_max: int) -> list:
@@ -247,7 +249,7 @@ def _multinomial_sides(n: int, mu, g: list, special):
 
 # -- registry wrappers ------------------------------------------------------
 
-def check_orthogonality(grid: Grid = Grid()) -> IdentityReport:
+def check_orthogonality(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """<h(t) t^k | BE_n^(mu)> = n! delta_{n,k} over the full (n, k) square,
     for each order mu, checked through the x = 0 rows.
 
@@ -257,11 +259,12 @@ def check_orthogonality(grid: Grid = Grid()) -> IdentityReport:
     pairing is n!/(n-k)! V_(n-k) for k <= n and zero for k > n, with
     V_r = sum_j r!/(r-j)! h_j Z_(r-j): it reads n and k only through
     n - k.  So the point (mu, n, k) compares each x-column of the member
-    with C(n, s) Z_(n-s), as ``T4_1`` does (``identities.appell_columns``),
-    and then n!/(n-k)! V_(n-k) with n! delta_{n,k}.  A counterexample is
-    the first column that fails, or else these two.  Each order's h, each
-    member's columns and each V_r, one kernel sum of r + 1 products, are
-    built once per call, so a point costs O(n) term products beyond them.
+    with C(n, s) Z_(n-s), as ``T4_1`` does (``Tables.column_gap``), and
+    then n!/(n-k)! V_(n-k) with n! delta_{n,k}.  A counterexample is the
+    first column that fails, or else these two.  Each member's columns are
+    built once per run, or once per call when called alone, and each
+    order's h and each V_r, one kernel sum of r + 1 products, once per
+    call, so a point costs O(n) term products beyond them.
 
     It reads no Euler number and no ``subs``, so a wrong Euler number or a
     wrong substitution passes it.  At fixed n both sides have coefficients
@@ -270,8 +273,9 @@ def check_orthogonality(grid: Grid = Grid()) -> IdentityReport:
     n - k <= n."""
     n_max, mus = grid.resolve(6, (1, 2, 3))
     zero = Poly.zero(seq.NAMES)
-    # the tables die with this call
-    columns, column_gap = appell_columns()
+    tables = Tables() if tables is None else tables
+    columns, column_gap = tables.columns, tables.column_gap
+    # h and V_r die with this call
     h = cache(lambda mu: AppellContext.create(mu, n_max).h)
 
     @cache
@@ -295,33 +299,36 @@ def check_orthogonality(grid: Grid = Grid()) -> IdentityReport:
 INTEGRAL_Z_VALUES = (Fraction(1), Fraction(1, 2), Fraction(-2, 3))
 
 
-def check_integral(grid: Grid = Grid()) -> IdentityReport:
+def check_integral(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """The running integral of the member BE_n^(alpha) against the operator
     (e^{zt} - 1)/t, at each point (n, alpha, z), in two forms.  The
     operator form: the exact antiderivative from x to x + z equals the
     operator's action on the member.  The pairing form: the integral from
     0 to z equals the operator's pairing with the member, read as a
-    polynomial in x.  Each member's antiderivative, x-derivatives and
-    x-columns are built once per (n, alpha), and each z's operator once,
-    to t^(n_max + 1), and read to t^(n + 1), in tables that die with this
+    polynomial in x.  Each member's x-columns are built once per run, or
+    once per call when called alone; its antiderivative, that at x = 0 and
+    its x-derivatives once per (n, alpha), and each z's operator once, to
+    t^(n_max + 1), and read to t^(n + 1), in tables that die with this
     call.  At a fixed z both sides of either form are linear in the member,
     so at fixed n their coefficients have degree at most n in alpha."""
     n_max, alphas = grid.resolve(8, (1,))
+    columns = (Tables() if tables is None else tables).columns
     antiderivative = cache(lambda n, a: seq.bell_euler_poly(n, a).antiderivative("x"))
-    forms = {"operator": (_operator_sides, cache(
-                 lambda n, a: _x_derivatives(seq.bell_euler_poly(n, a)))),
-             "pairing": (_pairing_sides, cache(
-                 lambda n, a: seq.bell_euler_poly(n, a).columns("x")))}
+    start = cache(lambda n, a: antiderivative(n, a).subs({"x": 0}))
+    derivatives = cache(lambda n, a: _x_derivatives(seq.bell_euler_poly(n, a)))
     operator = cache(lambda z: difference_quotient_operator(z, n_max + 1))
 
     def pair(n, a, z, form):
-        sides, member = forms[form]
-        return sides(antiderivative(n, a), member(n, a), z, operator(z)[:n + 2])
+        anti, op = antiderivative(n, a), operator(z)[:n + 2]
+        if form == "operator":
+            return _operator_sides(anti, derivatives(n, a), z, op)
+        return _pairing_sides(anti, start(n, a), columns(n, a), z, op)
     return run_cases("integral", product_cases(
-        pair, n=range(n_max + 1), alpha=alphas, z=INTEGRAL_Z_VALUES, form=forms))
+        pair, n=range(n_max + 1), alpha=alphas, z=INTEGRAL_Z_VALUES,
+        form=("operator", "pairing")))
 
 
-def check_multinomial(grid: Grid = Grid()) -> IdentityReport:
+def check_multinomial(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """The x = 0 member of any exact order mu against the order-1 members
     weighted by the t^m coefficients of a power of f(t) = 2/(e^t+1), at
     each point (n, mu).  The members' generating function at x = 0 is the
@@ -335,10 +342,10 @@ def check_multinomial(grid: Grid = Grid()) -> IdentityReport:
     left side is the x = 0 column of the member ``bell_euler_poly``; the
     right side reads ``special_case`` at order 1 and Euler numbers."""
     n_max, mus = grid.resolve(8, (2, 3))
-    # the order-1 x = 0 members recur across grid points and orders, and
-    # each order's g_0..g_(n_max) across grid points; the tables die with
-    # this call
-    special = cache(seq.special_case)
+    # the order-1 x = 0 members recur across grid points and orders, in the
+    # run's tables, and each order's g_0..g_(n_max) across grid points, in a
+    # table that dies with this call
+    special = (Tables() if tables is None else tables).special
     prefix = cache(lambda mu: _power_prefix(mu, n_max))
 
     def pair(n, mu):
@@ -365,9 +372,10 @@ def random_rational_poly(rng: random.Random, degree: int) -> Poly:
     return Poly._make(seq.NAMES, {i: p * (den // d) for i, (p, d) in terms.items()}, den)
 
 
-def check_roundtrip(grid: Grid = Grid()) -> IdentityReport:
+def check_roundtrip(grid: Grid = Grid(), tables: Tables | None = None) -> IdentityReport:
     """Expansion followed by reconstruction returns the input exactly, for
-    seeded random rational polynomials cycling through the grid's orders."""
+    seeded random rational polynomials cycling through the grid's orders.
+    It reads no table."""
     max_degree, mus = grid.resolve(8, (1, 2, 3))
     rng = random.Random(ROUNDTRIP_SEED)
 

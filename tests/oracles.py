@@ -352,23 +352,26 @@ def functionals(context):
 
 
 def _integral_sides(sides, read, n: int, z, alpha):
-    # ``read`` gives the member's part that ``sides`` takes
+    # ``read`` gives, from the member and its antiderivative, the parts that
+    # ``sides`` takes after the antiderivative
     z = _as_fraction(z)
     member = sequences.bell_euler_poly(n, alpha)
-    return sides(member.antiderivative("x"), read(member), z,
-                 difference_quotient_operator(z, n + 1))
+    anti = member.antiderivative("x")
+    return sides(anti, *read(member, anti), z, difference_quotient_operator(z, n + 1))
 
 
 def integral_via_operator(n: int, z, alpha=1):
     """Both routes to the running integral of the order-alpha family member:
     exact antiderivative from x to x+z, and the (e^{zt}-1)/t operator."""
-    return _integral_sides(_operator_sides, _x_derivatives, n, z, alpha)
+    return _integral_sides(_operator_sides, lambda member, anti: (_x_derivatives(member),),
+                           n, z, alpha)
 
 
 def integral_pairing_form(n: int, z, alpha=1):
     """Corollary form: the integral from 0 to z equals the pairing of
     (e^{zt}-1)/t against the member, read as a polynomial in x."""
-    return _integral_sides(_pairing_sides, lambda member: member.columns("x"), n, z, alpha)
+    return _integral_sides(_pairing_sides, lambda member, anti: (
+        anti.subs({"x": 0}), member.columns("x")), n, z, alpha)
 
 
 def _part_count(mu) -> int:
